@@ -10,9 +10,14 @@ d/dt Tbar_k = 2k * sum (1/c_l) Tbar_l (c_0 = 2, c_l = 1) to the orthonormal
 scaling gives 1/sqrt(2), and the finite-difference oracle in the validation
 suite confirms that value to machine precision (see README).
 
-Higher orders apply the first-order operator repeatedly.  The truncation
-method restricts the input coefficients to a hyperbolic cross before
-differentiating; everything outside the cross is ignored.
+The sum is applied through the backward recurrence
+b[l-1] = b[l+1] + 2l * a[l] over the rows (the recurrence of
+numpy.polynomial.chebyshev.chebder), after which row 0 is scaled by zeta_0;
+the dense table of :func:`build_derivative_operator` is kept as the
+reference it is tested against.  Higher orders apply the first-order step
+repeatedly.  The truncation method restricts the input coefficients to a
+hyperbolic cross before differentiating; everything outside the cross is
+ignored.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ class DerivativeOperator1D:
 
 
 def build_derivative_operator(max_k: int, zeta0: float = ZETA_0) -> DerivativeOperator1D:
-    """Precompute the one-variable derivative table up to degree max_k.
+    """Dense one-variable derivative table up to degree max_k.
 
-    ``zeta0`` is exposed for diagnostics (the validation suite perturbs it
-    to demonstrate oracle sensitivity); production code uses the default.
+    The reference that :func:`differentiate_coeffs` is tested against;
+    ``zeta0`` has the same meaning as there.
     """
     if max_k < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -66,14 +71,20 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     Returns the grid b with synthesize(b) = d^r/dt^r synthesize(coeffs),
     exact (up to roundoff) for any polynomial input.  The output degree
     bound in k drops by r (floored at zero); the second variable is
-    untouched.
+    untouched.  ``zeta0`` is exposed for diagnostics (the validation suite
+    perturbs it to demonstrate oracle sensitivity); production code uses
+    the default.
     """
     if int(r) != r or r < 1:
         raise ValueError("derivative order r must be an integer >= 1")
-    op = build_derivative_operator(coeffs.max_k, zeta0)
     values = coeffs.to_dense()
+    rows = values.shape[0]
     for _ in range(int(r)):
-        values = op.matrix @ values
+        out = np.zeros((rows + 1, values.shape[1]))  # out[rows] stays zero
+        for l in range(rows - 1, 0, -1):
+            out[l - 1] = out[l + 1] + (2.0 * l) * values[l]
+        out[0] *= zeta0
+        values = out[:rows]
     out_k = max(0, coeffs.max_k - int(r))
     return CoeffGrid.from_dense(values[: out_k + 1, :])
 

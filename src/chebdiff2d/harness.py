@@ -22,12 +22,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.stats
 
-from .basis import peak_value
+from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_rule,
+                    peak_value)
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, NoiseSpec, WienerSpec,
-                    lp_norm, make_class_member, perturb)
-from .norms import (MetricSpec, evaluate_metric, l2_omega_norm,
+                    lp_norm, make_class_member, perturb, wiener_norm)
+from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
 from .transform import (CoeffGrid, analyze, grid_synthesize, read_coeff_file,
@@ -355,7 +356,6 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
     result = truncated_derivative(grid, n, gamma, r)
     write_coeff_csv(result, output)
     if eval_grid is not None:
-        from .norms import cosine_grid
         nodes = cosine_grid(eval_grid)
         values = grid_synthesize(result, nodes, nodes)
         with open(f"{output}.values.csv", "w", newline="") as fh:
@@ -475,7 +475,6 @@ def _check_zeta0() -> CheckResult:
 
 
 def _check_orthonormality() -> CheckResult:
-    from .basis import basis_matrix, gauss_chebyshev_rule
     deg = 24
     rule = gauss_chebyshev_rule(deg + 1)
     b = basis_matrix(deg, rule.nodes)
@@ -486,7 +485,6 @@ def _check_orthonormality() -> CheckResult:
 
 
 def _check_quadrature() -> CheckResult:
-    from .basis import gauss_chebyshev_rule
     rng = np.random.default_rng(7)
     n_nodes = 8
     rule = gauss_chebyshev_rule(n_nodes)
@@ -506,7 +504,6 @@ def _check_quadrature() -> CheckResult:
 
 
 def _check_peak_bound() -> CheckResult:
-    from .basis import eval_orthonormal
     rng = np.random.default_rng(11)
     worst = -math.inf
     for _ in range(10_000):
@@ -646,7 +643,6 @@ def _check_rate_formulas() -> CheckResult:
     same_rate = math.isclose(theoretical_rate(l2), theoretical_rate(lq2))
     same_gamma = math.isclose(gamma_range(l2)[1], gamma_range(lq2)[1])
     member = make_class_member(wiener, 32, 32, seed=5)
-    from .model import wiener_norm
     unit = abs(wiener_norm(member, wiener) - 1.0)
     ok = same_rate and same_gamma and unit <= 1e-12
     return CheckResult("tuning-and-member-consistency", ok, unit,

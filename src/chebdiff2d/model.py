@@ -145,19 +145,6 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     return CoeffGrid.from_dense(values / norm)
 
 
-def _topweight_target(support: CrossIndexSet) -> tuple[int, int]:
-    # amplification k**(2r-1) grows with k; first j encountered wins ties
-    best = None
-    best_amp = -1.0
-    for k, j in support:
-        amp = float(k) ** (2 * support.r - 1)
-        if amp > best_amp:
-            best, best_amp = (k, j), amp
-    if best is None:
-        raise ValueError("empty support")
-    return best
-
-
 def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> CoeffGrid:
     """Add a noise grid supported on ``support`` with l_p norm exactly delta.
 
@@ -172,8 +159,8 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
     ks = np.array([k for k, _ in indices])
     js = np.array([j for _, j in indices])
     if noise.mode == NOISE_SINGLE:
-        target = _topweight_target(support)
-        raw = np.where((ks == target[0]) & (js == target[1]), 1.0, 0.0)
+        # amplification k**(2r-1) peaks at k = n, where j = 0 is always admitted
+        raw = np.where((ks == support.n) & (js == 0), 1.0, 0.0)
     elif noise.mode == NOISE_TOPWEIGHT:
         raw = np.maximum(ks, 1).astype(float) ** (2 * support.r - 1)
     else:

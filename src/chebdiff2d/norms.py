@@ -66,7 +66,8 @@ def parse_metric(text: str, eval_grid: int = 257) -> MetricSpec:
 
 def l2_omega_norm(coeffs: CoeffGrid) -> float:
     """Weighted L2 norm, exact through the coefficients (Parseval)."""
-    return math.sqrt(math.fsum(v * v for _, v in coeffs.items()))
+    dense = coeffs.to_dense()
+    return math.sqrt(math.fsum((dense * dense).ravel()))
 
 
 def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> float:
@@ -85,8 +86,10 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
         raise ValueError("quad_n must be at least max degree + 1")
     rule = gauss_chebyshev_rule(quad_n)
     values = grid_synthesize(coeffs, rule.nodes, rule.nodes)
+    np.abs(values, out=values)
+    values **= q
     w = math.pi / quad_n
-    return float((w * w * np.sum(np.abs(values) ** q)) ** (1.0 / q))
+    return float((w * w * np.sum(values)) ** (1.0 / q))
 
 
 def cosine_grid(points_per_dim: int) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 A :class:`CoeffGrid` is an immutable finite table of expansion coefficients
 a[k, j] against the orthonormal tensor Chebyshev basis; absent indices are
-exact zeros.  Internally the table is stored densely when more than a
-quarter of the enclosing (max_k+1) x (max_j+1) box is filled and as a sparse
-map otherwise; the interface hides which representation is active.
+exact zeros.  The table is stored as one read-only dense array covering the
+enclosing (max_k+1) x (max_j+1) box, so the bounds are the array's shape.
 
 File formats
 ------------
@@ -24,8 +23,6 @@ import numpy as np
 
 from .basis import basis_matrix, eval_orthonormal, gauss_chebyshev_rule
 
-_DENSE_FILL = 0.25
-
 
 class CoeffFileError(ValueError):
     """Malformed coefficient file; the message carries the line number."""
@@ -34,7 +31,7 @@ class CoeffFileError(ValueError):
 class CoeffGrid:
     """Immutable table of tensor-basis coefficients indexed by (k, j)."""
 
-    __slots__ = ("_max_k", "_max_j", "_dense", "_map")
+    __slots__ = ("_dense",)
 
     def __init__(self, entries=(), max_k: int | None = None, max_j: int | None = None):
         table: dict[tuple[int, int], float] = {}
@@ -61,19 +58,11 @@ class CoeffGrid:
             if k > max_k or j > max_j:
                 raise ValueError(f"entry ({k}, {j}) outside declared bounds "
                                  f"({max_k}, {max_j})")
-        self._max_k = int(max_k)
-        self._max_j = int(max_j)
-        area = (self._max_k + 1) * (self._max_j + 1)
-        if table and len(table) / area > _DENSE_FILL:
-            dense = np.zeros((self._max_k + 1, self._max_j + 1))
-            for (k, j), value in table.items():
-                dense[k, j] = value
-            dense.setflags(write=False)
-            self._dense = dense
-            self._map = None
-        else:
-            self._dense = None
-            self._map = table
+        dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
+        for (k, j), value in table.items():
+            dense[k, j] = value
+        dense.setflags(write=False)
+        self._dense = dense
 
     @classmethod
     def from_dense(cls, array) -> "CoeffGrid":
@@ -83,77 +72,63 @@ class CoeffGrid:
             raise ValueError("dense input must be a nonempty 2-D array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("dense input contains non-finite values")
+        dense = arr.copy()
+        dense.setflags(write=False)
         grid = cls.__new__(cls)
-        grid._max_k = arr.shape[0] - 1
-        grid._max_j = arr.shape[1] - 1
-        nnz = int(np.count_nonzero(arr))
-        if nnz and nnz / arr.size > _DENSE_FILL:
-            dense = arr.copy()
-            dense.setflags(write=False)
-            grid._dense = dense
-            grid._map = None
-        else:
-            ks, js = np.nonzero(arr)
-            grid._dense = None
-            grid._map = {(int(k), int(j)): float(arr[k, j]) for k, j in zip(ks, js)}
+        grid._dense = dense
         return grid
 
     @property
     def max_k(self) -> int:
-        return self._max_k
+        return self._dense.shape[0] - 1
 
     @property
     def max_j(self) -> int:
-        return self._max_j
+        return self._dense.shape[1] - 1
 
     @property
     def nnz(self) -> int:
-        if self._dense is not None:
-            return int(np.count_nonzero(self._dense))
-        return len(self._map)
+        return int(np.count_nonzero(self._dense))
 
     def get(self, k: int, j: int) -> float:
         """Coefficient at (k, j); indices outside the stored set are zero."""
         if k < 0 or j < 0:
             raise ValueError("indices must be nonnegative")
-        if self._dense is not None:
-            if k <= self._max_k and j <= self._max_j:
-                return float(self._dense[k, j])
-            return 0.0
-        return self._map.get((k, j), 0.0)
+        if k <= self.max_k and j <= self.max_j:
+            return float(self._dense[k, j])
+        return 0.0
 
     def items(self):
         """Yield ((k, j), value) over nonzero entries, ascending (k, j)."""
-        if self._dense is not None:
-            ks, js = np.nonzero(self._dense)  # row-major, already lexicographic
-            for k, j in zip(ks, js):
-                yield (int(k), int(j)), float(self._dense[k, j])
-        else:
-            for key in sorted(self._map):
-                yield key, self._map[key]
+        ks, js = np.nonzero(self._dense)  # row-major, already lexicographic
+        for k, j in zip(ks, js):
+            yield (int(k), int(j)), float(self._dense[k, j])
 
     def to_dense(self) -> np.ndarray:
         """Writable dense copy of shape (max_k + 1, max_j + 1)."""
-        if self._dense is not None:
-            return self._dense.copy()
-        dense = np.zeros((self._max_k + 1, self._max_j + 1))
-        for (k, j), value in self._map.items():
-            dense[k, j] = value
-        return dense
+        return self._dense.copy()
 
     def restrict_to(self, index_set) -> "CoeffGrid":
-        """Keep only entries whose (k, j) lies in ``index_set``; bounds kept."""
-        kept = [(key, value) for key, value in self.items() if key in index_set]
-        return CoeffGrid(kept, self._max_k, self._max_j)
+        """Keep only entries whose (k, j) lies in ``index_set``; bounds kept.
+
+        ``index_set`` is any iterable of index pairs; the cost is one step
+        per pair, and pairs outside the bounds select nothing.
+        """
+        max_k, max_j = self.max_k, self.max_j
+        mask = np.zeros(self._dense.shape, dtype=bool)
+        for k, j in index_set:
+            if 0 <= k <= max_k and 0 <= j <= max_j:
+                mask[k, j] = True
+        return CoeffGrid.from_dense(np.where(mask, self._dense, 0.0))
 
     def _binary(self, other: "CoeffGrid", sign: float) -> "CoeffGrid":
         if not isinstance(other, CoeffGrid):
             return NotImplemented
-        mk = max(self._max_k, other._max_k)
-        mj = max(self._max_j, other._max_j)
+        mk = max(self.max_k, other.max_k)
+        mj = max(self.max_j, other.max_j)
         out = np.zeros((mk + 1, mj + 1))
-        out[: self._max_k + 1, : self._max_j + 1] = self.to_dense()
-        out[: other._max_k + 1, : other._max_j + 1] += sign * other.to_dense()
+        out[: self.max_k + 1, : self.max_j + 1] = self._dense
+        out[: other.max_k + 1, : other.max_j + 1] += sign * other._dense
         return CoeffGrid.from_dense(out)
 
     def __add__(self, other):
@@ -163,21 +138,19 @@ class CoeffGrid:
         return self._binary(other, -1.0)
 
     def __mul__(self, alpha):
-        alpha = float(alpha)
-        return CoeffGrid(((key, alpha * value) for key, value in self.items()),
-                         self._max_k, self._max_j)
+        return CoeffGrid.from_dense(float(alpha) * self._dense)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, CoeffGrid):
             return NotImplemented
-        return (self._max_k == other._max_k and self._max_j == other._max_j
-                and dict(self.items()) == dict(other.items()))
+        return (self._dense.shape == other._dense.shape
+                and np.array_equal(self._dense, other._dense))
 
     def __repr__(self):
-        return (f"CoeffGrid(nnz={self.nnz}, max_k={self._max_k}, "
-                f"max_j={self._max_j})")
+        return (f"CoeffGrid(nnz={self.nnz}, max_k={self.max_k}, "
+                f"max_j={self.max_j})")
 
 
 def analyze(f, max_k: int, max_j: int, quad_n: int | None = None) -> CoeffGrid:
@@ -225,7 +198,7 @@ def grid_synthesize(coeffs: CoeffGrid, ts, taus) -> np.ndarray:
     """
     bt = basis_matrix(coeffs.max_k, np.asarray(ts, dtype=float))
     btau = basis_matrix(coeffs.max_j, np.asarray(taus, dtype=float))
-    return bt @ coeffs.to_dense() @ btau.T
+    return bt @ coeffs._dense @ btau.T
 
 
 def write_coeff_csv(coeffs: CoeffGrid, path) -> None:

@@ -41,6 +41,16 @@ class ProblemSpec:
             raise ValueError("level_constant must be positive")
 
 
+def _shift(spec: ProblemSpec) -> float:
+    """Metric shift a: 1/s - 1/2 (L2), 1/s - 1 (uniform), 1/s + 1/q - 1 (Lq)."""
+    inv_s = 1.0 / spec.wiener.s
+    if spec.metric.kind == "l2w":
+        return inv_s - 0.5
+    if spec.metric.kind == "sup":
+        return inv_s - 1.0
+    return inv_s + 1.0 / spec.metric.q - 1.0
+
+
 def _checks(spec: ProblemSpec) -> list[tuple[str, float, float]]:
     s, mu1, mu2 = spec.wiener.s, spec.wiener.mu1, spec.wiener.mu2
     r = spec.r
@@ -104,16 +114,8 @@ def gamma_range(spec: ProblemSpec) -> tuple[float, float]:
     configuration error.
     """
     _require_valid(spec)
-    s, mu1, mu2 = spec.wiener.s, spec.wiener.mu1, spec.wiener.mu2
-    r = spec.r
-    kind = spec.metric.kind
-    if kind == "l2w":
-        shift = 1.0 / s - 0.5
-    elif kind == "sup":
-        shift = 1.0 / s - 1.0
-    else:
-        shift = 1.0 / s + 1.0 / spec.metric.q - 1.0
-    return (1.0, (mu2 + shift) / (mu1 - 2 * r + shift))
+    a = _shift(spec)
+    return (1.0, (spec.wiener.mu2 + a) / (spec.wiener.mu1 - 2 * spec.r + a))
 
 
 def gamma_admissible(spec: ProblemSpec, gamma: float) -> bool:
@@ -124,17 +126,9 @@ def gamma_admissible(spec: ProblemSpec, gamma: float) -> bool:
 def theoretical_rate(spec: ProblemSpec) -> float:
     """Predicted exponent of delta in the accuracy bound for this metric."""
     _require_valid(spec)
-    s, mu1 = spec.wiener.s, spec.wiener.mu1
-    r = spec.r
-    kind = spec.metric.kind
-    if kind == "l2w":
-        numer = mu1 - 2 * r + 1.0 / s - 0.5
-    elif kind == "sup":
-        numer = mu1 - 2 * r + 1.0 / s - 1.0
-    else:
-        numer = mu1 - 2 * r + 1.0 / s + 1.0 / spec.metric.q - 1.0
+    mu1 = spec.wiener.mu1
     inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
-    return numer / (mu1 - inv_p + 1.0 / s)
+    return (mu1 - 2 * spec.r + _shift(spec)) / (mu1 - inv_p + 1.0 / spec.wiener.s)
 
 
 def expected_cardinality(delta: float, spec: ProblemSpec, gamma: float) -> int:

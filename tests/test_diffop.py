@@ -27,6 +27,22 @@ def test_operator_table_structure():
                 assert d == 2 * k
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("zeta0", [ZETA_0, math.sqrt(2.0)])
+def test_recurrence_matches_dense_table(rng, r, zeta0):
+    for max_k, max_j in [(0, 3), (1, 1), (7, 2), (12, 12), (17, 9), (4, 30)]:
+        grid = random_grid(rng, max_k, max_j)
+        table = build_derivative_operator(max_k, zeta0).matrix
+        expected = grid.to_dense()
+        for _ in range(r):
+            expected = table @ expected
+        expected = expected[: max(0, max_k - r) + 1]
+        got = differentiate_coeffs(grid, r, zeta0=zeta0).to_dense()
+        assert got.shape == expected.shape
+        scale = max(np.abs(expected).max(), 1e-300)
+        assert np.abs(got - expected).max() <= 1e-13 * scale
+
+
 def test_constant_has_zero_derivative():
     grid = CoeffGrid([((0, 0), 5.0)], 3, 3)
     deriv = differentiate_coeffs(grid, 1)

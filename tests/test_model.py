@@ -158,14 +158,15 @@ class TestPerturb:
             diff = noisy - grid
             assert all(key in cross for key, _ in diff.items())
 
-    def test_single_coefficient_targets_top_amplification(self):
+    @pytest.mark.parametrize("n, gamma, r", [(9, 1.5, 2), (12, 1.0, 1), (7, 2.7, 3)])
+    def test_single_coefficient_targets_top_amplification(self, n, gamma, r):
         grid = CoeffGrid([], 12, 12)
-        cross = build_cross(9, 1.5, 2)
+        cross = build_cross(n, gamma, r)
         noise = NoiseSpec(p=5.0, delta=0.125, mode=NOISE_SINGLE, seed=0)
         noisy = perturb(grid, noise, cross)
         entries = dict(noisy.items())
         # amplification k**(2r-1) peaks at k = n; first j there is 0
-        assert entries == {(9, 0): pytest.approx(0.125)}
+        assert entries == {(n, 0): pytest.approx(0.125)}
 
     def test_topweight_profile(self):
         grid = CoeffGrid([], 6, 6)

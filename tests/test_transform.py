@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, eval_tensor,
-                        grid_synthesize, l2_omega_norm, lq_omega_norm,
-                        read_coeff_csv, read_coeff_file, read_coeff_json,
-                        synthesize, write_coeff_csv, write_coeff_json)
+from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
+                        eval_tensor, grid_synthesize, l2_omega_norm,
+                        lq_omega_norm, read_coeff_csv, read_coeff_file,
+                        read_coeff_json, synthesize, write_coeff_csv,
+                        write_coeff_json)
 from conftest import random_grid
 
 
@@ -32,7 +33,7 @@ class TestCoeffGrid:
         grid = random_grid(rng, 6, 6, fill=0.4)
         keys = [key for key, _ in grid.items()]
         assert keys == sorted(keys)
-        dense = random_grid(rng, 6, 6, fill=1.0)  # dense storage path
+        dense = random_grid(rng, 6, 6, fill=1.0)
         keys = [key for key, _ in dense.items()]
         assert keys == sorted(keys)
 
@@ -65,6 +66,23 @@ class TestCoeffGrid:
         assert kept.nnz == 2
         assert kept.get(2, 5) == 0.0
         assert kept.max_k == 8 and kept.max_j == 8
+
+    @pytest.mark.parametrize("box, n, gamma, r", [
+        ((20, 20), 9, 1.4, 2),
+        ((12, 15), 30, 1.0, 1),   # n > max_k
+        ((9, 4), 16, 2.0, 1),     # cross reaches beyond both bounds
+        ((25, 6), 11, 2.7, 3),
+    ])
+    def test_restrict_to_cross_matches_brute_force(self, rng, box, n, gamma, r):
+        grid = random_grid(rng, *box)
+        expected = grid.to_dense()
+        for k in range(box[0] + 1):
+            for j in range(box[1] + 1):
+                if not (r <= k <= n and (j == 0 or k * j ** gamma <= n)):
+                    expected[k, j] = 0.0
+        kept = grid.restrict_to(build_cross(n, gamma, r))
+        assert kept == CoeffGrid.from_dense(expected)
+        assert (kept.max_k, kept.max_j) == box
 
 
 class TestAnalyze:
