@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
                         eval_tensor, grid_synthesize, l2_omega_norm,
                         lq_omega_norm, read_coeff_csv, read_coeff_file,
-                        read_coeff_json, synthesize, write_coeff_csv,
-                        write_coeff_json)
+                        read_coeff_json, run_single, synthesize,
+                        write_coeff_csv, write_coeff_json)
 from conftest import random_grid
 
 
@@ -192,20 +194,85 @@ class TestFileFormats:
         assert read_coeff_json(path) == grid
         assert read_coeff_file(path) == grid
 
-    def test_csv_parse_error_carries_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("k,j,coeff\n0,0,1.0\n3,oops,2.0\n")
-        with pytest.raises(CoeffFileError, match="line 3"):
-            read_coeff_csv(path)
+    # The CSV reader's contract: each input is accepted as the given entries
+    # (bounds inferred from the largest indices) or rejected with a
+    # CoeffFileError naming the given line.
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param('k,j,coeff\n"0","2","2.5"\n', {(0, 2): 2.5}, id="quoted"),
+        pytest.param('"k","j","coeff"\n0,2,2.5\n', {(0, 2): 2.5},
+                     id="quoted-header"),
+        pytest.param("k , j, coeff \n 1 ,0 , -3.5 \n", {(1, 0): -3.5},
+                     id="padded"),
+        pytest.param("k,j,coeff\r\n0,1,1.5\r\n2,0,-1\r\n",
+                     {(0, 1): 1.5, (2, 0): -1.0}, id="crlf"),
+        pytest.param("k,j,coeff\n+1,0,1e-3\n", {(1, 0): 1e-3},
+                     id="plus-index-exponent-value"),
+        pytest.param("k,j,coeff\n0,0,1\n\n  \t\n1,1,2\n",
+                     {(0, 0): 1.0, (1, 1): 2.0}, id="blank-lines-skipped"),
+        pytest.param("k,j,coeff\n0,0,1", {(0, 0): 1.0}, id="no-final-newline"),
+        pytest.param("k,j,coeff\n", {}, id="header-only"),
+        pytest.param("k,j,coeff", {}, id="header-only-no-newline"),
+        pytest.param("k,j,coeff\n\n\n", {}, id="header-and-blank-lines"),
+        pytest.param("", {}, id="empty-file"),
+        pytest.param("k,j,coeff\n0,0,1.0\n3,oops,2.0\n", 3, id="bad-index"),
+        pytest.param("k,j,coeff\n0,0,1\n\n3,oops,2\n", 4, id="blank-then-bad"),
+        pytest.param("k,j,coeff\n0,0,1\n \n0,1,nan\n", 4,
+                     id="space-line-then-nan"),
+        pytest.param("k,j,coeff\n0,0,1\n0,1\n", 3, id="two-fields"),
+        pytest.param("k,j,coeff\n0,1,2,3\n", 2, id="four-fields"),
+        pytest.param("k,j,coeff\n0,0,1,\n", 2, id="trailing-comma"),
+        pytest.param("k,j,coeff\n0,,1\n", 2, id="empty-field"),
+        pytest.param('k,j,coeff\n0, "1",2\n', 2, id="space-before-quote"),
+        pytest.param("k,j,coeff\n# note\n0,0,1\n", 2, id="comment-line"),
+        pytest.param("k,j,coeff\n0,0,1\n3.0,0,1\n", 3, id="float-index"),
+        pytest.param("k,j,coeff\n-1,0,1\n", 2, id="negative-index"),
+        pytest.param("k,j,coeff\n0,0,nan\n", 2, id="nan-value"),
+        pytest.param("k,j,coeff\n0,0,inf\n", 2, id="inf-value"),
+        pytest.param("k,j,coeff\n0,0,1e400\n", 2, id="overflowing-value"),
+        pytest.param("0,0,1.0\n", 1, id="missing-header"),
+        pytest.param("k,j,coef\n0,0,1\n", 1, id="misspelled-header"),
+        pytest.param("\nk,j,coeff\n0,0,1\n", 1, id="blank-first-line"),
+    ])
+    def test_csv_reader_contract(self, tmp_path, text, expected):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, dict):
+                assert read_coeff_csv(path) == CoeffGrid(expected)
+                return
+            with pytest.raises(CoeffFileError) as info:
+                read_coeff_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert [int(n) for n in re.findall(r"\bline (\d+)", message)] == [expected]
 
-    def test_csv_requires_header(self, tmp_path):
-        path = tmp_path / "headerless.csv"
-        path.write_text("0,0,1.0\n")
-        with pytest.raises(CoeffFileError, match="line 1"):
-            read_coeff_csv(path)
-
-    def test_empty_file_is_zero_grid(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("k,j,coeff\n")
-        grid = read_coeff_csv(path)
-        assert grid.nnz == 0
+    def test_written_bytes(self, tmp_path):
+        grid = CoeffGrid({(0, 0): 1.0, (0, 2): -0.1, (1, 1): 1 / 3,
+                          (2, 0): 5e-324, (2, 2): 1e22, (3, 1): -2.5e-7}, 3, 2)
+        write_coeff_csv(grid, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == (
+            b"k,j,coeff\r\n0,0,1\r\n0,2,-0.10000000000000001\r\n"
+            b"1,1,0.33333333333333331\r\n2,0,4.9406564584124654e-324\r\n"
+            b"2,2,1e+22\r\n3,1,-2.4999999999999999e-07\r\n")
+        write_coeff_json(grid, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == (
+            b'{"max_k": 3, "max_j": 2, "entries": [[0, 0, 1.0], [0, 2, -0.1], '
+            b'[1, 1, 0.3333333333333333], [2, 0, 5e-324], [2, 2, 1e+22], '
+            b'[3, 1, -2.5e-07]]}\n')
+        out = tmp_path / "d.csv"
+        run_single(tmp_path / "g.csv", 3, 1.0, 1, out, eval_grid=3)
+        assert out.read_bytes() == (
+            b"k,j,coeff\r\n0,1,0.47140346013085982\r\n"
+            b"1,0,1.9762625833649862e-323\r\n2,1,-1.5e-06\r\n")
+        assert (tmp_path / "d.csv.values.csv").read_bytes() == (
+            b"t,tau,value\r\n1,1,0.21220515839470594\r\n"
+            b"1,6.123233995736766e-17,1.2993818399531685e-17\r\n"
+            b"1,-1,-0.21220515839470594\r\n"
+            b"6.123233995736766e-17,1,0.212207068254023\r\n"
+            b"6.123233995736766e-17,6.123233995736766e-17,"
+            b"1.2993935344686659e-17\r\n"
+            b"6.123233995736766e-17,-1,-0.212207068254023\r\n"
+            b"-1,1,0.21220515839470594\r\n"
+            b"-1,6.123233995736766e-17,1.2993818399531685e-17\r\n"
+            b"-1,-1,-0.21220515839470594\r\n")
