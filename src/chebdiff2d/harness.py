@@ -32,7 +32,7 @@ from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
 from .transform import (CoeffGrid, analyze, grid_synthesize, read_coeff_file,
-                        synthesize, write_coeff_csv)
+                        synthesize, write_coeff_csv, write_csv_table)
 from .tuning import (ProblemSpec, choose_n, gamma_admissible, gamma_range,
                      theoretical_rate, validate_spec, with_metric)
 
@@ -358,13 +358,9 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
     if eval_grid is not None:
         nodes = cosine_grid(eval_grid)
         values = grid_synthesize(result, nodes, nodes)
-        with open(f"{output}.values.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "tau", "value"])
-            for i, t in enumerate(nodes):
-                for m, tau in enumerate(nodes):
-                    writer.writerow([f"{t:.17g}", f"{tau:.17g}",
-                                     f"{values[i, m]:.17g}"])
+        write_csv_table(f"{output}.values.csv", "t,tau,value",
+                        "%.17g,%.17g,%.17g", np.repeat(nodes, nodes.size),
+                        np.tile(nodes, nodes.size), values.ravel())
     return result
 
 

@@ -168,8 +168,8 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
         if not np.any(raw):
             raw[0] = 1.0
     xi = (noise.delta / lp_norm(raw, noise.p)) * raw
-    noise_grid = CoeffGrid(
-        zip(indices, xi),
+    noise_grid = CoeffGrid.from_entries(
+        ks, js, xi,
         max(coeffs.max_k, support.n),
         max(coeffs.max_j, support.j_bound),
     )

@@ -11,14 +11,15 @@ Metric selection strings (CLI and config): ``l2w``, ``lqw:<q>``, ``sup``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gauss_chebyshev_rule
+from .basis import basis_matrix, gauss_chebyshev_rule
 from .hypercross import underline
-from .transform import CoeffGrid, grid_synthesize
+from .transform import CoeffGrid
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
         quad_n = 4 * max_deg + 1
     if quad_n < max_deg + 1:
         raise ValueError("quad_n must be at least max degree + 1")
-    rule = gauss_chebyshev_rule(quad_n)
-    values = grid_synthesize(coeffs, rule.nodes, rule.nodes)
+    values = _tensor_values(coeffs, "gauss", quad_n)
     np.abs(values, out=values)
     values **= q
     w = math.pi / quad_n
@@ -106,8 +106,30 @@ def sup_norm(coeffs: CoeffGrid, points_per_dim: int = 257) -> float:
     the grid maximum underestimates the true sup by an amount controlled by
     M relative to the polynomial degrees.
     """
-    nodes = cosine_grid(points_per_dim)
-    return float(np.abs(grid_synthesize(coeffs, nodes, nodes)).max())
+    return float(np.abs(_tensor_values(coeffs, "cosine", points_per_dim)).max())
+
+
+@functools.lru_cache(maxsize=8)
+def _basis(degree: int, nodes: str, size: int) -> np.ndarray:
+    """Read-only basis matrix for degrees 0..degree at ``size`` nodes of the
+    "cosine" grid or the "gauss" (Gauss-Chebyshev) rule.
+
+    A sweep evaluates every trial's metric on the same nodes and degrees,
+    so the matrices are built once per process.
+    """
+    points = (cosine_grid(size) if nodes == "cosine"
+              else gauss_chebyshev_rule(size).nodes)
+    matrix = basis_matrix(degree, points)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _tensor_values(coeffs: CoeffGrid, nodes: str, size: int) -> np.ndarray:
+    """The expansion on the size x size tensor grid of ``nodes``, computed
+    as :func:`~chebdiff2d.transform.grid_synthesize` does."""
+    bt = _basis(coeffs.max_k, nodes, size)
+    btau = _basis(coeffs.max_j, nodes, size)
+    return bt @ coeffs.to_dense() @ btau.T
 
 
 def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:

@@ -8,14 +8,19 @@ enclosing (max_k+1) x (max_j+1) box, so the bounds are the array's shape.
 File formats
 ------------
 CSV:   header line ``k,j,coeff``, one nonzero entry per line, coefficient
-       printed with 17 significant digits (lossless round trip).
-JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``.
-Omitted index pairs are zero in both formats.
+       printed with 17 significant digits (lossless round trip).  Readers
+       accept fields quoted with ``"`` or padded with spaces, and skip blank
+       lines.
+JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``;
+       indices and bounds are JSON integers.
+Omitted index pairs are zero in both formats; a repeated pair is an error.
+Both readers parse and validate whole arrays at once.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -23,9 +28,66 @@ import numpy as np
 
 from .basis import basis_matrix, eval_orthonormal, gauss_chebyshev_rule
 
+_CSV_HEADER = ["k", "j", "coeff"]
+_CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
+
 
 class CoeffFileError(ValueError):
-    """Malformed coefficient file; the message carries the line number."""
+    """Malformed coefficient file; the message names the line or entry."""
+
+
+def _first(mask) -> int | None:
+    """Position of the first True in a boolean vector, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
+    """Validate entries given as parallel (k, j, value) arrays and scatter
+    them into a dense (max_k + 1) x (max_j + 1) table.
+
+    Indices must be integral and nonnegative, values finite, and pairs
+    distinct and inside the bounds, which default to the largest indices.
+    An error names the first offending entry i as ``where(i)``.
+    """
+    keys = np.column_stack((ks, js))
+    values = np.asarray(values, dtype=float)
+    if keys.dtype.kind not in "biuf" or values.shape != (len(keys),):
+        raise ValueError("entries must be (k, j, value) with numeric k and j")
+    valid = keys >= 0
+    if keys.dtype.kind == "f":
+        valid &= np.isfinite(keys) & (np.floor(keys) == keys)
+    bad = _first(~valid.all(axis=1))
+    if bad is not None:
+        k, j = keys[bad].tolist()
+        raise ValueError(f"{where(bad)}: invalid index pair ({k}, {j})")
+    keys = keys.astype(np.int64)
+    bad = _first(~np.isfinite(values))
+    if bad is not None:
+        k, j = keys[bad].tolist()
+        raise ValueError(f"{where(bad)}: non-finite coefficient at ({k}, {j})")
+    top_k, top_j = keys.max(axis=0, initial=0).tolist()
+    max_k = top_k if max_k is None else max_k
+    max_j = top_j if max_j is None else max_j
+    if max_k < 0 or max_j < 0:
+        raise ValueError("degree bounds must be nonnegative")
+    bad = _first((keys[:, 0] > max_k) | (keys[:, 1] > max_j))
+    if bad is not None:
+        k, j = keys[bad].tolist()
+        raise ValueError(f"{where(bad)}: entry ({k}, {j}) outside declared "
+                         f"bounds ({max_k}, {max_j})")
+    dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
+    cells = np.ravel_multi_index((keys[:, 0], keys[:, 1]), dense.shape)
+    # a stable sort keeps equal cells in entry order, so every entry after
+    # the first of its run repeats an earlier pair
+    order = np.argsort(cells, kind="stable")
+    repeats = order[1:][np.diff(cells[order]) == 0]
+    if repeats.size:
+        bad = int(repeats.min())
+        k, j = keys[bad].tolist()
+        raise ValueError(f"{where(bad)}: duplicate index pair ({k}, {j})")
+    dense.flat[cells] = values
+    return dense
 
 
 class CoeffGrid:
@@ -34,35 +96,30 @@ class CoeffGrid:
     __slots__ = ("_dense",)
 
     def __init__(self, entries=(), max_k: int | None = None, max_j: int | None = None):
-        table: dict[tuple[int, int], float] = {}
-        pairs = entries.items() if isinstance(entries, dict) else entries
-        for key, value in pairs:
-            k, j = key
-            if k != int(k) or j != int(j) or k < 0 or j < 0:
-                raise ValueError(f"invalid index pair {key!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite coefficient at {key!r}")
-            k, j = int(k), int(j)
-            if (k, j) in table:
-                raise ValueError(f"duplicate index pair ({k}, {j})")
-            if value != 0.0:
-                table[(k, j)] = value
-        if max_k is None:
-            max_k = max((k for k, _ in table), default=0)
-        if max_j is None:
-            max_j = max((j for _, j in table), default=0)
-        if max_k < 0 or max_j < 0:
-            raise ValueError("degree bounds must be nonnegative")
-        for k, j in table:
-            if k > max_k or j > max_j:
-                raise ValueError(f"entry ({k}, {j}) outside declared bounds "
-                                 f"({max_k}, {max_j})")
-        dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
-        for (k, j), value in table.items():
-            dense[k, j] = value
+        """Grid from ``((k, j), value)`` pairs or a ``{(k, j): value}`` dict.
+
+        Validated as in :meth:`from_entries`; bounds default to the largest
+        indices present.
+        """
+        pairs = list(entries.items() if isinstance(entries, dict) else entries)
+        keys, values = zip(*pairs) if pairs else ((), ())
+        keys = np.array(keys).reshape(len(pairs), 2)
+        dense = _entry_table(keys[:, 0], keys[:, 1], values, max_k, max_j,
+                             "entry {}".format)
         dense.setflags(write=False)
         self._dense = dense
+
+    @classmethod
+    def from_entries(cls, ks, js, values, max_k: int | None = None,
+                     max_j: int | None = None) -> "CoeffGrid":
+        """Build a grid from parallel arrays of indices and values.
+
+        Indices must be integral and nonnegative, values finite, and pairs
+        distinct and within the bounds, which default to the largest
+        indices; a ValueError names the first offending entry.
+        """
+        return cls._wrap(_entry_table(ks, js, values, max_k, max_j,
+                                      "entry {}".format))
 
     @classmethod
     def from_dense(cls, array) -> "CoeffGrid":
@@ -72,7 +129,11 @@ class CoeffGrid:
             raise ValueError("dense input must be a nonempty 2-D array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("dense input contains non-finite values")
-        dense = arr.copy()
+        return cls._wrap(arr.copy())
+
+    @classmethod
+    def _wrap(cls, dense: np.ndarray) -> "CoeffGrid":
+        """Adopt a validated, unshared table as the (now read-only) storage."""
         dense.setflags(write=False)
         grid = cls.__new__(cls)
         grid._dense = dense
@@ -201,51 +262,90 @@ def grid_synthesize(coeffs: CoeffGrid, ts, taus) -> np.ndarray:
     return bt @ coeffs._dense @ btau.T
 
 
-def write_coeff_csv(coeffs: CoeffGrid, path) -> None:
+def write_csv_table(path, header: str, row: str, *columns) -> None:
+    """Write a CSV table: the ``header`` line, then ``row % (c0[i], c1[i], ...)``
+    for each i over the equal-length ``columns``.
+
+    Lines end in CRLF, as :mod:`csv` writes them.
+    """
+    lines = map(row.__mod__, zip(*(np.asarray(c).tolist() for c in columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "coeff"])
-        for (k, j), value in coeffs.items():
-            writer.writerow([k, j, f"{value:.17g}"])
+        fh.write("\r\n".join(itertools.chain([header], lines)) + "\r\n")
+
+
+def _nonzero_entries(coeffs: CoeffGrid):
+    """(ks, js, values) of the nonzero entries, ascending (k, j)."""
+    ks, js = np.nonzero(coeffs._dense)
+    return ks, js, coeffs._dense[ks, js]
+
+
+def write_coeff_csv(coeffs: CoeffGrid, path) -> None:
+    write_csv_table(path, "k,j,coeff", "%d,%d,%.17g", *_nonzero_entries(coeffs))
+
+
+def _csv_body(fh):
+    """Yield (line number, line) for the non-blank lines left in ``fh``,
+    which has consumed the header (line 1)."""
+    for number, line in enumerate(fh, start=2):
+        if not line.isspace():
+            yield number, line
+
+
+def _csv_line_number(path, row: int) -> int:
+    """File line number of data row ``row`` (0-based, blank lines skipped)."""
+    with open(path) as fh:
+        fh.readline()
+        return next(itertools.islice(_csv_body(fh), row, None))[0]
 
 
 def read_coeff_csv(path) -> CoeffGrid:
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if [cell.strip() for cell in row] != ["k", "j", "coeff"]:
-                    raise CoeffFileError(
-                        f"{path}: line 1: expected header 'k,j,coeff'")
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise CoeffFileError(f"{path}: line {lineno}: expected 3 fields, "
-                                     f"got {len(row)}")
-            try:
-                k, j, value = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise CoeffFileError(f"{path}: line {lineno}: {exc}") from None
-            if k < 0 or j < 0 or not math.isfinite(value):
-                raise CoeffFileError(f"{path}: line {lineno}: invalid entry")
-            entries.append(((k, j), value))
+    with open(path) as fh:
+        header = fh.readline()
+        if header and [cell.strip() for cell in
+                       next(csv.reader([header]), [])] != _CSV_HEADER:
+            raise CoeffFileError(f"{path}: line 1: expected header 'k,j,coeff'")
+        last = None  # (number, line) of the line the parser read last
+
+        def lines():
+            nonlocal last
+            for last in _csv_body(fh):
+                yield last[1]
+
+        fed = lines()
+        first = next(fed, None)
+        if first is None:  # header only: loadtxt would warn on no data
+            return CoeffGrid()
+        try:
+            rows = np.loadtxt(itertools.chain([first], fed), dtype=_CSV_ROW,
+                              delimiter=",", quotechar='"', comments=None,
+                              ndmin=1)
+        except UnicodeDecodeError as exc:  # decoded in blocks: no line known
+            raise CoeffFileError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            # the parser stops at the first bad line without reading ahead
+            number, line = last
+            fields = len(next(csv.reader([line]), []))
+            reason = (f"expected 3 fields, got {fields}" if fields != 3
+                      else str(exc).split(" at row ")[0])
+            raise CoeffFileError(f"{path}: line {number}: {reason}") from None
     try:
-        return CoeffGrid(entries)
+        dense = _entry_table(rows["k"], rows["j"], rows["value"], None, None,
+                             lambda i: f"line {_csv_line_number(path, i)}")
     except ValueError as exc:
         raise CoeffFileError(f"{path}: {exc}") from None
+    return CoeffGrid._wrap(dense)
 
 
 def write_coeff_json(coeffs: CoeffGrid, path) -> None:
+    ks, js, values = _nonzero_entries(coeffs)
     doc = {
         "max_k": coeffs.max_k,
         "max_j": coeffs.max_j,
-        "entries": [[k, j, value] for (k, j), value in coeffs.items()],
+        "entries": list(zip(ks.tolist(), js.tolist(), values.tolist())),
     }
+    # json.dumps takes the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def read_coeff_json(path) -> CoeffGrid:
@@ -255,10 +355,29 @@ def read_coeff_json(path) -> CoeffGrid:
         except json.JSONDecodeError as exc:
             raise CoeffFileError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     try:
-        entries = [((int(k), int(j)), float(v)) for k, j, v in doc["entries"]]
-        return CoeffGrid(entries, int(doc["max_k"]), int(doc["max_j"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        max_k, max_j, entries = doc["max_k"], doc["max_j"], doc["entries"]
+    except (KeyError, TypeError):
+        raise CoeffFileError(f"{path}: expected an object with max_k, max_j "
+                             f"and entries") from None
+    for name, bound in (("max_k", max_k), ("max_j", max_j)):
+        if type(bound) is not int:  # bool is an int subclass, and is refused
+            raise CoeffFileError(f"{path}: {name} must be an integer")
+    table = np.asarray(entries, dtype=object) if isinstance(entries, list) else None
+    if table is None or table.shape not in ((0,), (len(entries), 3)):
+        raise CoeffFileError(f"{path}: entries must be a list of "
+                             f"[k, j, value] triples")
+    table = table.reshape(-1, 3)
+    bad = _first((np.frompyfunc(type, 1, 1)(table[:, :2]) != int).any(axis=1))
+    if bad is not None:
+        raise CoeffFileError(f"{path}: entries[{bad}]: k and j must be integers")
+    try:
+        dense = _entry_table(table[:, 0].astype(np.int64),
+                             table[:, 1].astype(np.int64),
+                             table[:, 2].astype(float), max_k, max_j,
+                             "entries[{}]".format)
+    except (OverflowError, TypeError, ValueError) as exc:
         raise CoeffFileError(f"{path}: {exc}") from None
+    return CoeffGrid._wrap(dense)
 
 
 def read_coeff_file(path) -> CoeffGrid:

@@ -247,6 +247,27 @@ class TestCli:
                             "--output", str(out))
         assert proc.returncode == 2  # missing input file
 
+        # malformed files exit 2 with one message naming the line or entry
+        for name, text, where in (
+                ("bad.csv", "k,j,coeff\n0,0,1\n\n2,0,nan\n", "line 4"),
+                ("bad.json", '{"max_k": 2, "max_j": 0, "entries": '
+                             '[[0, 0, 1], [1.5, 0, 2]]}', "entries[1]")):
+            bad = tmp_path / name
+            bad.write_text(text)
+            proc = self.run_cli("differentiate", "--input", str(bad), "--r", "1",
+                                "--n", "4", "--gamma", "1.0", "--output", str(out))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"error: {bad}: {where}: ")
+            assert "Traceback" not in proc.stderr
+            assert "Warning" not in proc.stderr
+
+        empty = tmp_path / "empty.csv"
+        empty.write_text("k,j,coeff\n")
+        proc = self.run_cli("differentiate", "--input", str(empty), "--r", "1",
+                            "--n", "4", "--gamma", "1.0", "--output", str(out))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_differentiate_auto_level(self, tmp_path):
         grid = analyze(lambda t, u: t**2, 4, 0, 9)
         src = tmp_path / "in.csv"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chebdiff2d import (CoeffGrid, MetricSpec, evaluate_metric, l2_omega_norm,
+from chebdiff2d import (CoeffGrid, MetricSpec, cosine_grid, evaluate_metric,
+                        gauss_chebyshev_rule, grid_synthesize, l2_omega_norm,
                         lq_coefficient_bound, lq_omega_norm,
                         nikolskii_explicit_bound, parse_metric, sup_norm,
                         synthesize)
@@ -149,3 +150,17 @@ class TestMetricSpec:
             sup_norm(grid, 65)
         assert evaluate_metric(grid, MetricSpec("lqw", q=2.0)) == pytest.approx(
             l2_omega_norm(grid), rel=1e-10)
+
+
+def test_grid_metrics_equal_grid_synthesis_bit_for_bit(rng):
+    # repeated and transposed boxes reuse the basis matrices of earlier calls
+    for max_k, max_j in ((9, 4), (9, 4), (4, 9)):
+        grid = random_grid(rng, max_k, max_j)
+        nodes = cosine_grid(33)
+        assert sup_norm(grid, 33) == float(
+            np.abs(grid_synthesize(grid, nodes, nodes)).max())
+        rule = gauss_chebyshev_rule(41)
+        values = np.abs(grid_synthesize(grid, rule.nodes, rule.nodes)) ** 4.0
+        w = math.pi / 41
+        assert lq_omega_norm(grid, 4.0, 41) == float(
+            (w * w * np.sum(values)) ** 0.25)

@@ -30,6 +30,27 @@ class TestCoeffGrid:
             CoeffGrid([((3, 0), 1.0)], max_k=2, max_j=0)
         with pytest.raises(ValueError):
             CoeffGrid([((0, 0), 1.0), ((0, 0), 2.0)])
+        with pytest.raises(ValueError, match="entry 1: duplicate"):
+            CoeffGrid([((0, 0), 0.0), ((0, 0), 1.0)])  # zero first
+        with pytest.raises(ValueError, match="entry 2: duplicate"):
+            CoeffGrid.from_entries([0, 1, 0], [0, 0, 0], [1.0, 2.0, 0.0])
+        with pytest.raises(ValueError, match="entry 1: invalid index pair"):
+            CoeffGrid.from_entries([0, 1.5], [0, 0], [1.0, 2.0])
+
+    def test_duplicate_error_names_first_repeat(self, rng):
+        for _ in range(5):
+            ks = rng.permutation(200)
+            pos = np.sort(rng.choice(200, size=3, replace=False))
+            ks[pos] = ks[pos[0]]
+            with pytest.raises(ValueError, match=rf"^entry {pos[1]}: duplicate"):
+                CoeffGrid.from_entries(ks, np.zeros(200, int), np.ones(200))
+
+    def test_from_entries_matches_constructor(self, rng):
+        values = rng.uniform(-1, 1, size=(6, 4))
+        ks, js = np.nonzero(values > 0)
+        expected = CoeffGrid({(k, j): values[k, j] for k, j in zip(ks, js)}, 8, 4)
+        assert CoeffGrid.from_entries(ks, js, values[ks, js], 8, 4) == expected
+        assert CoeffGrid.from_entries([], [], []) == CoeffGrid()
 
     def test_items_lexicographic(self, rng):
         grid = random_grid(rng, 6, 6, fill=0.4)
@@ -276,3 +297,51 @@ class TestFileFormats:
             b"-1,1,0.21220515839470594\r\n"
             b"-1,6.123233995736766e-17,1.2993818399531685e-17\r\n"
             b"-1,-1,-0.21220515839470594\r\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("k,j,coeff\n0,0,0\n0,0,1.5\n", 3),
+        ("k,j,coeff\n0,0,2\n\n1,1,1\n0,0,0\n", 5),
+    ], ids=["zero-first", "after-blank-line"])
+    def test_csv_rejects_every_duplicate_pair(self, tmp_path, text, line):
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        with pytest.raises(CoeffFileError,
+                           match=rf"line {line}: duplicate index pair \(0, 0\)"):
+            read_coeff_csv(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"max_k": 2, "max_j": 2, "entries": [[0, 0, 0], [0, 0, 1.5]]}',
+         r"entries\[1\]: duplicate index pair"),
+        ('{"max_k": 2, "max_j": 0, "entries": [[0, 0, 1], [1.5, 0, 2.0]]}',
+         r"entries\[1\]: k and j must be integers"),
+        ('{"max_k": 2, "max_j": 0, "entries": [[1.0, 0, 2.0]]}',
+         r"entries\[0\]: k and j must be integers"),
+        ('{"max_k": 2, "max_j": 1, "entries": [[1, true, 2.0]]}',
+         r"entries\[0\]: k and j must be integers"),
+        ('{"max_k": 2.7, "max_j": 0, "entries": []}', "max_k must be an integer"),
+        ('{"max_k": 2, "max_j": true, "entries": []}', "max_j must be an integer"),
+        ('{"max_k": 2, "max_j": 0, "entries": [[-1, 0, 1]]}',
+         r"entries\[0\]: invalid index pair"),
+        ('{"max_k": 2, "max_j": 0, "entries": [[3, 0, 1]]}',
+         r"entries\[0\]: entry \(3, 0\) outside declared bounds"),
+        ('{"max_k": 2, "max_j": 0, "entries": [[1, 0]]}', "triples"),
+        ('{"max_k": 2, "max_j": 0, "entries": {"0": 1}}', "triples"),
+        ('{"max_k": 2, "entries": []}', "expected an object"),
+        ('[1, 2]', "expected an object"),
+        ('{"max_k": 2,\n "max_j": }', "line 2"),
+    ], ids=["duplicate-after-zero", "fractional-index", "float-index",
+            "bool-index", "fractional-bound", "bool-bound", "negative-index",
+            "out-of-bounds", "pair-entry", "entries-object", "missing-field",
+            "not-an-object", "syntax-error"])
+    def test_json_reader_rejects(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(CoeffFileError, match=message):
+            read_coeff_json(path)
+
+    def test_json_accepts_integer_values_and_empty_entries(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text('{"max_k": 3, "max_j": 1, "entries": [[2, 1, 5]]}')
+        assert read_coeff_json(path) == CoeffGrid({(2, 1): 5.0}, 3, 1)
+        path.write_text('{"max_k": 3, "max_j": 1, "entries": []}')
+        assert read_coeff_json(path) == CoeffGrid({}, 3, 1)
