@@ -15,8 +15,9 @@ from .harness import (ANALYTIC_FUNCTIONS, CheckResult, ExperimentConfig,
                       run_single, truncation_error_sweep, validate_suite)
 from .hypercross import CrossIndexSet, build_cross, cardinality, underline
 from .model import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
-                    NoiseSpec, WienerSpec, keyed_signs, keyed_uniform, lp_norm,
-                    make_class_member, perturb, wiener_norm)
+                    SEED_INDEPENDENT_MODES, NoiseSpec, WienerSpec, keyed_signs,
+                    keyed_uniform, lp_norm, make_class_member, perturb,
+                    wiener_norm)
 from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)

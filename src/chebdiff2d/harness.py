@@ -26,8 +26,9 @@ from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_rule,
                     peak_value)
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
-from .model import (NOISE_MODES, NOISE_UNIFORM, NoiseSpec, WienerSpec,
-                    lp_norm, make_class_member, perturb, wiener_norm)
+from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
+                    NoiseSpec, WienerSpec, lp_norm, make_class_member, perturb,
+                    wiener_norm)
 from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
@@ -273,6 +274,9 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     true_grid = config.test_function.build(problem.wiener)
     reference = differentiate_coeffs(true_grid, problem.r)
 
+    # a seed-independent mode gives every trial at a level the same noise,
+    # so trial 0 is computed and the later trials repeat its values
+    seeded = config.noise_mode not in SEED_INDEPENDENT_MODES
     trials: list[TrialRecord] = []
     per_metric_rows: dict[str, list[RateRow]] = {m.label: [] for m in config.metrics}
     for delta in config.deltas:
@@ -281,14 +285,15 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
         card = len(cross)
         errors: dict[str, list[float]] = {m.label: [] for m in config.metrics}
         for trial in range(config.trials_per_delta):
-            noise = NoiseSpec(p=problem.noise_p, delta=delta,
-                              mode=config.noise_mode,
-                              seed=config.noise_seed + trial)
-            perturbed = perturb(true_grid, noise, cross)
-            approx = truncated_derivative(perturbed, n, config.gamma, problem.r)
-            err_grid = approx - reference
-            for metric in config.metrics:
-                value = evaluate_metric(err_grid, metric)
+            if trial == 0 or seeded:
+                noise = NoiseSpec(p=problem.noise_p, delta=delta,
+                                  mode=config.noise_mode,
+                                  seed=config.noise_seed + trial)
+                perturbed = perturb(true_grid, noise, cross)
+                approx = truncated_derivative(perturbed, n, config.gamma, problem.r)
+                err_grid = approx - reference
+                values = [evaluate_metric(err_grid, m) for m in config.metrics]
+            for metric, value in zip(config.metrics, values):
                 errors[metric.label].append(value)
                 trials.append(TrialRecord(delta, trial, metric.label, n,
                                           config.gamma, card, value))

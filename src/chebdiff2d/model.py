@@ -26,6 +26,8 @@ NOISE_UNIFORM = "uniform-random"
 NOISE_TOPWEIGHT = "adversarial-topweight"
 NOISE_SINGLE = "single-coefficient"
 NOISE_MODES = (NOISE_UNIFORM, NOISE_TOPWEIGHT, NOISE_SINGLE)
+#: Modes whose noise ignores the seed: all trials at a level coincide.
+SEED_INDEPENDENT_MODES = frozenset({NOISE_TOPWEIGHT, NOISE_SINGLE})
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -82,8 +84,9 @@ class NoiseSpec:
     ``p`` may be math.inf.  Mode ``uniform-random`` spreads keyed random
     values over the support; ``adversarial-topweight`` weights index (k, j)
     by k**(2r-1), the amplification factor of r-fold differentiation, with
-    aligned signs (deterministic, seed-independent); ``single-coefficient``
-    puts all mass on the single most-amplified index.
+    aligned signs; ``single-coefficient`` puts all mass on the single
+    most-amplified index.  The last two ignore ``seed`` and are listed in
+    :data:`SEED_INDEPENDENT_MODES`.
     """
 
     p: float

@@ -6,13 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from chebdiff2d import (NOISE_TOPWEIGHT, NOISE_UNIFORM, CoeffGrid,
-                        ExperimentConfig, MetricSpec, ProblemSpec,
-                        TestFunctionSpec, WienerSpec, analyze, cardinality,
-                        choose_n, config_from_dict, differentiate_coeffs,
-                        fit_rate, grid_synthesize, read_coeff_csv,
-                        run_convergence, run_single, synthesize,
-                        truncation_error_sweep, validate_suite,
+from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
+                        CoeffGrid, ExperimentConfig, MetricSpec, NoiseSpec,
+                        ProblemSpec, RateReport, RateRow, TestFunctionSpec,
+                        TrialRecord, WienerSpec, analyze, build_cross,
+                        cardinality, choose_n, config_from_dict,
+                        differentiate_coeffs, evaluate_metric, fit_rate,
+                        grid_synthesize, parse_metric, perturb,
+                        read_coeff_csv, run_convergence, run_single,
+                        synthesize, theoretical_rate, truncated_derivative,
+                        truncation_error_sweep, validate_suite, with_metric,
                         write_coeff_csv)
 
 
@@ -31,6 +34,48 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def every_trial_computed(config):
+    """The sweep with one perturbation per trial, whatever the noise mode."""
+    problem = config.problem
+    true_grid = config.test_function.build(problem.wiener)
+    reference = differentiate_coeffs(true_grid, problem.r)
+    trials, rows = [], {m.label: [] for m in config.metrics}
+    for delta in config.deltas:
+        n = choose_n(delta, problem)
+        cross = build_cross(n, config.gamma, problem.r)
+        errors = {m.label: [] for m in config.metrics}
+        for trial in range(config.trials_per_delta):
+            noise = NoiseSpec(p=problem.noise_p, delta=delta,
+                              mode=config.noise_mode,
+                              seed=config.noise_seed + trial)
+            approx = truncated_derivative(perturb(true_grid, noise, cross), n,
+                                          config.gamma, problem.r)
+            for metric in config.metrics:
+                value = evaluate_metric(approx - reference, metric)
+                errors[metric.label].append(value)
+                trials.append(TrialRecord(delta, trial, metric.label, n,
+                                          config.gamma, len(cross), value))
+        for label, vals in errors.items():
+            rows[label].append(RateRow(delta, float(np.mean(vals)),
+                                       float(np.std(vals)), n, len(cross)))
+    reports = {}
+    for metric in config.metrics:
+        fit = fit_rate([(row.delta, row.mean_error) for row in rows[metric.label]])
+        reports[metric.label] = RateReport(
+            metric.label, tuple(rows[metric.label]), fit.slope, fit.intercept,
+            (fit.ci_low, fit.ci_high),
+            theoretical_rate(with_metric(problem, metric)))
+    return tuple(trials), reports
+
+
+def three_metric_config(mode):
+    return small_config(
+        test_function=TestFunctionSpec(kind="class-member", seed=3,
+                                       max_k=32, max_j=32),
+        metrics=tuple(parse_metric(m) for m in ("l2w", "sup", "lqw:4")),
+        noise_mode=mode)
 
 
 class TestFitRate:
@@ -88,6 +133,23 @@ class TestRunConvergence:
                       if rec.delta == row.delta and rec.metric == "l2w"]
             assert len(errors) == config.trials_per_delta
             assert np.mean(errors) == pytest.approx(row.mean_error, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [NOISE_TOPWEIGHT, NOISE_SINGLE])
+    def test_seed_independent_trials_equal_every_trial_computed(self, mode):
+        config = three_metric_config(mode)
+        result = run_convergence(config)
+        trials, reports = every_trial_computed(config)
+        assert result.trials == trials
+        assert result.reports == reports
+
+    def test_seeded_trials_differ(self):
+        result = run_convergence(three_metric_config(NOISE_UNIFORM))
+        groups = {}
+        for rec in result.trials:
+            groups.setdefault((rec.delta, rec.metric), []).append(rec.error)
+        assert len(groups) == 3 * 3
+        for errors in groups.values():
+            assert len(set(errors)) == len(errors) == 3
 
     def test_inadmissible_spec_rejected(self):
         config = small_config(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT,
-                        NOISE_UNIFORM, CoeffGrid, NoiseSpec, WienerSpec,
-                        build_cross, lp_norm, make_class_member, perturb,
-                        wiener_norm)
+                        NOISE_UNIFORM, SEED_INDEPENDENT_MODES, CoeffGrid,
+                        NoiseSpec, WienerSpec, build_cross, lp_norm,
+                        make_class_member, perturb, wiener_norm)
 from conftest import random_grid
 
 
@@ -177,6 +177,16 @@ class TestPerturb:
         assert noisy.get(3, 0) == pytest.approx(0.5)
         assert noisy.get(1, 0) == pytest.approx(0.5 / 3)
         assert noisy.get(2, 0) == pytest.approx(1.0 / 3)
+
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    def test_seed_independence_is_declared(self, rng, mode):
+        # the experiment engine computes one trial per level for the modes
+        # marked seed-independent; a seeded mode must not be among them
+        grid = random_grid(rng, 10, 10)
+        cross = build_cross(10, 1.5, 1)
+        noisy = [perturb(grid, NoiseSpec(p=2.0, delta=0.1, mode=mode, seed=seed),
+                         cross) for seed in (0, 1)]
+        assert (noisy[0] == noisy[1]) == (mode in SEED_INDEPENDENT_MODES)
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
