@@ -116,46 +116,113 @@ def parse_p(value) -> float:
     return float(value)
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON configuration document."""
+_REQUIRED = object()
+
+
+def _field(section: dict, key: str, convert, where: str = "",
+           default=_REQUIRED):
+    """``convert(section[key])``, or ``default`` when the key is absent.
+
+    A missing required key, or a value ``convert`` rejects with TypeError
+    or ValueError, is a ValueError naming the field ``where + key``.
+    """
+    if key not in section:
+        if default is _REQUIRED:
+            raise ValueError(f"configuration is missing required field "
+                             f"{where + key!r}")
+        return default
     try:
-        prob = doc["problem"]
-        wiener = WienerSpec(s=float(prob["s"]), mu1=float(prob["mu1"]),
-                            mu2=float(prob["mu2"]))
-        metrics = tuple(parse_metric(m) for m in doc.get("metrics", ["l2w"]))
-        problem = ProblemSpec(
-            r=int(prob["r"]),
-            wiener=wiener,
-            noise_p=parse_p(prob["p"]),
-            metric=metrics[0],
-            level_constant=float(prob.get("level_constant", 1.0)),
+        return convert(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"configuration field {where + key!r}: {exc}") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _list_of(convert):
+    """Converter for a nonempty JSON array whose items pass ``convert``."""
+    def parse(value) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise TypeError("expected a nonempty JSON array")
+        return tuple(convert(item) for item in value)
+    return parse
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from the JSON configuration document.
+
+    Every field is checked as it is read: a missing or malformed one is a
+    ValueError that names it.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("configuration must be a JSON object")
+    prob = _field(doc, "problem", _object)
+    wiener = WienerSpec(s=_field(prob, "s", _number, "problem."),
+                        mu1=_field(prob, "mu1", _number, "problem."),
+                        mu2=_field(prob, "mu2", _number, "problem."))
+    metrics = _field(doc, "metrics",
+                     _list_of(lambda m: parse_metric(_text(m))),
+                     default=(parse_metric("l2w"),))
+    problem = ProblemSpec(
+        r=_field(prob, "r", _integer, "problem."),
+        wiener=wiener,
+        noise_p=_field(prob, "p", parse_p, "problem."),
+        metric=metrics[0],
+        level_constant=_field(prob, "level_constant", _number, "problem.",
+                              1.0),
+    )
+    noise = _field(doc, "noise", _object, default={})
+    tf = _field(doc, "test_function", _object)
+    kind = _field(tf, "kind", _text, "test_function.")
+    if kind == "class-member":
+        test_function = TestFunctionSpec(
+            kind=kind,
+            seed=_field(tf, "seed", _integer, "test_function.", 0),
+            max_k=_field(tf, "max_k", _integer, "test_function.", 256),
+            max_j=_field(tf, "max_j", _integer, "test_function.", 256),
+            epsilon=_field(tf, "epsilon", _number, "test_function.", 0.01),
         )
-        noise = doc.get("noise", {})
-        tf = doc["test_function"]
-        if tf["kind"] == "class-member":
-            test_function = TestFunctionSpec(
-                kind="class-member",
-                seed=int(tf.get("seed", 0)),
-                max_k=int(tf.get("max_k", 256)),
-                max_j=int(tf.get("max_j", 256)),
-                epsilon=float(tf.get("epsilon", 0.01)),
-            )
-        else:
-            test_function = TestFunctionSpec(kind=tf["kind"],
-                                             name=tf.get("id") or tf.get("name"))
-        return ExperimentConfig(
-            problem=problem,
-            deltas=tuple(float(d) for d in doc["deltas"]),
-            gamma=float(doc["gamma"]),
-            test_function=test_function,
-            metrics=metrics,
-            trials_per_delta=int(doc.get("trials_per_delta", 10)),
-            noise_mode=noise.get("mode", NOISE_UNIFORM),
-            noise_seed=int(noise.get("seed", 0)),
-            output_path=doc.get("output_path"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"configuration is missing required field {exc}") from None
+    else:
+        name = (_field(tf, "id", _text, "test_function.", None)
+                or _field(tf, "name", _text, "test_function.", None))
+        test_function = TestFunctionSpec(kind=kind, name=name)
+    return ExperimentConfig(
+        problem=problem,
+        deltas=_field(doc, "deltas", _list_of(_number)),
+        gamma=_field(doc, "gamma", _number),
+        test_function=test_function,
+        metrics=metrics,
+        trials_per_delta=_field(doc, "trials_per_delta", _integer, default=10),
+        noise_mode=_field(noise, "mode", _text, "noise.", NOISE_UNIFORM),
+        noise_seed=_field(noise, "seed", _integer, "noise.", 0),
+        output_path=_field(doc, "output_path",
+                           lambda v: v if v is None else _text(v),
+                           default=None),
+    )
 
 
 def load_config(path) -> ExperimentConfig:

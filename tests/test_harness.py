@@ -17,6 +17,7 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         synthesize, theoretical_rate, truncated_derivative,
                         truncation_error_sweep, validate_suite, with_metric,
                         write_coeff_csv)
+from chebdiff2d.cli import main
 
 
 def small_config(**overrides):
@@ -383,6 +384,36 @@ class TestCli:
         proc = self.run_cli("experiment", "--config", str(cfg_path))
         assert proc.returncode == 1
         assert "mu1" in proc.stderr
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.update(metrics=[]), "'metrics'"),
+        (lambda doc: doc.update(metrics=[4]), "'metrics'"),
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: doc["problem"].update(s=[1]), "'problem.s'"),
+        (lambda doc: doc["problem"].update(r=1.5), "'problem.r'"),
+        (lambda doc: doc.update(trials_per_delta=None), "'trials_per_delta'"),
+        (lambda doc: doc.update(noise="x"), "'noise'"),
+        (lambda doc: doc.update(deltas="0.1"), "'deltas'"),
+        (lambda doc: doc.update(test_function={"kind": "named-analytic",
+                                               "id": 3}), "'test_function.id'"),
+    ])
+    def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
+        # in process: an exception escaping main() is what prints a traceback
+        doc = {
+            "problem": {"r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2},
+            "test_function": {"kind": "class-member", "max_k": 8, "max_j": 8},
+            "deltas": [1e-2, 1e-3, 1e-4],
+            "gamma": 1.5,
+        }
+        doc = edit(doc) or doc
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["experiment", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_json(self):
         proc = self.run_cli("validate", "--json")
