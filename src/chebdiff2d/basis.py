@@ -68,9 +68,9 @@ def basis_matrix(max_degree: int, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
-    outside = np.abs(pts) > 1.0 + CLAMP_TOL
+    outside = ~(np.abs(pts) <= 1.0 + CLAMP_TOL)  # NaN is outside too
     if np.any(outside):
-        raise ValueError(f"point {pts[outside][0]!r} lies outside [-1, 1]")
+        raise ValueError(f"point {float(pts[outside][0])!r} lies outside [-1, 1]")
     theta = np.arccos(np.clip(pts, -1.0, 1.0))
     values = np.cos(np.outer(theta, np.arange(max_degree + 1)))
     values *= _SQRT_2_OVER_PI

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .basis import basis_matrix, eval_orthonormal, gauss_chebyshev_rule
+from .basis import basis_matrix, gauss_chebyshev_rule
 
 _CSV_HEADER = ["k", "j", "coeff"]
 _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
@@ -241,13 +241,13 @@ def analyze(f, max_k: int, max_j: int, quad_n: int | None = None) -> CoeffGrid:
 def synthesize(coeffs: CoeffGrid, t: float, tau: float) -> float:
     """Evaluate the expansion at a single point.
 
-    Terms are accumulated in ascending (k, j) order with compensated
-    summation (``math.fsum``), so the result is reproducible and does not
-    depend on the storage layout.
+    The terms ``a[k, j] * T_k(t) * T_j(tau)`` are formed as arrays from one
+    basis row per variable and summed with compensated summation
+    (``math.fsum``), so the result does not depend on the summation order.
     """
-    terms = [value * eval_orthonormal(k, t) * eval_orthonormal(j, tau)
-             for (k, j), value in coeffs.items()]
-    return math.fsum(terms)
+    bt = basis_matrix(coeffs.max_k, [t])[0]
+    btau = basis_matrix(coeffs.max_j, [tau])[0]
+    return math.fsum(((coeffs._dense * bt[:, None]) * btau).ravel())
 
 
 def grid_synthesize(coeffs: CoeffGrid, ts, taus) -> np.ndarray:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
-                        eval_tensor, grid_synthesize, l2_omega_norm,
+                        eval_orthonormal, eval_tensor, grid_synthesize,
+                        l2_omega_norm,
                         lq_omega_norm, read_coeff_csv, read_coeff_file,
                         read_coeff_json, run_single, synthesize,
                         write_coeff_csv, write_coeff_json)
@@ -162,8 +163,22 @@ class TestSynthesize:
             assert synthesize(grid, t, u) == pytest.approx(t, abs=1e-14)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            synthesize(CoeffGrid([((1, 1), 1.0)]), 1.5, 0.0)
+        grid = CoeffGrid([((1, 1), 1.0)])
+        for t, tau in ((1.5, 0.0), (0.0, -1.0 - 1e-12), (math.nan, 0.0)):
+            with pytest.raises(ValueError, match="lies outside"):
+                synthesize(grid, t, tau)
+        assert synthesize(grid, 1.0 + 5e-15, 1.0) == synthesize(grid, 1.0, 1.0)
+
+    def test_matches_per_entry_formula(self, rng):
+        # math.cos/math.acos round differently from np.cos/np.arccos, so the
+        # per-entry sum agrees to roundoff of the terms, not bit for bit
+        grid = random_grid(rng, 17, 17, fill=0.7)
+        points = [*rng.uniform(-1, 1, size=(40, 2)), (1.0, -1.0), (0.0, 1.0)]
+        for t, u in points:
+            terms = [value * eval_orthonormal(k, t) * eval_orthonormal(j, u)
+                     for (k, j), value in grid.items()]
+            scale = math.fsum(abs(term) for term in terms)
+            assert abs(synthesize(grid, t, u) - math.fsum(terms)) <= 1e-14 * scale
 
     def test_full_round_trip(self, rng):
         grid = random_grid(rng, 16, 16)
