@@ -74,15 +74,17 @@ def l2_omega_norm(coeffs: CoeffGrid) -> float:
 def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> float:
     """Weighted Lq norm by tensor Gauss-Chebyshev quadrature.
 
-    Default quadrature size 4 * (max degree) + 1 per dimension, which is
-    exact for even integer q up to 8; for other q the integrand is not a
-    polynomial and the result is an approximation.
+    For even integer q, |f|^q is a polynomial of degree q * (max degree) in
+    each variable, so the default q * (max degree) / 2 + 1 nodes per
+    dimension are exact; the default is capped at 4 * (max degree) + 1, the
+    exact size for q = 8.  Every other q takes the cap: the integrand is not
+    a polynomial and the result is an approximation.
     """
     if not q >= 1:
         raise ValueError("q must be >= 1")
     max_deg = max(coeffs.max_k, coeffs.max_j)
     if quad_n is None:
-        quad_n = 4 * max_deg + 1
+        quad_n = _lq_nodes(q, max_deg)
     if quad_n < max_deg + 1:
         raise ValueError("quad_n must be at least max degree + 1")
     values = _tensor_values(coeffs, "gauss", quad_n)
@@ -90,6 +92,14 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     values **= q
     w = math.pi / quad_n
     return float((w * w * np.sum(values)) ** (1.0 / q))
+
+
+def _lq_nodes(q: float, max_deg: int) -> int:
+    """Default quadrature size of :func:`lq_omega_norm`."""
+    cap = 4 * max_deg + 1
+    if q % 2 == 0:
+        return min(int(q) * max_deg // 2 + 1, cap)
+    return cap
 
 
 def cosine_grid(points_per_dim: int) -> np.ndarray:
@@ -166,6 +176,5 @@ def evaluate_metric(coeffs: CoeffGrid, metric: MetricSpec) -> float:
         return l2_omega_norm(coeffs)
     if metric.kind == "sup":
         return sup_norm(coeffs, metric.eval_grid)
-    max_deg = max(coeffs.max_k, coeffs.max_j)
-    quad_n = max(metric.eval_grid, 4 * max_deg + 1)
-    return lq_omega_norm(coeffs, metric.q, quad_n)
+    quad_n = _lq_nodes(metric.q, max(coeffs.max_k, coeffs.max_j))
+    return lq_omega_norm(coeffs, metric.q, max(metric.eval_grid, quad_n))

@@ -37,6 +37,16 @@ class TestLq:
         with pytest.raises(ValueError):
             lq_omega_norm(CoeffGrid([((0, 0), 1.0)]), 0.5)
 
+    @pytest.mark.parametrize("q", [2.0, 4.0, 6.0, 8.0])
+    def test_default_size_is_exact_for_even_q(self, rng, q):
+        # q * deg / 2 + 1 nodes integrate |f|^q exactly, as 4 * deg + 1 do
+        for box in ((20, 20), (31, 12), (5, 40)):
+            grid = random_grid(rng, *box)
+            exact = lq_omega_norm(grid, q, 4 * max(box) + 1)
+            assert lq_omega_norm(grid, q) == pytest.approx(exact, rel=1e-13)
+            assert evaluate_metric(grid, MetricSpec("lqw", q=q, eval_grid=2)) \
+                == lq_omega_norm(grid, q)
+
     def test_monotone_in_q_after_measure_normalization(self, rng):
         # Jensen under the probability measure omega / pi^2
         for _ in range(10):
