@@ -79,6 +79,83 @@ def three_metric_config(mode):
         noise_mode=mode)
 
 
+#: ``experiment`` outputs for GOLDEN_CONFIG, pinned byte for byte.
+GOLDEN_CONFIG = {
+    "problem": {"r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2},
+    "noise": {"mode": "uniform-random", "seed": 5},
+    "test_function": {"kind": "class-member", "seed": 2,
+                      "max_k": 16, "max_j": 16},
+    "deltas": [1e-2, 1e-3, 1e-4],
+    "trials_per_delta": 2,
+    "gamma": 1.5,
+    "metrics": ["l2w", "sup", "lqw:4"],
+}
+GOLDEN_REPORT = {
+    "l2w": {"metric": "l2w", "rows": [
+        {"delta": 0.01, "mean_error": 0.05988288464738564,
+         "std_error": 0.015201587484260624, "n_used": 4,
+         "cardinality": 9},
+        {"delta": 0.001, "mean_error": 0.013445217464330906,
+         "std_error": 0.004219266688629539, "n_used": 7,
+         "cardinality": 17},
+        {"delta": 0.0001, "mean_error": 0.003045070647738155,
+         "std_error": 0.0011398223876734727, "n_used": 14,
+         "cardinality": 36},
+    ], "fitted_slope": 0.6468526698836081,
+        "intercept": 0.16205743222005786,
+        "slope_ci": [0.6330448933284507, 0.6606604464387655],
+        "theoretical_slope": 0.42857142857142855},
+    "sup": {"metric": "sup", "rows": [
+        {"delta": 0.01, "mean_error": 0.0783430684370072,
+         "std_error": 0.022146957484873234, "n_used": 4,
+         "cardinality": 9},
+        {"delta": 0.001, "mean_error": 0.016941340460319088,
+         "std_error": 0.007440403974381295, "n_used": 7,
+         "cardinality": 17},
+        {"delta": 0.0001, "mean_error": 0.007625078208400447,
+         "std_error": 0.004258658971674458, "n_used": 14,
+         "cardinality": 36},
+    ], "fitted_slope": 0.5058781374641637,
+        "intercept": -0.33917394074708396,
+        "slope_ci": [-0.6618162121568922, 1.6735724870852196],
+        "theoretical_slope": 0.2857142857142857},
+    "lqw:4": {"metric": "lqw:4", "rows": [
+        {"delta": 0.01, "mean_error": 0.056584283265614425,
+         "std_error": 0.0160083541076425, "n_used": 4,
+         "cardinality": 9},
+        {"delta": 0.001, "mean_error": 0.012263152627882691,
+         "std_error": 0.004962703686667528, "n_used": 7,
+         "cardinality": 17},
+        {"delta": 0.0001, "mean_error": 0.0038353318604404055,
+         "std_error": 0.00200345873526718, "n_used": 14,
+         "cardinality": 36},
+    ], "fitted_slope": 0.5844464355037327,
+        "intercept": -0.24168023668803418,
+        "slope_ci": [0.00015972605131853168, 1.1687331449561467],
+        "theoretical_slope": 0.35714285714285715},
+}
+GOLDEN_TRIALS = (
+    b"delta,trial,metric,n,gamma,cardinality,error\r\n"
+    b"0.01,0,l2w,4,1.5,9,0.075084472131646263\r\n"
+    b"0.01,0,sup,4,1.5,9,0.10049002592188043\r\n"
+    b"0.01,0,lqw:4,4,1.5,9,0.072592637373256927\r\n"
+    b"0.01,1,l2w,4,1.5,9,0.044681297163125015\r\n"
+    b"0.01,1,sup,4,1.5,9,0.056196110952133962\r\n"
+    b"0.01,1,lqw:4,4,1.5,9,0.040575929157971924\r\n"
+    b"0.001,0,l2w,7,1.5,17,0.017664484152960444\r\n"
+    b"0.001,0,sup,7,1.5,17,0.024381744434700384\r\n"
+    b"0.001,0,lqw:4,7,1.5,17,0.01722585631455022\r\n"
+    b"0.001,1,l2w,7,1.5,17,0.0092259507757013661\r\n"
+    b"0.001,1,sup,7,1.5,17,0.0095009364859377932\r\n"
+    b"0.001,1,lqw:4,7,1.5,17,0.0073004489412151633\r\n"
+    b"0.0001,0,l2w,14,1.5,36,0.0019052482600646823\r\n"
+    b"0.0001,0,sup,14,1.5,36,0.003366419236725988\r\n"
+    b"0.0001,0,lqw:4,14,1.5,36,0.0018318731251732259\r\n"
+    b"0.0001,1,l2w,14,1.5,36,0.0041848930354116279\r\n"
+    b"0.0001,1,sup,14,1.5,36,0.011883737180074905\r\n"
+    b"0.0001,1,lqw:4,14,1.5,36,0.0058387905957075856\r\n"
+)
+
 class TestFitRate:
     def test_exact_power_law(self):
         c = 0.37
@@ -369,6 +446,16 @@ class TestCli:
         trials = (tmp_path / "out" / "trials.csv").read_text().splitlines()
         assert trials[0] == "delta,trial,metric,n,gamma,cardinality,error"
         assert len(trials) == 1 + 3 * 2
+
+    def test_experiment_written_bytes(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(GOLDEN_CONFIG))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(out)]) == 0
+        assert (out / "trials.csv").read_bytes() == GOLDEN_TRIALS
+        assert (out / "report.json").read_bytes() == (
+            json.dumps(GOLDEN_REPORT, indent=2) + "\n").encode()
 
     def test_experiment_invalid_config_exit_code(self, tmp_path):
         config = {

@@ -39,6 +39,24 @@ class TestValidateSpec:
         bad = validate_spec(make_spec(mu1=1.7, mu2=2.0, metric=metric))
         assert any("mu1 > 2r - 1/s - 1/q + 1" in v for v in bad)
 
+    @pytest.mark.parametrize("metric, mu1, expected", [
+        (MetricSpec("l2w"), 2.2, [
+            "mu1 > 2r - 1/s + 1/2 violated (need > 2.25, got 2.2)",
+            "mu2 > mu1 - 2r violated (need > 0.2, got 0.1)",
+            "mu2 > 1/2 - 1/s violated (need > 0.25, got 0.1)"]),
+        (MetricSpec("sup"), 2.5, [
+            "mu1 > 2r - 1/s + 1 violated (need > 2.75, got 2.5)",
+            "mu2 > mu1 - 2r violated (need > 0.5, got 0.1)",
+            "mu2 > 1 - 1/s violated (need > 0.75, got 0.1)"]),
+        # mu2 < mu1 - 2r here too, but Lq has no such condition
+        (MetricSpec("lqw", q=4.0), 2.2, [
+            "mu1 > 2r - 1/s - 1/q + 1 violated (need > 2.5, got 2.2)",
+            "mu2 > 1 - 1/s - 1/q violated (need > 0.5, got 0.1)"]),
+    ], ids=["l2w", "sup", "lqw"])
+    def test_full_message_list(self, metric, mu1, expected):
+        spec = make_spec(s=4.0, mu1=mu1, mu2=0.1, metric=metric)
+        assert validate_spec(spec) == expected
+
 
 class TestChooseN:
     def test_reference_value(self):
