@@ -14,10 +14,9 @@ reports bit for bit.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 import scipy.stats
@@ -305,16 +304,6 @@ class RateReport:
     slope_ci: tuple[float, float]
     theoretical_slope: float
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "rows": [asdict(row) for row in self.rows],
-            "fitted_slope": self.fitted_slope,
-            "intercept": self.intercept,
-            "slope_ci": list(self.slope_ci),
-            "theoretical_slope": self.theoretical_slope,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -324,12 +313,13 @@ class ExperimentResult:
 
 def _check_config(config: ExperimentConfig) -> None:
     for metric in config.metrics:
-        violations = validate_spec(with_metric(config.problem, metric))
+        spec = with_metric(config.problem, metric)
+        violations = validate_spec(spec)
         if violations:
             raise ValueError(f"inadmissible spec for metric {metric.label}: "
                              + "; ".join(violations))
-        if not gamma_admissible(with_metric(config.problem, metric), config.gamma):
-            rng = gamma_range(with_metric(config.problem, metric))
+        if not gamma_admissible(spec, config.gamma):
+            rng = gamma_range(spec)
             raise ValueError(f"gamma={config.gamma} outside admissible range "
                              f"[{rng[0]}, {rng[1]}) for metric {metric.label}")
 
@@ -397,18 +387,14 @@ def truncation_error_sweep(problem: ProblemSpec, test_function: TestFunctionSpec
 
 
 def write_trials_csv(trials, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "trial", "metric", "n", "gamma",
-                         "cardinality", "error"])
-        for rec in trials:
-            writer.writerow([f"{rec.delta:.17g}", rec.trial, rec.metric, rec.n,
-                             f"{rec.gamma:.17g}", rec.cardinality,
-                             f"{rec.error:.17g}"])
+    # the columns are the TrialRecord fields, in order
+    write_csv_table(path, "delta,trial,metric,n,gamma,cardinality,error",
+                    "%.17g,%d,%s,%d,%.17g,%d,%.17g",
+                    *zip(*map(astuple, trials)))
 
 
 def report_json_dict(result: ExperimentResult) -> dict:
-    return {label: report.to_dict() for label, report in result.reports.items()}
+    return {label: asdict(report) for label, report in result.reports.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,8 @@ class CrossIndexSet:
         if k != int(k) or j != int(j):
             return False
         k, j = int(k), int(j)
-        if not (self.r <= k <= self.n) or j < 0:
-            return False
-        if j == 0:
-            return True
-        if self.gamma == 1.0:
-            return k * j <= self.n
-        if self.gamma == 2.0:
-            return k * j * j <= self.n
-        return self._admits(k, j)
+        # admission is monotone in j, so the column's largest j decides
+        return self.r <= k <= self.n and 0 <= j <= self.j_max(k)
 
     def __iter__(self):
         for k in range(self.r, self.n + 1):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercross import CrossIndexSet, underline
+from .hypercross import CrossIndexSet
 from .transform import CoeffGrid
 
 NOISE_UNIFORM = "uniform-random"
@@ -114,15 +114,17 @@ def lp_norm(values, p: float) -> float:
     return peak * float(np.sum((arr / peak) ** p)) ** (1.0 / p)
 
 
+def _class_norm(dense: np.ndarray, spec: WienerSpec) -> float:
+    """Class norm of the dense table whose entry [k, j] is a[k, j]."""
+    uk = np.maximum(1, np.arange(dense.shape[0], dtype=float))
+    uj = np.maximum(1, np.arange(dense.shape[1], dtype=float))
+    weights = np.outer(uk ** (spec.s * spec.mu1), uj ** (spec.s * spec.mu2))
+    return math.fsum((weights * np.abs(dense) ** spec.s).ravel()) ** (1.0 / spec.s)
+
+
 def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:
     """Class norm (sum_k,j max(1,k)^(s*mu1) max(1,j)^(s*mu2) |a|^s)^(1/s)."""
-    terms = [
-        (underline(k) ** (spec.s * spec.mu1))
-        * (underline(j) ** (spec.s * spec.mu2))
-        * abs(value) ** spec.s
-        for (k, j), value in coeffs.items()
-    ]
-    return math.fsum(terms) ** (1.0 / spec.s)
+    return _class_norm(coeffs.to_dense(), spec)
 
 
 def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
@@ -143,9 +145,7 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     profile = np.outer(uk ** (-spec.mu1 - epsilon), uj ** (-spec.mu2 - epsilon))
     kk, jj = np.meshgrid(np.arange(max_k + 1), np.arange(max_j + 1), indexing="ij")
     values = keyed_signs(seed, kk.ravel(), jj.ravel()).reshape(profile.shape) * profile
-    weights = np.outer(uk ** (spec.s * spec.mu1), uj ** (spec.s * spec.mu2))
-    norm = math.fsum((weights * np.abs(values) ** spec.s).ravel()) ** (1.0 / spec.s)
-    return CoeffGrid.from_dense(values / norm)
+    return CoeffGrid.from_dense(values / _class_norm(values, spec))
 
 
 def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> CoeffGrid:

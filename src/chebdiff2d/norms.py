@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_matrix, gauss_chebyshev_rule
-from .hypercross import underline
 from .transform import CoeffGrid
 
 
@@ -151,11 +150,11 @@ def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
     """
     if not 2 <= q < math.inf:
         raise ValueError("q must lie in [2, inf)")
-    expo = 1.0 - 2.0 / q
-    total = math.fsum(
-        (underline(k) * underline(j)) ** expo * v * v for (k, j), v in coeffs.items()
-    )
-    return math.sqrt(total)
+    uk = np.maximum(1, np.arange(coeffs.max_k + 1))
+    uj = np.maximum(1, np.arange(coeffs.max_j + 1))
+    dense = coeffs.to_dense()
+    weighted = np.outer(uk, uj) ** (1.0 - 2.0 / q) * dense * dense
+    return math.sqrt(math.fsum(weighted.ravel()))
 
 
 def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:

@@ -41,37 +41,29 @@ class ProblemSpec:
             raise ValueError("level_constant must be positive")
 
 
+#: Metric kind -> (shift a(1/s, q); the bounds 2r - a and -a as the
+#: messages spell them; whether mu2 > mu1 - 2r is required).  The shift
+#: sets the admissibility bounds mu1 > 2r - a and mu2 > -a, the rate and
+#: gamma_max.
+_RULES = {
+    "l2w": (lambda inv_s, q: inv_s - 0.5, "2r - 1/s + 1/2", "1/2 - 1/s", True),
+    "sup": (lambda inv_s, q: inv_s - 1.0, "2r - 1/s + 1", "1 - 1/s", True),
+    "lqw": (lambda inv_s, q: inv_s + 1.0 / q - 1.0, "2r - 1/s - 1/q + 1",
+            "1 - 1/s - 1/q", False),
+}
+
+
 def _shift(spec: ProblemSpec) -> float:
-    """Metric shift a: 1/s - 1/2 (L2), 1/s - 1 (uniform), 1/s + 1/q - 1 (Lq)."""
-    inv_s = 1.0 / spec.wiener.s
-    if spec.metric.kind == "l2w":
-        return inv_s - 0.5
-    if spec.metric.kind == "sup":
-        return inv_s - 1.0
-    return inv_s + 1.0 / spec.metric.q - 1.0
+    return _RULES[spec.metric.kind][0](1.0 / spec.wiener.s, spec.metric.q)
 
 
 def _checks(spec: ProblemSpec) -> list[tuple[str, float, float]]:
-    s, mu1, mu2 = spec.wiener.s, spec.wiener.mu1, spec.wiener.mu2
-    r = spec.r
-    kind = spec.metric.kind
-    if kind == "l2w":
-        return [
-            ("mu1 > 2r - 1/s + 1/2", mu1, 2 * r - 1 / s + 0.5),
-            ("mu2 > mu1 - 2r", mu2, mu1 - 2 * r),
-            ("mu2 > 1/2 - 1/s", mu2, 0.5 - 1 / s),
-        ]
-    if kind == "sup":
-        return [
-            ("mu1 > 2r - 1/s + 1", mu1, 2 * r - 1 / s + 1.0),
-            ("mu2 > mu1 - 2r", mu2, mu1 - 2 * r),
-            ("mu2 > 1 - 1/s", mu2, 1.0 - 1 / s),
-        ]
-    q = spec.metric.q
-    return [
-        ("mu1 > 2r - 1/s - 1/q + 1", mu1, 2 * r - 1 / s - 1 / q + 1.0),
-        ("mu2 > 1 - 1/s - 1/q", mu2, 1.0 - 1 / s - 1 / q),
-    ]
+    _, mu1_bound, mu2_bound, coupled = _RULES[spec.metric.kind]
+    mu1, mu2, a = spec.wiener.mu1, spec.wiener.mu2, _shift(spec)
+    checks = [(f"mu1 > {mu1_bound}", mu1, 2 * spec.r - a)]
+    if coupled:
+        checks.append(("mu2 > mu1 - 2r", mu2, mu1 - 2 * spec.r))
+    return checks + [(f"mu2 > {mu2_bound}", mu2, -a)]
 
 
 def validate_spec(spec: ProblemSpec) -> list[str]:
