@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_rule,
                     peak_value)
@@ -266,7 +266,7 @@ def fit_rate(points) -> RateFit:
     resid = y - (intercept + slope * x)
     s2 = float(np.sum(resid**2)) / (n - 2)
     se = math.sqrt(s2 / sxx)
-    tq = float(scipy.stats.t.ppf(0.975, n - 2))
+    tq = float(stdtrit(n - 2, 0.975))  # Student-t 97.5 % quantile
     return RateFit(slope, intercept, slope - tq * se, slope + tq * se)
 
 

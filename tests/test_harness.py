@@ -185,6 +185,15 @@ class TestFitRate:
         fit = fit_rate(points)
         assert fit.ci_low <= slope_true <= fit.ci_high
 
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone takes most of a second to import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, chebdiff2d; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestRunConvergence:
     def test_report_structure_and_determinism(self):
