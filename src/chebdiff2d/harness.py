@@ -328,6 +328,9 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     """Run the noise-level sweep and fit one rate per requested metric."""
     _check_config(config)
     problem = config.problem
+    # building a cross checks its level, so every level is checked first
+    crosses = [build_cross(choose_n(delta, problem), config.gamma, problem.r)
+               for delta in config.deltas]
     true_grid = config.test_function.build(problem.wiener)
     reference = differentiate_coeffs(true_grid, problem.r)
 
@@ -336,10 +339,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     seeded = config.noise_mode not in SEED_INDEPENDENT_MODES
     trials: list[TrialRecord] = []
     per_metric_rows: dict[str, list[RateRow]] = {m.label: [] for m in config.metrics}
-    for delta in config.deltas:
-        n = choose_n(delta, problem)
-        cross = build_cross(n, config.gamma, problem.r)
-        card = len(cross)
+    for delta, cross in zip(config.deltas, crosses):
+        n, card = cross.n, len(cross)
         errors: dict[str, list[float]] = {m.label: [] for m in config.metrics}
         for trial in range(config.trials_per_delta):
             if trial == 0 or seeded:

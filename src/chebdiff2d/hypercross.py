@@ -16,6 +16,10 @@ import math
 
 _BOUNDARY_RTOL = 1e-12
 
+#: Largest truncation level n; a gamma = 1 cross at this level holds about
+#: 15 million index pairs.
+MAX_LEVEL = 2 ** 20
+
 
 def underline(k: int) -> int:
     """max(1, k): zero-degree indices carry unit weight in norms and crosses."""
@@ -36,6 +40,8 @@ class CrossIndexSet:
             raise ValueError("derivative order r must be an integer >= 1")
         if int(n) != n or n < r:
             raise ValueError(f"level n must be an integer >= r (got n={n}, r={r})")
+        if n > MAX_LEVEL:
+            raise ValueError(f"level n={n} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
         if not (gamma >= 1.0):
             raise ValueError("gamma must be >= 1")
         self.n = int(n)

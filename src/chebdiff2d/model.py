@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercross import CrossIndexSet
-from .transform import CoeffGrid
+from .transform import CoeffGrid, _check_table_size
 
 NOISE_UNIFORM = "uniform-random"
 NOISE_TOPWEIGHT = "adversarial-topweight"
@@ -140,6 +140,7 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
         raise ValueError("degree bounds must be nonnegative")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    _check_table_size(max_k, max_j)
     uk = np.maximum(1, np.arange(max_k + 1, dtype=float))
     uj = np.maximum(1, np.arange(max_j + 1, dtype=float))
     profile = np.outer(uk ** (-spec.mu1 - epsilon), uj ** (-spec.mu2 - epsilon))

@@ -28,6 +28,10 @@ import numpy as np
 
 from .basis import basis_matrix, gauss_chebyshev_rule
 
+#: Largest coefficient table built from outside input: 2**26 entries, that
+#: is 512 MiB of float64.
+MAX_TABLE_ENTRIES = 2 ** 26
+
 _CSV_HEADER = ["k", "j", "coeff"]
 _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
 
@@ -40,6 +44,14 @@ def _first(mask) -> int | None:
     """Position of the first True in a boolean vector, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
+
+
+def _check_table_size(max_k: int, max_j: int) -> None:
+    """Refuse a (max_k + 1) x (max_j + 1) table above MAX_TABLE_ENTRIES."""
+    rows, cols = int(max_k) + 1, int(max_j) + 1
+    if rows * cols > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a {rows} x {cols} coefficient table exceeds the "
+                         f"limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
 
 
 def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
@@ -76,6 +88,7 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
         k, j = keys[bad].tolist()
         raise ValueError(f"{where(bad)}: entry ({k}, {j}) outside declared "
                          f"bounds ({max_k}, {max_j})")
+    _check_table_size(max_k, max_j)
     dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
     cells = np.ravel_multi_index((keys[:, 0], keys[:, 1]), dense.shape)
     # a stable sort keeps equal cells in entry order, so every entry after

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def small_doc(**fields):
+    """A small valid experiment configuration document."""
+    doc = {
+        "problem": {"r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2},
+        "test_function": {"kind": "class-member", "max_k": 8, "max_j": 8},
+        "deltas": [1e-2, 1e-3, 1e-4],
+        "gamma": 1.5,
+    }
+    doc.update(fields)
+    return doc
 
 
 def every_trial_computed(config):
@@ -481,6 +494,35 @@ class TestCli:
         assert proc.returncode == 1
         assert "mu1" in proc.stderr
 
+    @pytest.mark.parametrize("name, text, code, limit", [
+        ("big.csv", "k,j,coeff\n1000000000,1000000000,1.0\n", 2,
+         "MAX_TABLE_ENTRIES"),
+        ("big.json", '{"max_k": 1000000000, "max_j": 1000000000, '
+                     '"entries": []}', 2, "MAX_TABLE_ENTRIES"),
+        ("config.json", json.dumps(small_doc(test_function={
+            "kind": "class-member", "max_k": 10**12, "max_j": 16})), 1,
+         "MAX_TABLE_ENTRIES"),
+        ("config.json", json.dumps(small_doc(deltas=[1e-2, 1e-3, 1e-40])), 1,
+         "MAX_LEVEL"),
+    ], ids=["csv", "json", "config-max-k", "config-tiny-delta"])
+    def test_size_limits(self, tmp_path, capsys, name, text, code, limit):
+        # files exit 2 and configurations 1, before anything is allocated
+        path = tmp_path / name
+        path.write_text(text)
+        if name == "config.json":
+            args = ["experiment", "--config", str(path),
+                    "--output", str(tmp_path / "out")]
+        else:
+            args = ["differentiate", "--input", str(path), "--r", "1",
+                    "--n", "4", "--gamma", "1.0",
+                    "--output", str(tmp_path / "out.csv")]
+        start = time.monotonic()
+        assert main(args) == code
+        assert time.monotonic() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"limit {limit} = " in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc.update(metrics=[]), "'metrics'"),
         (lambda doc: doc.update(metrics=[4]), "'metrics'"),
@@ -495,12 +537,7 @@ class TestCli:
     ])
     def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
         # in process: an exception escaping main() is what prints a traceback
-        doc = {
-            "problem": {"r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2},
-            "test_function": {"kind": "class-member", "max_k": 8, "max_j": 8},
-            "deltas": [1e-2, 1e-3, 1e-4],
-            "gamma": 1.5,
-        }
+        doc = small_doc()
         doc = edit(doc) or doc
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))

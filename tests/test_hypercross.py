@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chebdiff2d import build_cross, cardinality, underline
+from chebdiff2d.hypercross import MAX_LEVEL
 
 
 def brute_force(n, gamma, r):
@@ -91,6 +92,12 @@ def test_cardinality_avoids_materialization():
     n = 200_000
     count = cardinality(n, 1.0, 1)
     assert count == sum(n // k + 1 for k in range(1, n + 1))
+
+
+def test_level_limit():
+    assert build_cross(MAX_LEVEL, 1.0, 1).n == MAX_LEVEL  # lazy: nothing built
+    with pytest.raises(ValueError, match=f"exceeds the limit MAX_LEVEL = {MAX_LEVEL}"):
+        build_cross(MAX_LEVEL + 1, 1.0, 1)
 
 
 @pytest.mark.parametrize("gamma,normalizer", [
