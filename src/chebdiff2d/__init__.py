@@ -13,7 +13,7 @@ from .harness import (ANALYTIC_FUNCTIONS, CheckResult, ExperimentConfig,
                       TestFunctionSpec, TrialRecord, config_from_dict,
                       fd_partial_t, fit_rate, load_config, run_convergence,
                       run_single, truncation_error_sweep, validate_suite)
-from .hypercross import CrossIndexSet, build_cross, cardinality, underline
+from .hypercross import CrossIndexSet, build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                     SEED_INDEPENDENT_MODES, NoiseSpec, WienerSpec, keyed_signs,
                     keyed_uniform, lp_norm, make_class_member, perturb,

@@ -660,8 +660,8 @@ def _check_noise_saturation() -> CheckResult:
     for p in (1.0, 2.0, 5.0, math.inf):
         for mode in NOISE_MODES:
             noise = NoiseSpec(p=p, delta=0.37, mode=mode, seed=99)
-            noisy = perturb(base, noise, cross)
-            xi = [(noisy - base).get(k, j) for k, j in cross]
+            noise_grid = perturb(base, noise, cross) - base
+            xi = [noise_grid.get(k, j) for k, j in cross]
             worst = max(worst, abs(lp_norm(xi, p) - 0.37))
     return CheckResult("noise-lp-saturation", worst <= 1e-12, worst,
                        "max |lp(noise) - delta| over p and modes")

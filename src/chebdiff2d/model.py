@@ -157,11 +157,9 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
     """
     if noise.delta == 0.0:
         return coeffs
-    indices = list(support)
-    if not indices:
+    ks, js = np.fromiter(support, dtype=np.dtype((np.int64, 2))).T
+    if not len(ks):
         raise ValueError("cannot place noise on an empty support")
-    ks = np.array([k for k, _ in indices])
-    js = np.array([j for _, j in indices])
     if noise.mode == NOISE_SINGLE:
         # amplification k**(2r-1) peaks at k = n, where j = 0 is always admitted
         raw = np.where((ks == support.n) & (js == 0), 1.0, 0.0)

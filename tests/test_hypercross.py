@@ -1,27 +1,23 @@
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chebdiff2d import build_cross, cardinality, underline
+from chebdiff2d import build_cross, cardinality
 from chebdiff2d.hypercross import MAX_LEVEL
 
 
 def brute_force(n, gamma, r):
-    """Direct enumeration of the defining inequalities on the enclosing box."""
+    """Direct enumeration of the defining inequalities on the enclosing box
+    of each column: k * j <= k * j**gamma <= n bounds j by n // k."""
     out = set()
     for k in range(r, n + 1):
         out.add((k, 0))
-        for j in range(1, n + 1):
+        for j in range(1, n // k + 1):
             if k * float(j) ** gamma <= n * (1 + 1e-12):
                 out.add((k, j))
     return out
-
-
-def test_underline():
-    assert underline(0) == 1
-    assert underline(1) == 1
-    assert underline(7) == 7
 
 
 def test_example_gamma_one():
@@ -61,20 +57,48 @@ def test_enumeration_order_is_lexicographic():
     assert indices == sorted(indices)
 
 
-def test_membership_matches_enumeration_fuzz(rng):
-    for _ in range(300):
-        r = int(rng.integers(1, 4))
-        n = int(rng.integers(r, 60))
-        gamma = float(rng.uniform(1.0, 3.5))
-        cross = build_cross(n, gamma, r)
-        expected = brute_force(n, gamma, r)
-        assert set(cross) == expected
-        assert len(cross) == len(expected)
-        # spot membership probes, including out-of-range indices
-        for _ in range(30):
-            k = int(rng.integers(0, n + 3))
-            j = int(rng.integers(0, n + 3))
-            assert ((k, j) in cross) == ((k, j) in expected)
+def scalar_j_max(n, gamma, k):
+    """Largest j admitted in column k by the scalar rule, by bisection."""
+    lo, hi = 0, n  # j = 0 is always admitted; j = n + 1 never is
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if k * float(mid) ** gamma <= n * (1 + 1e-12):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+gammas = st.one_of(st.sampled_from([1.0, 2.0, 1.5]),
+                   st.floats(1.0, 4.0, allow_nan=False))
+
+
+@settings(deadline=None, database=None)
+@given(data=st.data(), r=st.integers(1, 3), gamma=gammas)
+def test_membership_matches_enumeration_fuzz(data, r, gamma):
+    n = data.draw(st.integers(r, 300), label="n")
+    cross = build_cross(n, gamma, r)
+    expected = brute_force(n, gamma, r)
+    assert list(cross) == sorted(expected)
+    assert len(cross) == len(expected)
+    tops = {}
+    for k, j in expected:
+        tops[k] = max(tops.get(k, 0), j)
+    columns = range(r, n + 1)
+    assert [cross.j_max(k) for k in columns] == [tops[k] for k in columns]
+    assert cross.j_bound == max(tops.values())
+    # spot membership probes, including out-of-range indices
+    probes = data.draw(st.lists(st.tuples(st.integers(0, n + 3),
+                                          st.integers(0, n + 3)), max_size=30),
+                       label="probes")
+    for index in probes:
+        assert (index in cross) == (index in expected)
+    # column bounds of a large cross at sampled columns
+    big = build_cross(2**17, gamma, r)
+    ks = data.draw(st.lists(st.integers(r, 2**17), min_size=1, max_size=10),
+                   label="ks")
+    for k in ks:
+        assert big.j_max(k) == scalar_j_max(2**17, gamma, k)
 
 
 def test_monotone_in_level_and_shape(rng):
@@ -95,7 +119,7 @@ def test_cardinality_avoids_materialization():
 
 
 def test_level_limit():
-    assert build_cross(MAX_LEVEL, 1.0, 1).n == MAX_LEVEL  # lazy: nothing built
+    assert build_cross(MAX_LEVEL, 1.0, 1).n == MAX_LEVEL  # one bound per column
     with pytest.raises(ValueError, match=f"exceeds the limit MAX_LEVEL = {MAX_LEVEL}"):
         build_cross(MAX_LEVEL + 1, 1.0, 1)
 
