@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .hypercross import cardinality
+from .hypercross import MAX_LEVEL, cardinality
 from .model import WienerSpec
 from .norms import MetricSpec
 
@@ -89,14 +89,17 @@ def choose_n(delta: float, spec: ProblemSpec) -> int:
     """Truncation level for noise level delta, floored at r.
 
     Follows level_constant * delta**(-1/(mu1 - 1/p + 1/s)), rounded to the
-    nearest integer.
+    nearest integer; a level that overflows to inf is refused.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _require_valid(spec)
     inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
     exponent = 1.0 / (spec.wiener.mu1 - inv_p + 1.0 / spec.wiener.s)
-    return max(spec.r, round(spec.level_constant * delta ** -exponent))
+    level = spec.level_constant * delta ** -exponent
+    if not math.isfinite(level):
+        raise ValueError(f"level n={level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+    return max(spec.r, round(level))
 
 
 def gamma_range(spec: ProblemSpec) -> tuple[float, float]:

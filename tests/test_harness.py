@@ -389,6 +389,20 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["k,j", "2,0", "2,1"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, code, out", [("inf", 1, ""),
+                                                  ("2000", 0, "10\n")],
+                             ids=["inf", "2000"])
+    def test_cross_extreme_gamma(self, capsys, gamma, code, out):
+        # in process: a traceback or a numpy warning would escape main()
+        assert main(["cross", "--n", "5", "--gamma", gamma, "--r", "1",
+                     "--count"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == ("" if code == 0 else
+                                "error: gamma must be finite and >= 1 "
+                                "(got gamma=inf)\n")
+
     def test_differentiate_and_errors(self, tmp_path):
         grid = analyze(lambda t, u: t**2, 4, 0, 9)
         src = tmp_path / "in.csv"
@@ -504,7 +518,12 @@ class TestCli:
          "MAX_TABLE_ENTRIES"),
         ("config.json", json.dumps(small_doc(deltas=[1e-2, 1e-3, 1e-40])), 1,
          "MAX_LEVEL"),
-    ], ids=["csv", "json", "config-max-k", "config-tiny-delta"])
+        ("config.json", json.dumps(small_doc(problem={
+            "r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2,
+            "level_constant": 1e308})), 1, "MAX_LEVEL"),
+        ("auto-n", "", 1, "MAX_LEVEL"),
+    ], ids=["csv", "json", "config-max-k", "config-tiny-delta",
+            "config-huge-level-constant", "auto-n-huge-level-constant"])
     def test_size_limits(self, tmp_path, capsys, name, text, code, limit):
         # files exit 2 and configurations 1, before anything is allocated
         path = tmp_path / name
@@ -512,6 +531,11 @@ class TestCli:
         if name == "config.json":
             args = ["experiment", "--config", str(path),
                     "--output", str(tmp_path / "out")]
+        elif name == "auto-n":
+            args = ["differentiate", "--input", str(path), "--r", "1",
+                    "--auto-n", "--delta", "1e-2", "--mu1", "3", "--mu2", "2",
+                    "--p", "2", "--level-constant", "1e308", "--gamma", "1.5",
+                    "--output", str(tmp_path / "out.csv")]
         else:
             args = ["differentiate", "--input", str(path), "--r", "1",
                     "--n", "4", "--gamma", "1.0",
