@@ -27,18 +27,37 @@ def test_operator_table_structure():
                 assert d == 2 * k
 
 
+def _row_recurrence(values, r, zeta0):
+    """The derivative one row at a time, b[l-1] = b[l+1] + 2l * a[l], from
+    two zero rows at the top; row 0 is then scaled by zeta0."""
+    rows = values.shape[0]
+    for _ in range(r):
+        out = np.zeros((rows + 1, values.shape[1]))  # out[rows] stays zero
+        for l in range(rows - 1, 0, -1):
+            out[l - 1] = out[l + 1] + (2.0 * l) * values[l]
+        out[0] *= zeta0
+        values = out[:rows]
+    return values
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("zeta0", [ZETA_0, math.sqrt(2.0)])
 def test_recurrence_matches_dense_table(rng, r, zeta0):
-    for max_k, max_j in [(0, 3), (1, 1), (7, 2), (12, 12), (17, 9), (4, 30)]:
-        grid = random_grid(rng, max_k, max_j)
+    for max_k, max_j in [(0, 3), (1, 1), (7, 2), (12, 12), (17, 9), (4, 30),
+                         (40, 41), (16, 4)]:
+        values = rng.uniform(-1.0, 1.0, size=(max_k + 1, max_j + 1))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        grid = CoeffGrid.from_dense(values)
+        got = differentiate_coeffs(grid, r, zeta0=zeta0).to_dense()
+        # bit for bit the row recurrence, signed zeros included
+        rows = _row_recurrence(values, r, zeta0)[: max(0, max_k - r) + 1]
+        assert got.shape == rows.shape
+        assert got.tobytes() == rows.tobytes()
         table = build_derivative_operator(max_k, zeta0).matrix
-        expected = grid.to_dense()
+        expected = values
         for _ in range(r):
             expected = table @ expected
         expected = expected[: max(0, max_k - r) + 1]
-        got = differentiate_coeffs(grid, r, zeta0=zeta0).to_dense()
-        assert got.shape == expected.shape
         scale = max(np.abs(expected).max(), 1e-300)
         assert np.abs(got - expected).max() <= 1e-13 * scale
 
