@@ -5,14 +5,13 @@ harness.
 """
 
 from .basis import (QuadratureRule, basis_matrix, eval_orthonormal,
-                    eval_tensor, gauss_chebyshev_rule, peak_value)
-from .diffop import (ZETA_0, DerivativeOperator1D, build_derivative_operator,
-                     differentiate_coeffs, truncated_derivative)
+                    gauss_chebyshev_rule, peak_value)
+from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .harness import (ANALYTIC_FUNCTIONS, CheckResult, ExperimentConfig,
                       ExperimentResult, RateFit, RateReport, RateRow,
                       TestFunctionSpec, TrialRecord, config_from_dict,
                       fd_partial_t, fit_rate, load_config, run_convergence,
-                      run_single, truncation_error_sweep, validate_suite)
+                      run_single, validate_suite)
 from .hypercross import CrossIndexSet, build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                     SEED_INDEPENDENT_MODES, NoiseSpec, WienerSpec, keyed_signs,

@@ -52,11 +52,6 @@ def eval_orthonormal(k: int, t: float) -> float:
     return peak_value(k) * math.cos(k * math.acos(_clamped(t)))
 
 
-def eval_tensor(k: int, j: int, t: float, tau: float) -> float:
-    """Evaluate the tensor-product basis function T_k(t) * T_j(tau)."""
-    return eval_orthonormal(k, t) * eval_orthonormal(j, tau)
-
-
 def basis_matrix(max_degree: int, points) -> np.ndarray:
     """Matrix of basis values with entry (i, k) = T_k(points[i]).
 

@@ -10,20 +10,21 @@ d/dt Tbar_k = 2k * sum (1/c_l) Tbar_l (c_0 = 2, c_l = 1) to the orthonormal
 scaling gives 1/sqrt(2), and the finite-difference oracle in the validation
 suite confirms that value to machine precision (see README).
 
-The sum is applied through the backward recurrence
-b[l-1] = b[l+1] + 2l * a[l] over the rows (the recurrence of
-numpy.polynomial.chebyshev.chebder), after which row 0 is scaled by zeta_0;
-the dense table of :func:`build_derivative_operator` is kept as the
-reference it is tested against.  Higher orders apply the first-order step
-repeatedly.  The truncation method restricts the input coefficients to a
-hyperbolic cross before differentiating; everything outside the cross is
-ignored.
+The sum is the backward recurrence b[l-1] = b[l+1] + 2l * a[l] over the
+rows (the recurrence of numpy.polynomial.chebyshev.chebder), after which
+row 0 is scaled by zeta_0.  It runs without a Python loop over the rows:
+one reverse cumulative sum over the odd rows and one over the even rows,
+each starting from a zero row, add the terms in the recurrence's order, so
+the result is bitwise equal to it, signed zeros included.  The tests keep
+the dense table d[l, k] as the reference it is checked against.  Higher
+orders apply the first-order step repeatedly.  The truncation method
+restricts the input coefficients to a hyperbolic cross before
+differentiating; everything outside the cross is ignored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +33,6 @@ from .transform import CoeffGrid
 
 #: Weight of the degree-0 output term in the derivative expansion.
 ZETA_0 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class DerivativeOperator1D:
-    """Dense table d[l, k] sending input degree k to output degree l.
-
-    d[l, k] is zero unless l < k and k + l is odd; otherwise it equals
-    2k for l >= 1 and 2k * zeta_0 for l = 0.
-    """
-
-    max_k: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def build_derivative_operator(max_k: int, zeta0: float = ZETA_0) -> DerivativeOperator1D:
-    """Dense one-variable derivative table up to degree max_k.
-
-    The reference that :func:`differentiate_coeffs` is tested against;
-    ``zeta0`` has the same meaning as there.
-    """
-    if max_k < 0:
-        raise ValueError("degree bound must be nonnegative")
-    d = np.zeros((max_k + 1, max_k + 1))
-    for k in range(1, max_k + 1):
-        start = 1 if k % 2 == 0 else 0
-        for l in range(start, k, 2):
-            d[l, k] = 2.0 * k * (zeta0 if l == 0 else 1.0)
-    return DerivativeOperator1D(max_k=max_k, matrix=d)
 
 
 def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) -> CoeffGrid:
@@ -78,13 +48,17 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     if int(r) != r or r < 1:
         raise ValueError("derivative order r must be an integer >= 1")
     values = coeffs.to_dense()
-    rows = values.shape[0]
+    rows, cols = values.shape
+    weights = 2.0 * np.arange(rows)[:, None]
     for _ in range(int(r)):
-        out = np.zeros((rows + 1, values.shape[1]))  # out[rows] stays zero
-        for l in range(rows - 1, 0, -1):
-            out[l - 1] = out[l + 1] + (2.0 * l) * values[l]
-        out[0] *= zeta0
-        values = out[:rows]
+        # terms[l] = 2l * a[l], then at least two zero rows; reversed and
+        # paired, one cumsum runs down the odd and the even rows apart, each
+        # from a zero row, so b[l-1] = b[l+1] + 2l * a[l] is sums[l]
+        terms = np.zeros((2 * ((rows + 1) // 2 + 1), cols))
+        np.multiply(weights, values, out=terms[:rows])
+        sums = np.cumsum(terms[::-1].reshape(-1, 2, cols), axis=0)
+        values = sums.reshape(-1, cols)[::-1][1:rows + 1]
+        values[0] *= zeta0
     out_k = max(0, coeffs.max_k - int(r))
     return CoeffGrid.from_dense(values[: out_k + 1, :])
 

@@ -375,18 +375,6 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(reports=reports, trials=tuple(trials))
 
 
-def truncation_error_sweep(problem: ProblemSpec, test_function: TestFunctionSpec,
-                           gamma: float, levels, metric: MetricSpec):
-    """Noise-free sweep of the truncation level; returns [(n, error), ...]."""
-    true_grid = test_function.build(problem.wiener)
-    reference = differentiate_coeffs(true_grid, problem.r)
-    out = []
-    for n in levels:
-        approx = truncated_derivative(true_grid, n, gamma, problem.r)
-        out.append((n, evaluate_metric(approx - reference, metric)))
-    return out
-
-
 def write_trials_csv(trials, path) -> None:
     # the columns are the TrialRecord fields, in order
     write_csv_table(path, "delta,trial,metric,n,gamma,cardinality,error",

@@ -16,7 +16,7 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         grid_synthesize, parse_metric, perturb,
                         read_coeff_csv, run_convergence, run_single,
                         synthesize, theoretical_rate, truncated_derivative,
-                        truncation_error_sweep, validate_suite, with_metric,
+                        validate_suite, with_metric,
                         write_coeff_csv)
 from chebdiff2d.cli import main
 
@@ -274,9 +274,11 @@ class TestRunConvergence:
         problem = ProblemSpec(r=1, wiener=WienerSpec(s=1.0, mu1=3.0, mu2=2.0),
                               noise_p=2.0, metric=MetricSpec("l2w"))
         tf = TestFunctionSpec(kind="class-member", seed=5, max_k=64, max_j=64)
-        errors = truncation_error_sweep(problem, tf, 1.5, (4, 8, 16, 32),
-                                        MetricSpec("l2w"))
-        values = [e for _, e in errors]
+        grid = tf.build(problem.wiener)
+        reference = differentiate_coeffs(grid, problem.r)
+        values = [evaluate_metric(truncated_derivative(grid, n, 1.5, problem.r)
+                                  - reference, MetricSpec("l2w"))
+                  for n in (4, 8, 16, 32)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

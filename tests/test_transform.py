@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
-                        eval_orthonormal, eval_tensor, grid_synthesize,
+                        eval_orthonormal, grid_synthesize,
                         l2_omega_norm,
                         lq_omega_norm, read_coeff_csv, read_coeff_file,
                         read_coeff_json, run_single, synthesize,
@@ -117,7 +117,7 @@ class TestAnalyze:
         assert max(others, default=0.0) <= 1e-12
 
     def test_basis_member_is_orthonormal(self):
-        grid = analyze(lambda t, u: eval_tensor(2, 5, t, u), 6, 6)
+        grid = analyze(lambda t, u: eval_orthonormal(2, t) * eval_orthonormal(5, u), 6, 6)
         assert grid.get(2, 5) == pytest.approx(1.0, abs=1e-12)
         others = [abs(v) for (k, j), v in grid.items() if (k, j) != (2, 5)]
         assert max(others, default=0.0) <= 1e-12
