@@ -51,13 +51,15 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     rows, cols = values.shape
     weights = 2.0 * np.arange(rows)[:, None]
     for _ in range(int(r)):
-        # terms[l] = 2l * a[l], then at least two zero rows; reversed and
-        # paired, one cumsum runs down the odd and the even rows apart, each
-        # from a zero row, so b[l-1] = b[l+1] + 2l * a[l] is sums[l]
+        # terms[l] = 2l * a[l], then at least two zero rows.  Over the row
+        # pairs (2i, 2i + 1) from the top, one in-place cumsum runs down the
+        # even and the odd rows apart, each from a zero row, and leaves
+        # terms[l] = b[l-1] = b[l+1] + 2l * a[l]
         terms = np.zeros((2 * ((rows + 1) // 2 + 1), cols))
         np.multiply(weights, values, out=terms[:rows])
-        sums = np.cumsum(terms[::-1].reshape(-1, 2, cols), axis=0)
-        values = sums.reshape(-1, cols)[::-1][1:rows + 1]
+        pairs = terms.reshape(-1, 2, cols)[::-1]
+        np.cumsum(pairs, axis=0, out=pairs)
+        values = terms[1:rows + 1]
         values[0] *= zeta0
     out_k = max(0, coeffs.max_k - int(r))
     return CoeffGrid.from_dense(values[: out_k + 1, :])

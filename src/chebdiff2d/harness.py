@@ -31,8 +31,9 @@ from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
 from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
-from .transform import (CoeffGrid, analyze, grid_synthesize, read_coeff_file,
-                        synthesize, write_coeff_csv, write_csv_table)
+from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, analyze,
+                        grid_synthesize, read_coeff_file, synthesize,
+                        write_coeff_csv, write_csv_table)
 from .tuning import (ProblemSpec, choose_n, gamma_admissible, gamma_range,
                      theoretical_rate, validate_spec, with_metric)
 
@@ -52,6 +53,8 @@ ANALYTIC_FUNCTIONS = {
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """Either a synthetic class member or a named analytic function."""
+
+    __test__ = False  # a library class, not a pytest test class
 
     kind: str  # "class-member" | "named-analytic"
     seed: int = 0
@@ -206,8 +209,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             epsilon=_field(tf, "epsilon", _number, "test_function.", 0.01),
         )
     else:
-        name = (_field(tf, "id", _text, "test_function.", None)
-                or _field(tf, "name", _text, "test_function.", None))
+        # the spec refuses an unknown kind, which has no id to look for
+        name = (_field(tf, "id", _text, "test_function.")
+                if kind == "named-analytic" else None)
         test_function = TestFunctionSpec(kind=kind, name=name)
     return ExperimentConfig(
         problem=problem,
@@ -397,8 +401,12 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
     derivative, writes the output coefficients as CSV, and optionally
     evaluates the derivative on an eval_grid x eval_grid cosine tensor grid
     (written next to the output as ``<output>.values.csv``).  Returns the
-    derivative grid.
+    derivative grid.  A value grid above MAX_TABLE_ENTRIES points is refused
+    before the input is read.
     """
+    if eval_grid is not None and eval_grid * eval_grid > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a {eval_grid} x {eval_grid} value grid exceeds the "
+                         f"limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
     grid = read_coeff_file(coeff_input)
     result = truncated_derivative(grid, n, gamma, r)
     write_coeff_csv(result, output)
@@ -589,7 +597,8 @@ def _check_cross() -> CheckResult:
         n = int(rng.integers(r, 40))
         gamma = float(rng.uniform(1.0, 3.0))
         cross = build_cross(n, gamma, r)
-        brute = {(k, j) for k in range(r, n + 1) for j in range(0, n + 1)
+        # k * j <= k * j**gamma <= n, so no j above n // k can belong
+        brute = {(k, j) for k in range(r, n + 1) for j in range(n // k + 1)
                  if j == 0 or k * float(j) ** gamma <= n * (1 + 1e-12)}
         agree = agree and set(cross) == brute and len(cross) == len(brute)
     return CheckResult("cross-enumeration", ok and agree,

@@ -524,8 +524,10 @@ class TestCli:
             "r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2,
             "level_constant": 1e308})), 1, "MAX_LEVEL"),
         ("auto-n", "", 1, "MAX_LEVEL"),
+        ("values.csv", "k,j,coeff\n0,0,1.0\n", 1, "MAX_TABLE_ENTRIES"),
     ], ids=["csv", "json", "config-max-k", "config-tiny-delta",
-            "config-huge-level-constant", "auto-n-huge-level-constant"])
+            "config-huge-level-constant", "auto-n-huge-level-constant",
+            "eval-grid"])
     def test_size_limits(self, tmp_path, capsys, name, text, code, limit):
         # files exit 2 and configurations 1, before anything is allocated
         path = tmp_path / name
@@ -542,6 +544,8 @@ class TestCli:
             args = ["differentiate", "--input", str(path), "--r", "1",
                     "--n", "4", "--gamma", "1.0",
                     "--output", str(tmp_path / "out.csv")]
+            if name == "values.csv":
+                args += ["--eval-grid", "200000"]
         start = time.monotonic()
         assert main(args) == code
         assert time.monotonic() - start < 2.0
@@ -560,6 +564,9 @@ class TestCli:
         (lambda doc: doc.update(deltas="0.1"), "'deltas'"),
         (lambda doc: doc.update(test_function={"kind": "named-analytic",
                                                "id": 3}), "'test_function.id'"),
+        (lambda doc: doc.update(test_function={"kind": "named-analytic",
+                                               "name": "exp-cos"}),
+         "missing required field 'test_function.id'"),
     ])
     def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
         # in process: an exception escaping main() is what prints a traceback
