@@ -401,17 +401,18 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
     derivative, writes the output coefficients as CSV, and optionally
     evaluates the derivative on an eval_grid x eval_grid cosine tensor grid
     (written next to the output as ``<output>.values.csv``).  Returns the
-    derivative grid.  A value grid above MAX_TABLE_ENTRIES points is refused
-    before the input is read.
+    derivative grid.  The value grid is checked before the input is read:
+    it needs at least 2 and at most MAX_TABLE_ENTRIES points.
     """
-    if eval_grid is not None and eval_grid * eval_grid > MAX_TABLE_ENTRIES:
-        raise ValueError(f"a {eval_grid} x {eval_grid} value grid exceeds the "
-                         f"limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+    if eval_grid is not None:
+        if eval_grid * eval_grid > MAX_TABLE_ENTRIES:
+            raise ValueError(f"a {eval_grid} x {eval_grid} value grid exceeds "
+                             f"the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+        nodes = cosine_grid(eval_grid)
     grid = read_coeff_file(coeff_input)
     result = truncated_derivative(grid, n, gamma, r)
     write_coeff_csv(result, output)
     if eval_grid is not None:
-        nodes = cosine_grid(eval_grid)
         values = grid_synthesize(result, nodes, nodes)
         write_csv_table(f"{output}.values.csv", "t,tau,value",
                         "%.17g,%.17g,%.17g", np.repeat(nodes, nodes.size),

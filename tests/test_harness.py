@@ -338,6 +338,17 @@ class TestRunSingle:
         assert table[0] == "t,tau,value"
         assert len(table) == 1 + 25
 
+    @pytest.mark.parametrize("eval_grid, message", [
+        (1, "at least 2 points"), (200_000, "limit MAX_TABLE_ENTRIES = ")])
+    def test_value_grid_checked_before_reading(self, tmp_path, eval_grid,
+                                               message):
+        # reading the missing input would raise FileNotFoundError instead
+        out = tmp_path / "deriv.csv"
+        with pytest.raises(ValueError, match=message):
+            run_single(tmp_path / "missing.csv", 4, 1.0, 1, out,
+                       eval_grid=eval_grid)
+        assert not out.exists()
+
     def test_empty_input_gives_zero_output(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text("k,j,coeff\n")
