@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercross import CrossIndexSet
+from .norms import _exact_sum
 from .transform import CoeffGrid, _check_table_size
 
 NOISE_UNIFORM = "uniform-random"
@@ -119,7 +120,7 @@ def _class_norm(dense: np.ndarray, spec: WienerSpec) -> float:
     uk = np.maximum(1, np.arange(dense.shape[0], dtype=float))
     uj = np.maximum(1, np.arange(dense.shape[1], dtype=float))
     weights = np.outer(uk ** (spec.s * spec.mu1), uj ** (spec.s * spec.mu2))
-    return math.fsum((weights * np.abs(dense) ** spec.s).ravel()) ** (1.0 / spec.s)
+    return _exact_sum(weights * np.abs(dense) ** spec.s) ** (1.0 / spec.s)
 
 
 def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:

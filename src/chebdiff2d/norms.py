@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_matrix, gauss_chebyshev_rule
-from .transform import CoeffGrid
+from .transform import MAX_TABLE_ENTRIES, CoeffGrid
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,39 @@ def parse_metric(text: str, eval_grid: int = 257) -> MetricSpec:
     raise ValueError(f"unknown metric {text!r} (expected l2w, lqw:<q>, sup)")
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, ``== math.fsum(values)``.
+
+    Each value is m * 2**e with 0.5 <= |m| < 1.  The integer part of
+    m * 2**27 (at most 27 bits) and the rest (a multiple of 2**-26) are
+    summed per exponent by ``np.bincount``; for up to 2**26 values
+    (MAX_TABLE_ENTRIES) every partial sum stays below 2**53 units, so both
+    sums are exact.  The per-exponent sums are added as Python ints and
+    rounded once by int true division, which rounds correctly as fsum
+    does.  A non-finite value or a larger array is left to fsum.
+    """
+    values = values.ravel()
+    if values.size > MAX_TABLE_ENTRIES:
+        return math.fsum(values)
+    mant, exp = np.frexp(values)
+    exp += 1073  # frexp exponents run from -1073 (at 2**-1074) to 1024
+    mant *= 2.0 ** 27
+    whole = np.trunc(mant)
+    high = np.bincount(exp, whole)
+    if not np.isfinite(high).all():  # an inf or nan input
+        return math.fsum(values)
+    mant -= whole
+    low = np.bincount(exp, mant) * 2.0 ** 26
+    bins = np.flatnonzero((high != 0) | (low != 0))
+    total = sum(((int(h) << 26) + int(lo)) << b for b, h, lo in
+                zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()))
+    return total / (1 << 1126)  # exponent bin b holds multiples of 2**(b - 1126)
+
+
 def l2_omega_norm(coeffs: CoeffGrid) -> float:
     """Weighted L2 norm, exact through the coefficients (Parseval)."""
-    dense = coeffs.to_dense()
-    return math.sqrt(math.fsum((dense * dense).ravel()))
+    dense = coeffs._dense
+    return math.sqrt(_exact_sum(dense * dense))
 
 
 def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> float:
@@ -152,9 +181,9 @@ def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
         raise ValueError("q must lie in [2, inf)")
     uk = np.maximum(1, np.arange(coeffs.max_k + 1))
     uj = np.maximum(1, np.arange(coeffs.max_j + 1))
-    dense = coeffs.to_dense()
+    dense = coeffs._dense
     weighted = np.outer(uk, uj) ** (1.0 - 2.0 / q) * dense * dense
-    return math.sqrt(math.fsum(weighted.ravel()))
+    return math.sqrt(_exact_sum(weighted))
 
 
 def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:

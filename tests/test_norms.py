@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chebdiff2d import (CoeffGrid, MetricSpec, cosine_grid, evaluate_metric,
-                        gauss_chebyshev_rule, grid_synthesize, l2_omega_norm,
-                        lq_coefficient_bound, lq_omega_norm,
+from chebdiff2d import (CoeffGrid, MetricSpec, WienerSpec, cosine_grid,
+                        evaluate_metric, gauss_chebyshev_rule,
+                        grid_synthesize, l2_omega_norm, lq_coefficient_bound,
+                        lq_omega_norm, make_class_member,
                         nikolskii_explicit_bound, parse_metric, sup_norm,
-                        synthesize)
+                        synthesize, wiener_norm)
+from chebdiff2d.norms import _exact_sum
 from conftest import random_grid
 
 
@@ -24,6 +28,76 @@ class TestL2:
             grid = random_grid(rng, 24, 24, fill=0.4)
             assert lq_omega_norm(grid, 2.0) == pytest.approx(
                 l2_omega_norm(grid), rel=1e-10)
+
+
+class TestExactSum:
+    """The array sum behind l2w, the class norm and the Lq coefficient bound
+    is math.fsum's correctly rounded result, bit for bit."""
+
+    @settings(deadline=None, database=None)
+    @given(size=st.integers(0, 4096), seed=st.integers(0, 2 ** 32 - 1),
+           lowest=st.integers(-1075, 996), span=st.integers(0, 2071),
+           signed=st.booleans(), zeros=st.floats(0.0, 1.0))
+    def test_equals_fsum(self, size, seed, lowest, span, signed, zeros):
+        # m * 2**e with m in [0.5, 1) and e in [lowest, lowest + span]:
+        # magnitudes from 0 and 5e-324 up to 2**996 < 1e300
+        rng = np.random.default_rng(seed)
+        exps = rng.integers(lowest, min(lowest + span, 996), size=size,
+                            endpoint=True)
+        values = np.ldexp(rng.uniform(0.5, 1.0, size), exps)
+        if signed:
+            values *= rng.choice((-1.0, 1.0), size)
+        values[rng.random(size) < zeros] = 0.0
+        assert _exact_sum(values) == math.fsum(values)
+
+    @pytest.mark.parametrize("values", [
+        np.array([]),
+        np.zeros(7),
+        np.array([5e-324, 5e-324, -5e-324]),
+        np.array([1e300, 1.0, -1e300]),
+        np.array([1.0, 2.0 ** -53, 2.0 ** -106]),  # a tie broken by the last bit
+        np.full(2 ** 16, np.nextafter(2.0, 0.0)),  # the widest mantissa, repeated
+        np.full((3, 5), 0.1),
+    ], ids=["empty", "zeros", "subnormal", "cancel", "tie", "wide", "2-D"])
+    def test_explicit_cases(self, values):
+        assert _exact_sum(values) == math.fsum(values.ravel())
+
+    def test_non_finite_input_keeps_fsum_result(self):
+        assert _exact_sum(np.array([1.0, math.inf, 2.0])) == math.inf
+        assert math.isnan(_exact_sum(np.array([1.0, math.nan])))
+        with pytest.raises(ValueError, match="inf"):
+            _exact_sum(np.array([math.inf, -math.inf]))
+
+    def test_class_member_terms(self):
+        spec = WienerSpec(s=1.0, mu1=3.0, mu2=2.0)
+        dense = make_class_member(spec, 512, 512, seed=42).to_dense()
+        uk = np.maximum(1, np.arange(513, dtype=float))
+        terms = np.outer(uk ** spec.mu1, uk ** spec.mu2) * np.abs(dense)
+        assert _exact_sum(terms) == math.fsum(terms.ravel())
+        assert _exact_sum(dense * dense) == math.fsum((dense * dense).ravel())
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-160, 1.0, 1e150])
+    def test_norms_equal_fsum_formulas(self, rng, scale):
+        # 1e-160 makes the squares, 1e-310 the coefficients, subnormal
+        for _ in range(10):
+            grid = random_grid(rng, 15, 12, fill=0.5, scale=scale)
+            dense = grid.to_dense()
+            assert l2_omega_norm(grid) == math.sqrt(
+                math.fsum((dense * dense).ravel()))
+            uk = np.maximum(1, np.arange(16))
+            uj = np.maximum(1, np.arange(13))
+            for q in (2.0, 3.0, 8.0):
+                terms = np.outer(uk, uj) ** (1.0 - 2.0 / q) * dense * dense
+                assert lq_coefficient_bound(grid, q) == math.sqrt(
+                    math.fsum(terms.ravel()))
+            for spec in (WienerSpec(s=1.0, mu1=3.0, mu2=2.0),
+                         WienerSpec(s=1.5, mu1=2.5, mu2=1.5)):
+                weights = np.outer(
+                    np.maximum(1, np.arange(16.0)) ** (spec.s * spec.mu1),
+                    np.maximum(1, np.arange(13.0)) ** (spec.s * spec.mu2))
+                terms = weights * np.abs(dense) ** spec.s
+                assert wiener_norm(grid, spec) == math.fsum(
+                    terms.ravel()) ** (1.0 / spec.s)
 
 
 class TestLq:
