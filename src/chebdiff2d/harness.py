@@ -40,6 +40,9 @@ from .tuning import (ProblemSpec, choose_n, gamma_admissible, gamma_range,
 # ---------------------------------------------------------------------------
 # test functions
 
+#: The kinds a :class:`TestFunctionSpec` accepts.
+TEST_FUNCTION_KINDS = ("class-member", "named-analytic")
+
 #: Named analytic test functions: id -> (callable, box_k, box_j).  The box
 #: degrees are chosen so the analysis truncation error of these entire
 #: functions sits far below roundoff.
@@ -64,7 +67,7 @@ class TestFunctionSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("class-member", "named-analytic"):
+        if self.kind not in TEST_FUNCTION_KINDS:
             raise ValueError(f"unknown test function kind {self.kind!r}")
         if self.kind == "named-analytic" and self.name is None:
             raise ValueError("named-analytic test function needs a name")
@@ -165,6 +168,17 @@ def _integer(value) -> int:
     return value
 
 
+def _one_of(what: str, options):
+    """Converter for a string among ``options``; ``what`` names it in the
+    message, as in "unknown noise mode 'x'"."""
+    def parse(value) -> str:
+        if _text(value) not in options:
+            raise ValueError(f"unknown {what} {value!r} "
+                             f"(expected {', '.join(options)})")
+        return value
+    return parse
+
+
 def _list_of(convert):
     """Converter for a nonempty JSON array whose items pass ``convert``."""
     def parse(value) -> tuple:
@@ -199,7 +213,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
     noise = _field(doc, "noise", _object, default={})
     tf = _field(doc, "test_function", _object)
-    kind = _field(tf, "kind", _text, "test_function.")
+    kind = _field(tf, "kind", _one_of("test function kind", TEST_FUNCTION_KINDS),
+                  "test_function.")
     if kind == "class-member":
         test_function = TestFunctionSpec(
             kind=kind,
@@ -209,10 +224,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             epsilon=_field(tf, "epsilon", _number, "test_function.", 0.01),
         )
     else:
-        # the spec refuses an unknown kind, which has no id to look for
-        name = (_field(tf, "id", _text, "test_function.")
-                if kind == "named-analytic" else None)
-        test_function = TestFunctionSpec(kind=kind, name=name)
+        test_function = TestFunctionSpec(
+            kind=kind, name=_field(tf, "id", _text, "test_function."))
     return ExperimentConfig(
         problem=problem,
         deltas=_field(doc, "deltas", _list_of(_number)),
@@ -220,7 +233,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         test_function=test_function,
         metrics=metrics,
         trials_per_delta=_field(doc, "trials_per_delta", _integer, default=10),
-        noise_mode=_field(noise, "mode", _text, "noise.", NOISE_UNIFORM),
+        noise_mode=_field(noise, "mode", _one_of("noise mode", NOISE_MODES),
+                          "noise.", NOISE_UNIFORM),
         noise_seed=_field(noise, "seed", _integer, "noise.", 0),
         output_path=_field(doc, "output_path",
                            lambda v: v if v is None else _text(v),

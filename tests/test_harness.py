@@ -578,6 +578,10 @@ class TestCli:
         (lambda doc: doc.update(test_function={"kind": "named-analytic",
                                                "name": "exp-cos"}),
          "missing required field 'test_function.id'"),
+        (lambda doc: doc.update(test_function={"kind": "foo"}),
+         "configuration field 'test_function.kind'"),
+        (lambda doc: doc.update(noise={"mode": "bogus"}),
+         "configuration field 'noise.mode'"),
     ])
     def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
         # in process: an exception escaping main() is what prints a traceback
