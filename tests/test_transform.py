@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
                         eval_orthonormal, grid_synthesize,
@@ -229,6 +231,26 @@ class TestFileFormats:
         write_coeff_json(grid, path)
         assert read_coeff_json(path) == grid
         assert read_coeff_file(path) == grid
+
+    @settings(deadline=None, database=None)
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 12))
+    def test_round_trips_are_exact(self, tmp_path_factory, data, rows, cols):
+        # zeros half the time; otherwise any finite value, 5e-324 to 1e308
+        finite = st.floats(-1e308, 1e308)
+        values = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), finite),
+            min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        path = tmp_path_factory.mktemp("round-trip") / "coeffs"
+        grid = CoeffGrid.from_dense(values)
+        write_coeff_json(grid, path)
+        assert read_coeff_json(path) == grid
+        # a CSV file keeps no bounds: its reader takes the largest indices
+        nonzero = finite.filter(bool)
+        values[-1, data.draw(st.integers(0, cols - 1))] = data.draw(nonzero)
+        values[data.draw(st.integers(0, rows - 1)), -1] = data.draw(nonzero)
+        grid = CoeffGrid.from_dense(values)
+        write_coeff_csv(grid, path)
+        assert read_coeff_csv(path) == grid
 
     # The CSV reader's contract: each input is accepted as the given entries
     # (bounds inferred from the largest indices) or rejected with a
