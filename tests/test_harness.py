@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chebdiff2d
 from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         CoeffGrid, ExperimentConfig, MetricSpec, NoiseSpec,
                         ProblemSpec, RateReport, RateRow, TestFunctionSpec,
@@ -19,6 +22,10 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         validate_suite, with_metric,
                         write_coeff_csv)
 from chebdiff2d.cli import main
+
+# child interpreters import the chebdiff2d this one imported, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    str(Path(chebdiff2d.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
 
 
 def small_config(**overrides):
@@ -203,7 +210,7 @@ class TestFitRate:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, chebdiff2d; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -389,7 +396,7 @@ class TestValidateSuite:
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "chebdiff2d", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=CHILD_ENV)
 
     def test_cross_count(self):
         proc = self.run_cli("cross", "--n", "4", "--gamma", "1", "--r", "1",
