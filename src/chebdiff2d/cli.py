@@ -3,7 +3,8 @@
 Subcommands: ``differentiate`` (single coefficient file -> derivative
 coefficients), ``experiment`` (noise-level sweep from a JSON config),
 ``cross`` (inspect a truncation index set), ``validate`` (run the invariant
-suite).  Exit codes: 0 success, 1 invalid configuration, 2 I/O error.
+suite).  Exit codes: 0 success, 1 invalid configuration, 2 I/O or usage
+error.
 """
 
 from __future__ import annotations
@@ -56,21 +57,8 @@ def _cmd_differentiate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = harness.load_config(args.config)
-    overrides = {}
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.trials_per_delta is not None:
-        overrides["trials_per_delta"] = args.trials_per_delta
-    if args.level_constant is not None:
-        overrides["problem"] = dataclasses.replace(
-            config.problem, level_constant=args.level_constant)
-    if args.output is not None:
-        overrides["output_path"] = args.output
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-
     result = harness.run_convergence(config)
-    out_dir = config.output_path or "."
+    out_dir = args.output or config.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     report_path = os.path.join(out_dir, "report.json")
@@ -157,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--output", default=None,
                    help="output directory (overrides config output_path)")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--trials-per-delta", type=int, default=None)
-    p.add_argument("--level-constant", type=float, default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("cross", help="emit a truncation index set")

@@ -69,16 +69,14 @@ class TestFunctionSpec:
     def __post_init__(self):
         if self.kind not in TEST_FUNCTION_KINDS:
             raise ValueError(f"unknown test function kind {self.kind!r}")
-        if self.kind == "named-analytic" and self.name is None:
-            raise ValueError("named-analytic test function needs a name")
+        if self.kind == "named-analytic" and self.name not in ANALYTIC_FUNCTIONS:
+            raise ValueError(f"unknown analytic function {self.name!r}; "
+                             f"known: {sorted(ANALYTIC_FUNCTIONS)}")
 
     def build(self, wiener: WienerSpec) -> CoeffGrid:
         if self.kind == "class-member":
             return make_class_member(wiener, self.max_k, self.max_j,
                                      self.seed, self.epsilon)
-        if self.name not in ANALYTIC_FUNCTIONS:
-            raise ValueError(f"unknown analytic function {self.name!r}; "
-                             f"known: {sorted(ANALYTIC_FUNCTIONS)}")
         f, box_k, box_j = ANALYTIC_FUNCTIONS[self.name]
         return analyze(f, box_k, box_j)
 
@@ -121,25 +119,27 @@ def parse_p(value) -> float:
     return float(value)
 
 
-_REQUIRED = object()
+def _field(section: dict, key: str, convert, where: str = ""):
+    """``convert(section[key])``.
 
-
-def _field(section: dict, key: str, convert, where: str = "",
-           default=_REQUIRED):
-    """``convert(section[key])``, or ``default`` when the key is absent.
-
-    A missing required key, or a value ``convert`` rejects with TypeError
-    or ValueError, is a ValueError naming the field ``where + key``.
+    A missing key, or a value ``convert`` rejects with TypeError or
+    ValueError, is a ValueError naming the field ``where + key``.
     """
     if key not in section:
-        if default is _REQUIRED:
-            raise ValueError(f"configuration is missing required field "
-                             f"{where + key!r}")
-        return default
+        raise ValueError(f"configuration is missing required field "
+                         f"{where + key!r}")
     try:
         return convert(section[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"configuration field {where + key!r}: {exc}") from None
+
+
+def _optional(section: dict, where: str = "", **converters) -> dict:
+    """Each ``key=convert`` whose key ``section`` holds, read by
+    :func:`_field`.  An absent key is left out, so the dataclass field it
+    fills keeps its default."""
+    return {key: _field(section, key, convert, where)
+            for key, convert in converters.items() if key in section}
 
 
 def _object(value) -> dict:
@@ -200,45 +200,38 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     wiener = WienerSpec(s=_field(prob, "s", _number, "problem."),
                         mu1=_field(prob, "mu1", _number, "problem."),
                         mu2=_field(prob, "mu2", _number, "problem."))
-    metrics = _field(doc, "metrics",
-                     _list_of(lambda m: parse_metric(_text(m))),
-                     default=(parse_metric("l2w"),))
+    metrics = (_field(doc, "metrics", _list_of(lambda m: parse_metric(_text(m))))
+               if "metrics" in doc else (parse_metric("l2w"),))
     problem = ProblemSpec(
         r=_field(prob, "r", _integer, "problem."),
         wiener=wiener,
         noise_p=_field(prob, "p", parse_p, "problem."),
         metric=metrics[0],
-        level_constant=_field(prob, "level_constant", _number, "problem.",
-                              1.0),
+        **_optional(prob, "problem.", level_constant=_number),
     )
-    noise = _field(doc, "noise", _object, default={})
     tf = _field(doc, "test_function", _object)
     kind = _field(tf, "kind", _one_of("test function kind", TEST_FUNCTION_KINDS),
                   "test_function.")
     if kind == "class-member":
-        test_function = TestFunctionSpec(
-            kind=kind,
-            seed=_field(tf, "seed", _integer, "test_function.", 0),
-            max_k=_field(tf, "max_k", _integer, "test_function.", 256),
-            max_j=_field(tf, "max_j", _integer, "test_function.", 256),
-            epsilon=_field(tf, "epsilon", _number, "test_function.", 0.01),
-        )
+        test_function = TestFunctionSpec(kind=kind, **_optional(
+            tf, "test_function.", seed=_integer, max_k=_integer,
+            max_j=_integer, epsilon=_number))
     else:
-        test_function = TestFunctionSpec(
-            kind=kind, name=_field(tf, "id", _text, "test_function."))
+        test_function = _field(
+            tf, "id", lambda v: TestFunctionSpec(kind=kind, name=_text(v)),
+            "test_function.")
+    noise = _field(doc, "noise", _object) if "noise" in doc else {}
+    noise_fields = _optional(noise, "noise.", seed=_integer,
+                             mode=_one_of("noise mode", NOISE_MODES))
     return ExperimentConfig(
         problem=problem,
         deltas=_field(doc, "deltas", _list_of(_number)),
         gamma=_field(doc, "gamma", _number),
         test_function=test_function,
         metrics=metrics,
-        trials_per_delta=_field(doc, "trials_per_delta", _integer, default=10),
-        noise_mode=_field(noise, "mode", _one_of("noise mode", NOISE_MODES),
-                          "noise.", NOISE_UNIFORM),
-        noise_seed=_field(noise, "seed", _integer, "noise.", 0),
-        output_path=_field(doc, "output_path",
-                           lambda v: v if v is None else _text(v),
-                           default=None),
+        **_optional(doc, trials_per_delta=_integer,
+                    output_path=lambda v: v if v is None else _text(v)),
+        **{"noise_" + key: value for key, value in noise_fields.items()},
     )
 
 

@@ -52,15 +52,13 @@ class MetricSpec:
         return self.kind
 
 
-def parse_metric(text: str, eval_grid: int = 257) -> MetricSpec:
+def parse_metric(text: str) -> MetricSpec:
     """Parse ``l2w``, ``lqw:<q>`` or ``sup`` into a MetricSpec."""
     text = text.strip()
-    if text == "l2w":
-        return MetricSpec("l2w", eval_grid=eval_grid)
-    if text == "sup":
-        return MetricSpec("sup", eval_grid=eval_grid)
+    if text in ("l2w", "sup"):
+        return MetricSpec(text)
     if text.startswith("lqw:"):
-        return MetricSpec("lqw", q=float(text[4:]), eval_grid=eval_grid)
+        return MetricSpec("lqw", q=float(text[4:]))
     raise ValueError(f"unknown metric {text!r} (expected l2w, lqw:<q>, sup)")
 
 

@@ -319,6 +319,17 @@ class TestConfigParsing:
         }
         assert math.isinf(config_from_dict(doc).problem.noise_p)
 
+    def test_absent_keys_take_dataclass_defaults(self):
+        doc = small_doc(test_function={"kind": "class-member"})
+        assert config_from_dict(doc) == ExperimentConfig(
+            problem=ProblemSpec(r=1, wiener=WienerSpec(s=1.0, mu1=3.0, mu2=2.0),
+                                noise_p=2.0),
+            deltas=(1e-2, 1e-3, 1e-4),
+            gamma=1.5,
+            test_function=TestFunctionSpec(kind="class-member"),
+            metrics=(MetricSpec("l2w"),),
+        )
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing required field"):
             config_from_dict({"deltas": [0.1]})
@@ -326,6 +337,21 @@ class TestConfigParsing:
     def test_deltas_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
             small_config(deltas=(1e-3, 1e-2, 1e-4))
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(trials_per_delta=0), r"trials_per_delta must be >= 1"),
+        (dict(deltas=()), r"need at least one noise level"),
+        (dict(deltas=(0.0,)), r"noise levels must lie in \(0, 1\)"),
+        (dict(deltas=(1.0,)), r"noise levels must lie in \(0, 1\)"),
+        (dict(deltas=(2.0,)), r"noise levels must lie in \(0, 1\)"),
+        (dict(noise_mode="bogus"), r"unknown noise mode 'bogus'"),
+        (dict(metrics=()), r"need at least one metric"),
+    ], ids=["trials-0", "no-deltas", "delta-0", "delta-1", "delta-2",
+            "noise-mode", "no-metrics"])
+    def test_config_checks(self, overrides, message):
+        # the checks a config built in code, not parsed, goes through
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
 
 
 class TestRunSingle:
@@ -513,6 +539,28 @@ class TestCli:
         assert (out / "report.json").read_bytes() == (
             json.dumps(GOLDEN_REPORT, indent=2) + "\n").encode()
 
+    def test_experiment_named_analytic(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(small_doc(
+            test_function={"kind": "named-analytic", "id": "exp-cos"},
+            trials_per_delta=2)))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["l2w"]["rows"]
+        assert [(row["delta"], row["n_used"]) for row in rows] == [
+            (1e-2, 4), (1e-3, 7), (1e-4, 14)]  # round(delta**(-1/3.5))
+
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # the settings of an experiment come only from its file
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(tmp_path / "config.json"),
+                  "--gamma", "1.2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --gamma 1.2" in err
+        assert "Traceback" not in err
+
     def test_experiment_invalid_config_exit_code(self, tmp_path):
         config = {
             "problem": {"r": 1, "s": 1, "mu1": 1.2, "mu2": 2.0, "p": 2},
@@ -585,6 +633,9 @@ class TestCli:
         (lambda doc: doc.update(test_function={"kind": "named-analytic",
                                                "name": "exp-cos"}),
          "missing required field 'test_function.id'"),
+        (lambda doc: doc.update(test_function={"kind": "named-analytic",
+                                               "id": "nope"}),
+         "configuration field 'test_function.id'"),
         (lambda doc: doc.update(test_function={"kind": "foo"}),
          "configuration field 'test_function.kind'"),
         (lambda doc: doc.update(noise={"mode": "bogus"}),

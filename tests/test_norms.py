@@ -121,6 +121,18 @@ class TestLq:
             assert evaluate_metric(grid, MetricSpec("lqw", q=q, eval_grid=2)) \
                 == lq_omega_norm(grid, q)
 
+    @pytest.mark.parametrize("deg", [6, 12, 20])
+    def test_odd_q_takes_capped_size(self, rng, deg):
+        # |f|^3 is no polynomial: the default is the 4 * deg + 1 cap, close
+        # to a 16 times finer rule
+        grid = random_grid(rng, deg, deg)
+        capped = lq_omega_norm(grid, 3.0, quad_n=4 * deg + 1)
+        assert lq_omega_norm(grid, 3.0) == capped
+        assert capped == pytest.approx(
+            lq_omega_norm(grid, 3.0, quad_n=64 * deg + 1), rel=1e-3)
+        assert evaluate_metric(grid, parse_metric("lqw:3")) == lq_omega_norm(
+            grid, 3.0, quad_n=max(257, 4 * deg + 1))
+
     def test_monotone_in_q_after_measure_normalization(self, rng):
         # Jensen under the probability measure omega / pi^2
         for _ in range(10):
