@@ -4,8 +4,8 @@ with a-priori parameter-choice rules and a convergence-rate experiment
 harness.
 """
 
-from .basis import (QuadratureRule, basis_matrix, eval_orthonormal,
-                    gauss_chebyshev_rule, peak_value)
+from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_nodes,
+                    peak_value)
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .harness import (ANALYTIC_FUNCTIONS, CheckResult, ExperimentConfig,
                       ExperimentResult, RateFit, RateReport, RateRow,

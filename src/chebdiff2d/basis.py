@@ -1,4 +1,4 @@
-"""Orthonormal Chebyshev basis on [-1, 1] and Gauss-Chebyshev quadrature.
+"""Orthonormal Chebyshev basis on [-1, 1] and the Gauss-Chebyshev nodes.
 
 The one-dimensional system is
 
@@ -16,7 +16,6 @@ arccos conditioning limits attainable accuracy to roughly k * eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,35 +72,15 @@ def basis_matrix(max_degree: int, points) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Chebyshev nodes and weights.
+def gauss_chebyshev_nodes(n_nodes: int) -> np.ndarray:
+    """Read-only nodes cos((2i-1)pi/(2N)), i = 1..N, of the N-node rule.
 
-    The weights absorb the one-dimensional Chebyshev weight, so sums
-    ``sum(w_i * g(t_i))`` approximate ``int (1-t^2)^(-1/2) g(t) dt``.
-    Nodes are stored in decreasing order.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.nodes.size
-
-
-def gauss_chebyshev_rule(n_nodes: int) -> QuadratureRule:
-    """Build the N-node rule: nodes cos((2i-1)pi/(2N)), all weights pi/N.
-
-    The rule integrates (1 - t^2)^(-1/2) * P(t) exactly for polynomials P
-    of degree up to 2N - 1.
+    Every weight is pi/N; the rule integrates (1 - t^2)^(-1/2) * P(t)
+    exactly for polynomials P of degree up to 2N - 1.
     """
     if n_nodes < 1:
         raise ValueError("rule needs at least one node")
     i = np.arange(1, n_nodes + 1)
     nodes = np.cos((2 * i - 1) * math.pi / (2 * n_nodes))
-    weights = np.full(n_nodes, math.pi / n_nodes)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    nodes.setflags(write=False)
+    return nodes

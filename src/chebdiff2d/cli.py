@@ -18,30 +18,25 @@ import sys
 from . import harness
 from .hypercross import build_cross, cardinality
 from .model import WienerSpec
-from .norms import MetricSpec
 from .transform import CoeffFileError
 from .tuning import ProblemSpec, choose_n
 
 
 def _resolve_level(args) -> int:
-    if args.auto_n:
-        missing = [name for name in ("delta", "mu1", "mu2", "p")
-                   if getattr(args, name) is None]
-        if missing:
-            raise ValueError("--auto-n needs --" + ", --".join(missing))
-        problem = ProblemSpec(
-            r=args.r,
-            wiener=WienerSpec(s=args.s, mu1=args.mu1, mu2=args.mu2),
-            noise_p=harness.parse_p(args.p),
-            metric=MetricSpec("l2w"),
-            level_constant=args.level_constant,
-        )
-        n = choose_n(args.delta, problem)
-        print(f"auto-chosen truncation level n = {n}")
-        return n
-    if args.n is None:
-        raise ValueError("either --n or --auto-n is required")
-    return args.n
+    if args.delta is None:
+        return args.n
+    missing = [name for name in ("mu1", "mu2", "p") if getattr(args, name) is None]
+    if missing:
+        raise ValueError("--delta needs --" + ", --".join(missing))
+    problem = ProblemSpec(
+        r=args.r,
+        wiener=WienerSpec(s=args.s, mu1=args.mu1, mu2=args.mu2),
+        noise_p=args.p,
+        level_constant=args.level_constant,
+    )
+    n = choose_n(args.delta, problem)
+    print(f"auto-chosen truncation level n = {n}")
+    return n
 
 
 def _cmd_differentiate(args) -> int:
@@ -119,26 +114,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="differentiate a coefficient file")
     p.add_argument("--input", required=True, help="coefficient CSV/JSON file")
     p.add_argument("--r", type=int, required=True, help="derivative order")
-    p.add_argument("--n", type=int, default=None, help="truncation level")
     p.add_argument("--gamma", type=float, required=True, help="cross shape")
     p.add_argument("--eval-grid", type=int, default=None,
                    help="also tabulate values on an MxM cosine grid")
     p.add_argument("--output", required=True, help="output coefficient CSV")
-    p.add_argument("--auto-n", action="store_true",
-                   help="choose the level from the noise magnitude and "
-                        "smoothness parameters instead of --n")
-    p.add_argument("--delta", type=float, default=None,
-                   help="noise magnitude for --auto-n")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("--n", type=int, help="truncation level")
+    level.add_argument("--delta", type=float,
+                       help="noise magnitude: the level rule chooses the level")
     p.add_argument("--s", type=float, default=1.0,
-                   help="class aggregation index for --auto-n")
+                   help="class aggregation index for --delta")
     p.add_argument("--mu1", type=float, default=None,
-                   help="first smoothness parameter for --auto-n")
+                   help="first smoothness parameter for --delta")
     p.add_argument("--mu2", type=float, default=None,
-                   help="second smoothness parameter for --auto-n")
-    p.add_argument("--p", default=None,
-                   help="noise norm index for --auto-n (number or 'inf')")
+                   help="second smoothness parameter for --delta")
+    p.add_argument("--p", type=harness.parse_p, default=None,
+                   help="noise norm index for --delta (number or 'inf')")
     p.add_argument("--level-constant", type=float, default=1.0,
-                   help="multiplier in the level rule for --auto-n")
+                   help="multiplier in the level rule for --delta")
     p.set_defaults(func=_cmd_differentiate)
 
     p = sub.add_parser("experiment", help="run a noise-level sweep")

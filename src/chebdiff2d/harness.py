@@ -21,7 +21,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_rule,
+from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_nodes,
                     peak_value)
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
@@ -110,6 +110,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if not self.metrics:
             raise ValueError("need at least one metric")
+        # two metrics with one label would share that label's rows
+        labels = [metric.label for metric in self.metrics]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"configuration field 'metrics': metric "
+                                 f"{label!r} is given twice")
 
 
 def parse_p(value) -> float:
@@ -236,11 +242,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return config_from_dict(doc)
 
 
@@ -431,6 +439,7 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
 # finite-difference oracle
 
 _LD = np.longdouble
+_FD_STEP = 1e-5
 
 
 def _synthesize_longdouble(coeffs: CoeffGrid, ts: np.ndarray,
@@ -449,21 +458,21 @@ def _synthesize_longdouble(coeffs: CoeffGrid, ts: np.ndarray,
     return np.einsum("pk,kj,pj->p", bt, dense, btau)
 
 
-def fd_partial_t(coeffs: CoeffGrid, r: int, ts, taus, h: float = 1e-5) -> np.ndarray:
+def fd_partial_t(coeffs: CoeffGrid, r: int, ts, taus) -> np.ndarray:
     """Central-difference r-th partial derivative in t of the synthesized
     surface at paired points (ts[i], taus[i]).
 
-    Second-order stencils evaluated in extended precision, which keeps the
-    h**(-r) roundoff amplification below the comparison tolerances for
-    r <= 3.  Points must stay at least 2h inside the interval.
+    Second-order stencils of step h = _FD_STEP, evaluated in extended
+    precision, keep the h**(-r) roundoff amplification below the comparison
+    tolerances for r <= 3.  Points must stay at least 2h inside [-1, 1].
     """
     if r not in (1, 2, 3):
         raise ValueError("finite-difference oracle supports r in {1, 2, 3}")
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    if np.any(np.abs(ts) > 1.0 - 2.5 * h):
+    if np.any(np.abs(ts) > 1.0 - 2.5 * _FD_STEP):
         raise ValueError("probe points must stay at least 2h inside [-1, 1]")
-    hl = _LD(h)
+    hl = _LD(_FD_STEP)
 
     def f(shift):
         return _synthesize_longdouble(coeffs, (ts.astype(_LD) + shift), taus)
@@ -535,9 +544,8 @@ def _check_zeta0() -> CheckResult:
 
 def _check_orthonormality() -> CheckResult:
     deg = 24
-    rule = gauss_chebyshev_rule(deg + 1)
-    b = basis_matrix(deg, rule.nodes)
-    gram = b.T @ (rule.weights[:, None] * b)
+    b = basis_matrix(deg, gauss_chebyshev_nodes(deg + 1))
+    gram = b.T @ (math.pi / (deg + 1) * b)
     dev = float(np.abs(gram - np.eye(deg + 1)).max())
     return CheckResult("basis-gram-identity", dev <= 1e-12, dev,
                        f"max |Gram - I| over degrees 0..{deg}")
@@ -546,7 +554,7 @@ def _check_orthonormality() -> CheckResult:
 def _check_quadrature() -> CheckResult:
     rng = np.random.default_rng(7)
     n_nodes = 8
-    rule = gauss_chebyshev_rule(n_nodes)
+    nodes = gauss_chebyshev_nodes(n_nodes)
     # exact weighted monomial integrals: I_0 = pi, I_m = I_{m-2}*(m-1)/m
     exact = [math.pi, 0.0]
     for m in range(2, 2 * n_nodes):
@@ -554,8 +562,8 @@ def _check_quadrature() -> CheckResult:
     worst = 0.0
     for _ in range(20):
         coeffs = rng.uniform(-1, 1, size=2 * n_nodes)
-        quad = float(np.sum(rule.weights
-                            * np.polynomial.polynomial.polyval(rule.nodes, coeffs)))
+        quad = float(np.sum(math.pi / n_nodes
+                            * np.polynomial.polynomial.polyval(nodes, coeffs)))
         ref = math.fsum(c * i for c, i in zip(coeffs, exact))
         worst = max(worst, abs(quad - ref) / max(abs(ref), 1e-12))
     return CheckResult("quadrature-monomial-exactness", worst <= 1e-11, worst,
@@ -576,7 +584,7 @@ def _check_peak_bound() -> CheckResult:
 def _check_roundtrip() -> CheckResult:
     rng = np.random.default_rng(13)
     grid = _random_grid(rng, 16, 16)
-    back = analyze(lambda t, u: synthesize(grid, t, u), 16, 16, 33)
+    back = analyze(lambda t, u: synthesize(grid, t, u), 16, 16)
     dev = float(np.abs(back.to_dense() - grid.to_dense()).max())
     return CheckResult("analyze-synthesize-roundtrip", dev <= 1e-11, dev,
                        "max coefficient deviation, 16x16 box")

@@ -72,10 +72,10 @@ class WienerSpec:
     mu2: float
 
     def __post_init__(self):
-        if not self.s >= 1:
-            raise ValueError("s must be >= 1")
-        if not (self.mu1 > 0 and self.mu2 > 0):
-            raise ValueError("mu1 and mu2 must be positive")
+        if not 1 <= self.s < math.inf:
+            raise ValueError("s must be >= 1 and finite")
+        if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
+            raise ValueError("mu1 and mu2 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,17 @@ def _class_norm(dense: np.ndarray, spec: WienerSpec) -> float:
     """Class norm of the dense table whose entry [k, j] is a[k, j]."""
     uk = np.maximum(1, np.arange(dense.shape[0], dtype=float))
     uj = np.maximum(1, np.arange(dense.shape[1], dtype=float))
-    weights = np.outer(uk ** (spec.s * spec.mu1), uj ** (spec.s * spec.mu2))
-    return _exact_sum(weights * np.abs(dense) ** spec.s) ** (1.0 / spec.s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.outer(uk ** (spec.s * spec.mu1), uj ** (spec.s * spec.mu2))
+        terms = weights * np.abs(dense) ** spec.s
+    try:
+        norm = _exact_sum(terms) ** (1.0 / spec.s)
+    except OverflowError:  # a finite sum beyond the float range
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValueError(f"the class norm overflows for s = {spec.s}, "
+                         f"mu1 = {spec.mu1}, mu2 = {spec.mu2}")
+    return norm
 
 
 def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:

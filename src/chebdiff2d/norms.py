@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix, gauss_chebyshev_rule
+from .basis import basis_matrix, gauss_chebyshev_nodes
 from .transform import MAX_TABLE_ENTRIES, CoeffGrid
 
 
@@ -154,7 +154,7 @@ def _basis(degree: int, nodes: str, size: int) -> np.ndarray:
     so the matrices are built once per process.
     """
     points = (cosine_grid(size) if nodes == "cosine"
-              else gauss_chebyshev_rule(size).nodes)
+              else gauss_chebyshev_nodes(size))
     matrix = basis_matrix(degree, points)
     matrix.setflags(write=False)
     return matrix

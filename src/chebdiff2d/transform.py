@@ -19,6 +19,7 @@ Both readers parse and validate whole arrays at once.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .basis import basis_matrix, gauss_chebyshev_rule
+from .basis import basis_matrix, gauss_chebyshev_nodes
 
 #: Largest coefficient table built from outside input: 2**26 entries, that
 #: is 512 MiB of float64.
@@ -227,26 +228,21 @@ class CoeffGrid:
                 f"max_j={self.max_j})")
 
 
-def analyze(f, max_k: int, max_j: int, quad_n: int | None = None) -> CoeffGrid:
+def analyze(f, max_k: int, max_j: int) -> CoeffGrid:
     """Compute expansion coefficients of f by tensor Gauss-Chebyshev quadrature.
 
-    ``f`` is called pointwise as ``f(t, tau)`` on the tensor quadrature grid.
-    Default ``quad_n = 2 * max(max_k, max_j) + 1`` nodes per dimension, which
-    makes the computed coefficients exact (to roundoff) whenever f is a
-    polynomial of coordinate degrees at most ``2*quad_n - 1 - max(max_k, max_j)``.
+    ``f`` is called pointwise as ``f(t, tau)`` on the tensor grid of
+    ``2 * max(max_k, max_j) + 1`` nodes per dimension, which makes the
+    computed coefficients exact (to roundoff) whenever f is a polynomial of
+    coordinate degrees at most ``3 * max(max_k, max_j) + 1``.
     """
     if max_k < 0 or max_j < 0:
         raise ValueError("degree bounds must be nonnegative")
-    if quad_n is None:
-        quad_n = 2 * max(max_k, max_j) + 1
-    if quad_n < max(max_k, max_j) + 1:
-        raise ValueError("quad_n must be at least max degree + 1")
-    rule = gauss_chebyshev_rule(quad_n)
-    ts = rule.nodes
+    ts = gauss_chebyshev_nodes(2 * max(max_k, max_j) + 1)
     samples = np.array([[float(f(t, u)) for u in ts] for t in ts])
     bk = basis_matrix(max_k, ts)
     bj = basis_matrix(max_j, ts)
-    w = math.pi / quad_n
+    w = math.pi / ts.size
     coeffs = (w * w) * (bk.T @ samples @ bj)
     return CoeffGrid.from_dense(coeffs)
 
@@ -296,6 +292,16 @@ def write_coeff_csv(coeffs: CoeffGrid, path) -> None:
     write_csv_table(path, "k,j,coeff", "%d,%d,%.17g", *_nonzero_entries(coeffs))
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """Open ``path`` as UTF-8; an undecodable byte is a CoeffFileError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CoeffFileError(f"{path}: {exc}") from None
+
+
 def _csv_body(fh):
     """Yield (line number, line) for the non-blank lines left in ``fh``,
     which has consumed the header (line 1)."""
@@ -306,13 +312,13 @@ def _csv_body(fh):
 
 def _csv_line_number(path, row: int) -> int:
     """File line number of data row ``row`` (0-based, blank lines skipped)."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         fh.readline()
         return next(itertools.islice(_csv_body(fh), row, None))[0]
 
 
 def read_coeff_csv(path) -> CoeffGrid:
-    with open(path) as fh:
+    with _open_text(path) as fh:
         header = fh.readline()
         if header and [cell.strip() for cell in
                        next(csv.reader([header]), [])] != _CSV_HEADER:
@@ -332,8 +338,8 @@ def read_coeff_csv(path) -> CoeffGrid:
             rows = np.loadtxt(itertools.chain([first], fed), dtype=_CSV_ROW,
                               delimiter=",", quotechar='"', comments=None,
                               ndmin=1)
-        except UnicodeDecodeError as exc:  # decoded in blocks: no line known
-            raise CoeffFileError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:  # not a bad line: _open_text reports it
+            raise
         except ValueError as exc:
             # the parser stops at the first bad line without reading ahead
             number, line = last
@@ -362,7 +368,7 @@ def write_coeff_json(coeffs: CoeffGrid, path) -> None:
 
 
 def read_coeff_json(path) -> CoeffGrid:
-    with open(path) as fh:
+    with _open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chebdiff2d import (basis_matrix, eval_orthonormal, gauss_chebyshev_rule,
+from chebdiff2d import (basis_matrix, eval_orthonormal, gauss_chebyshev_nodes,
                         peak_value)
-from conftest import exact_weighted_monomial_integrals
+from helpers import exact_weighted_monomial_integrals
 
 
 def test_degree_zero_is_constant():
@@ -42,52 +42,50 @@ def test_tensor_values():
 
 
 def test_single_node_rule():
-    rule = gauss_chebyshev_rule(1)
-    assert abs(rule.nodes[0]) < 1e-15
-    assert rule.weights[0] == pytest.approx(math.pi)
+    nodes = gauss_chebyshev_nodes(1)
+    assert nodes.shape == (1,)
+    assert abs(nodes[0]) < 1e-15
 
 
 def test_two_node_rule():
-    rule = gauss_chebyshev_rule(2)
-    assert rule.nodes == pytest.approx([math.sqrt(2) / 2, -math.sqrt(2) / 2])
-    assert rule.weights == pytest.approx([math.pi / 2, math.pi / 2])
-    # integrate t^2 against the weight: exact value pi/2
-    assert np.sum(rule.weights * rule.nodes**2) == pytest.approx(math.pi / 2)
+    nodes = gauss_chebyshev_nodes(2)
+    assert nodes == pytest.approx([math.sqrt(2) / 2, -math.sqrt(2) / 2])
+    # integrate t^2 against the weight, every weight pi/2: exact value pi/2
+    assert np.sum(math.pi / 2 * nodes**2) == pytest.approx(math.pi / 2)
 
 
 @pytest.mark.parametrize("n_nodes", [1, 2, 5, 12])
 def test_rule_invariants(n_nodes):
-    rule = gauss_chebyshev_rule(n_nodes)
-    assert np.all(np.diff(rule.nodes) < 0)
-    assert np.all(np.abs(rule.nodes) < 1)
-    assert np.all(rule.weights == math.pi / n_nodes)
-    assert np.sum(rule.weights) == pytest.approx(math.pi, abs=1e-12)
+    nodes = gauss_chebyshev_nodes(n_nodes)
+    assert nodes.shape == (n_nodes,)
+    assert np.all(np.diff(nodes) < 0)
+    assert np.all(np.abs(nodes) < 1)
+    assert not nodes.flags.writeable
 
 
 def test_rule_rejects_empty():
     with pytest.raises(ValueError):
-        gauss_chebyshev_rule(0)
+        gauss_chebyshev_nodes(0)
 
 
 @pytest.mark.parametrize("n_nodes", [3, 8, 17])
 def test_quadrature_matches_monomial_integrals(rng, n_nodes):
     # exact for polynomial degree <= 2N - 1; oracle is the closed-form
     # weighted monomial integral recurrence
-    rule = gauss_chebyshev_rule(n_nodes)
+    nodes = gauss_chebyshev_nodes(n_nodes)
     exact = exact_weighted_monomial_integrals(2 * n_nodes - 1)
     for _ in range(25):
         coeffs = rng.uniform(-1, 1, size=2 * n_nodes)
-        quad = float(np.sum(rule.weights
-                            * np.polynomial.polynomial.polyval(rule.nodes, coeffs)))
+        quad = float(np.sum(math.pi / n_nodes
+                            * np.polynomial.polynomial.polyval(nodes, coeffs)))
         ref = math.fsum(c * v for c, v in zip(coeffs, exact))
         assert quad == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
 def test_discrete_orthonormality():
     max_deg = 24
-    rule = gauss_chebyshev_rule(max_deg + 1)
-    b = basis_matrix(max_deg, rule.nodes)
-    gram = b.T @ (rule.weights[:, None] * b)
+    b = basis_matrix(max_deg, gauss_chebyshev_nodes(max_deg + 1))
+    gram = b.T @ (math.pi / (max_deg + 1) * b)
     assert np.abs(gram - np.eye(max_deg + 1)).max() <= 1e-12
 
 

@@ -6,7 +6,7 @@ import pytest
 from chebdiff2d import (ZETA_0, CoeffGrid, analyze, build_cross,
                         differentiate_coeffs, fd_partial_t, grid_synthesize,
                         sup_norm, synthesize, truncated_derivative)
-from conftest import random_grid
+from helpers import random_grid
 
 
 def build_derivative_operator(max_k, zeta0=ZETA_0):

@@ -346,8 +346,10 @@ class TestConfigParsing:
         (dict(deltas=(2.0,)), r"noise levels must lie in \(0, 1\)"),
         (dict(noise_mode="bogus"), r"unknown noise mode 'bogus'"),
         (dict(metrics=()), r"need at least one metric"),
+        (dict(metrics=(MetricSpec("l2w"), MetricSpec("sup"), MetricSpec("l2w"))),
+         r"metric 'l2w' is given twice"),
     ], ids=["trials-0", "no-deltas", "delta-0", "delta-1", "delta-2",
-            "noise-mode", "no-metrics"])
+            "noise-mode", "no-metrics", "repeated-metric"])
     def test_config_checks(self, overrides, message):
         # the checks a config built in code, not parsed, goes through
         with pytest.raises(ValueError, match=message):
@@ -356,7 +358,7 @@ class TestConfigParsing:
 
 class TestRunSingle:
     def test_polynomial_derivative_file(self, tmp_path):
-        grid = analyze(lambda t, u: t**3, 8, 0, 17)
+        grid = analyze(lambda t, u: t**3, 8, 0)
         src = tmp_path / "input.csv"
         write_coeff_csv(grid, src)
         out = tmp_path / "deriv.csv"
@@ -450,7 +452,7 @@ class TestCli:
                                 "(got gamma=inf)\n")
 
     def test_differentiate_and_errors(self, tmp_path):
-        grid = analyze(lambda t, u: t**2, 4, 0, 9)
+        grid = analyze(lambda t, u: t**2, 4, 0)
         src = tmp_path / "in.csv"
         write_coeff_csv(grid, src)
         out = tmp_path / "out.csv"
@@ -469,13 +471,18 @@ class TestCli:
                             "--output", str(out))
         assert proc.returncode == 2  # missing input file
 
-        # malformed files exit 2 with one message naming the line or entry
+        # malformed files exit 2 with one message naming the line or entry,
+        # or for bytes that are not UTF-8 the decoding error
+        undecodable = "'utf-8' codec can't decode byte 0xff in position"
         for name, text, where in (
-                ("bad.csv", "k,j,coeff\n0,0,1\n\n2,0,nan\n", "line 4"),
-                ("bad.json", '{"max_k": 2, "max_j": 0, "entries": '
-                             '[[0, 0, 1], [1.5, 0, 2]]}', "entries[1]")):
+                ("bad.csv", b"k,j,coeff\n0,0,1\n\n2,0,nan\n", "line 4"),
+                ("bad.json", b'{"max_k": 2, "max_j": 0, "entries": '
+                             b'[[0, 0, 1], [1.5, 0, 2]]}', "entries[1]"),
+                ("bytes.json", b"\xff\xfe", f"{undecodable} 0"),
+                ("header.csv", b"k,j\xff,coeff\n0,0,1\n", f"{undecodable} 3"),
+                ("body.csv", b"k,j,coeff\n0,0,1\n\xff\n", f"{undecodable} 16")):
             bad = tmp_path / name
-            bad.write_text(text)
+            bad.write_bytes(text)
             proc = self.run_cli("differentiate", "--input", str(bad), "--r", "1",
                                 "--n", "4", "--gamma", "1.0", "--output", str(out))
             assert proc.returncode == 2
@@ -491,20 +498,21 @@ class TestCli:
         assert proc.stderr == ""
 
     def test_differentiate_auto_level(self, tmp_path):
-        grid = analyze(lambda t, u: t**2, 4, 0, 9)
+        grid = analyze(lambda t, u: t**2, 4, 0)
         src = tmp_path / "in.csv"
         write_coeff_csv(grid, src)
         out = tmp_path / "out.csv"
         proc = self.run_cli("differentiate", "--input", str(src), "--r", "1",
-                            "--auto-n", "--delta", "1e-3", "--mu1", "3",
+                            "--delta", "1e-3", "--mu1", "3",
                             "--mu2", "2", "--p", "2", "--gamma", "1.5",
                             "--output", str(out))
         assert proc.returncode == 0
         assert "n = 7" in proc.stdout  # 1000**(1/3.5) rounds to 7
         proc = self.run_cli("differentiate", "--input", str(src), "--r", "1",
-                            "--auto-n", "--gamma", "1.5", "--output", str(out))
+                            "--delta", "1e-3", "--gamma", "1.5",
+                            "--output", str(out))
         assert proc.returncode == 1
-        assert "--auto-n needs" in proc.stderr
+        assert "--delta needs --mu1, --mu2, --p" in proc.stderr
 
     def test_experiment_outputs(self, tmp_path):
         config = {
@@ -552,14 +560,25 @@ class TestCli:
             (1e-2, 4), (1e-3, 7), (1e-4, 14)]  # round(delta**(-1/3.5))
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
-        # the settings of an experiment come only from its file
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--config", str(tmp_path / "config.json"),
-                  "--gamma", "1.2"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --gamma 1.2" in err
-        assert "Traceback" not in err
+        differentiate = ["differentiate", "--input", str(tmp_path / "in.csv"),
+                         "--r", "1", "--gamma", "1.5",
+                         "--output", str(tmp_path / "out.csv")]
+        for args, message in (
+                # the settings of an experiment come only from its file
+                (["experiment", "--config", str(tmp_path / "config.json"),
+                  "--gamma", "1.2"], "unrecognized arguments: --gamma 1.2"),
+                # the level is given, or chosen for a noise level: not both
+                (differentiate, "one of the arguments --n --delta is required"),
+                (differentiate + ["--n", "8", "--delta", "1e-3"],
+                 "argument --delta: not allowed with argument --n"),
+                (differentiate + ["--delta", "1e-3", "--mu1", "3", "--mu2",
+                                  "2", "--p", "abc"], "argument --p: invalid")):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
 
     def test_experiment_invalid_config_exit_code(self, tmp_path):
         config = {
@@ -603,7 +622,7 @@ class TestCli:
                     "--output", str(tmp_path / "out")]
         elif name == "auto-n":
             args = ["differentiate", "--input", str(path), "--r", "1",
-                    "--auto-n", "--delta", "1e-2", "--mu1", "3", "--mu2", "2",
+                    "--delta", "1e-2", "--mu1", "3", "--mu2", "2",
                     "--p", "2", "--level-constant", "1e308", "--gamma", "1.5",
                     "--output", str(tmp_path / "out.csv")]
         else:
@@ -640,6 +659,13 @@ class TestCli:
          "configuration field 'test_function.kind'"),
         (lambda doc: doc.update(noise={"mode": "bogus"}),
          "configuration field 'noise.mode'"),
+        (lambda doc: doc.update(metrics=["lqw:4", "lqw:4.0"]),
+         "configuration field 'metrics': metric 'lqw:4' is given twice"),
+        (lambda doc: doc["problem"].update(s=math.inf),
+         "s must be >= 1 and finite"),
+        (lambda doc: doc["problem"].update(mu1=200.0, mu2=199.0)
+         or doc.update(gamma=1.0),
+         "the class norm overflows for s = 1.0, mu1 = 200.0, mu2 = 199.0"),
     ])
     def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
         # in process: an exception escaping main() is what prints a traceback

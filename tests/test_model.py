@@ -7,7 +7,7 @@ from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT,
                         NOISE_UNIFORM, SEED_INDEPENDENT_MODES, CoeffGrid,
                         NoiseSpec, WienerSpec, build_cross, lp_norm,
                         make_class_member, perturb, wiener_norm)
-from conftest import random_grid
+from helpers import random_grid
 
 
 class TestWienerNorm:
@@ -44,6 +44,21 @@ class TestWienerNorm:
             WienerSpec(s=0.5, mu1=1.0, mu2=1.0)
         with pytest.raises(ValueError):
             WienerSpec(s=1.0, mu1=0.0, mu2=1.0)
+        with pytest.raises(ValueError, match="s must be >= 1 and finite"):
+            WienerSpec(s=math.inf, mu1=1.0, mu2=1.0)
+        for mu1, mu2 in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                WienerSpec(s=1.0, mu1=mu1, mu2=mu2)
+
+    @pytest.mark.parametrize("entries", [
+        [((300, 0), 1e-300)],  # the weight 300**200 overflows
+        [((0, 0), 1e308), ((0, 1), 1e308)],  # the sum overflows
+    ], ids=["weight", "sum"])
+    def test_overflowing_norm_refused(self, entries):
+        # a numpy warning would fail the test before the ValueError
+        with pytest.raises(ValueError, match="class norm overflows for "
+                           "s = 1.0, mu1 = 200.0, mu2 = 1.0"):
+            wiener_norm(CoeffGrid(entries), WienerSpec(s=1.0, mu1=200.0, mu2=1.0))
 
 
 class TestClassMember:

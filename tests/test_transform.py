@@ -13,7 +13,7 @@ from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
                         lq_omega_norm, read_coeff_csv, read_coeff_file,
                         read_coeff_json, run_single, synthesize,
                         write_coeff_csv, write_coeff_json)
-from conftest import random_grid
+from helpers import random_grid
 
 
 class TestCoeffGrid:
@@ -130,10 +130,6 @@ class TestAnalyze:
         others = [abs(v) for (k, j), v in grid.items() if (k, j) != (1, 0)]
         assert max(others, default=0.0) <= 1e-12
 
-    def test_quad_n_precondition(self):
-        with pytest.raises(ValueError):
-            analyze(lambda t, u: t, 4, 4, quad_n=3)
-
     def test_evaluation_errors_propagate(self):
         def broken(t, u):
             raise RuntimeError("sensor offline")
@@ -184,7 +180,7 @@ class TestSynthesize:
 
     def test_full_round_trip(self, rng):
         grid = random_grid(rng, 16, 16)
-        back = analyze(lambda t, u: synthesize(grid, t, u), 16, 16, 33)
+        back = analyze(lambda t, u: synthesize(grid, t, u), 16, 16)
         assert np.abs(back.to_dense() - grid.to_dense()).max() <= 1e-11
 
     def test_parseval_consistency(self, rng):
