@@ -74,6 +74,14 @@ class CrossIndexSet:
         """Enclosing bound on j over the whole set (attained at k = r)."""
         return int(self._columns[0])
 
+    def mask(self, rows: int, cols: int) -> np.ndarray:
+        """Fresh boolean rows x cols table, True where (k, j) is in the set;
+        the parts of the set outside the box are clipped away."""
+        table = np.zeros((rows, cols), dtype=bool)
+        tops = self._columns[: max(rows - self.r, 0)]
+        table[self.r: self.r + len(tops)] = np.arange(cols) <= tops[:, None]
+        return table
+
     def __contains__(self, index) -> bool:
         k, j = index
         if k != int(k) or j != int(j):

@@ -162,14 +162,15 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
 def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> CoeffGrid:
     """Add a noise grid supported on ``support`` with l_p norm exactly delta.
 
-    delta = 0 returns the input unchanged.  Raises ValueError when the
-    support is empty but delta > 0 (cannot place any noise mass).
+    delta = 0 returns the input unchanged.  The noise table spans the
+    input and the support; a table above MAX_TABLE_ENTRIES is refused.
     """
     if noise.delta == 0.0:
         return coeffs
-    ks, js = np.fromiter(support, dtype=np.dtype((np.int64, 2))).T
-    if not len(ks):
-        raise ValueError("cannot place noise on an empty support")
+    max_k, max_j = max(coeffs.max_k, support.n), max(coeffs.max_j, support.j_bound)
+    _check_table_size(max_k, max_j)
+    # row-major over the support's own box: the support's own order
+    ks, js = np.nonzero(support.mask(support.n + 1, support.j_bound + 1))
     if noise.mode == NOISE_SINGLE:
         # amplification k**(2r-1) peaks at k = n, where j = 0 is always admitted
         raw = np.where((ks == support.n) & (js == 0), 1.0, 0.0)
@@ -179,10 +180,6 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
         raw = 2.0 * keyed_uniform(noise.seed, ks, js) - 1.0
         if not np.any(raw):
             raw[0] = 1.0
-    xi = (noise.delta / lp_norm(raw, noise.p)) * raw
-    noise_grid = CoeffGrid.from_entries(
-        ks, js, xi,
-        max(coeffs.max_k, support.n),
-        max(coeffs.max_j, support.j_bound),
-    )
-    return coeffs + noise_grid
+    table = np.zeros((max_k + 1, max_j + 1))
+    table[ks, js] = (noise.delta / lp_norm(raw, noise.p)) * raw
+    return coeffs + CoeffGrid._wrap(table)  # the sum refuses a non-finite value

@@ -112,8 +112,9 @@ class CoeffGrid:
     def __init__(self, entries=(), max_k: int | None = None, max_j: int | None = None):
         """Grid from ``((k, j), value)`` pairs or a ``{(k, j): value}`` dict.
 
-        Validated as in :meth:`from_entries`; bounds default to the largest
-        indices present.
+        Indices must be integral and nonnegative, values finite, and pairs
+        distinct and within the bounds, which default to the largest
+        indices; a ValueError names the first offending entry.
         """
         pairs = list(entries.items() if isinstance(entries, dict) else entries)
         keys, values = zip(*pairs) if pairs else ((), ())
@@ -122,18 +123,6 @@ class CoeffGrid:
                              "entry {}".format)
         dense.setflags(write=False)
         self._dense = dense
-
-    @classmethod
-    def from_entries(cls, ks, js, values, max_k: int | None = None,
-                     max_j: int | None = None) -> "CoeffGrid":
-        """Build a grid from parallel arrays of indices and values.
-
-        Indices must be integral and nonnegative, values finite, and pairs
-        distinct and within the bounds, which default to the largest
-        indices; a ValueError names the first offending entry.
-        """
-        return cls._wrap(_entry_table(ks, js, values, max_k, max_j,
-                                      "entry {}".format))
 
     @classmethod
     def from_dense(cls, array) -> "CoeffGrid":
@@ -183,18 +172,11 @@ class CoeffGrid:
         """Writable dense copy of shape (max_k + 1, max_j + 1)."""
         return self._dense.copy()
 
-    def restrict_to(self, index_set) -> "CoeffGrid":
-        """Keep only entries whose (k, j) lies in ``index_set``; bounds kept.
-
-        ``index_set`` is any iterable of index pairs; the cost is one step
-        per pair, and pairs outside the bounds select nothing.
-        """
-        max_k, max_j = self.max_k, self.max_j
-        mask = np.zeros(self._dense.shape, dtype=bool)
-        for k, j in index_set:
-            if 0 <= k <= max_k and 0 <= j <= max_j:
-                mask[k, j] = True
-        return CoeffGrid.from_dense(np.where(mask, self._dense, 0.0))
+    def restrict_to(self, cross) -> "CoeffGrid":
+        """Keep only entries whose (k, j) lies in the hyperbolic ``cross``
+        (a :class:`~chebdiff2d.hypercross.CrossIndexSet`); bounds kept."""
+        return CoeffGrid._wrap(
+            np.where(cross.mask(*self._dense.shape), self._dense, 0.0))
 
     def _binary(self, other: "CoeffGrid", sign: float) -> "CoeffGrid":
         if not isinstance(other, CoeffGrid):

@@ -597,21 +597,27 @@ class TestCli:
 
     @pytest.mark.parametrize("name, text, code, limit", [
         ("big.csv", "k,j,coeff\n1000000000,1000000000,1.0\n", 2,
-         "MAX_TABLE_ENTRIES"),
+         "limit MAX_TABLE_ENTRIES"),
         ("big.json", '{"max_k": 1000000000, "max_j": 1000000000, '
-                     '"entries": []}', 2, "MAX_TABLE_ENTRIES"),
+                     '"entries": []}', 2, "limit MAX_TABLE_ENTRIES"),
         ("config.json", json.dumps(small_doc(test_function={
             "kind": "class-member", "max_k": 10**12, "max_j": 16})), 1,
-         "MAX_TABLE_ENTRIES"),
+         "limit MAX_TABLE_ENTRIES"),
         ("config.json", json.dumps(small_doc(deltas=[1e-2, 1e-3, 1e-40])), 1,
-         "MAX_LEVEL"),
+         "limit MAX_LEVEL"),
         ("config.json", json.dumps(small_doc(problem={
             "r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2,
-            "level_constant": 1e308})), 1, "MAX_LEVEL"),
-        ("auto-n", "", 1, "MAX_LEVEL"),
-        ("values.csv", "k,j,coeff\n0,0,1.0\n", 1, "MAX_TABLE_ENTRIES"),
+            "level_constant": 1e308})), 1, "limit MAX_LEVEL"),
+        # the noisy table of the last level spans its gamma = 1 cross
+        ("config.json", json.dumps(small_doc(
+            test_function={"kind": "class-member", "max_k": 16, "max_j": 16},
+            gamma=1.0, deltas=[1e-2, 1e-3, 1e-15])), 1,
+         "a 19308 x 19308 coefficient table exceeds the limit MAX_TABLE_ENTRIES"),
+        ("auto-n", "", 1, "limit MAX_LEVEL"),
+        ("values.csv", "k,j,coeff\n0,0,1.0\n", 1, "limit MAX_TABLE_ENTRIES"),
     ], ids=["csv", "json", "config-max-k", "config-tiny-delta",
-            "config-huge-level-constant", "auto-n-huge-level-constant",
+            "config-huge-level-constant", "config-noise-table",
+            "auto-n-huge-level-constant",
             "eval-grid"])
     def test_size_limits(self, tmp_path, capsys, name, text, code, limit):
         # files exit 2 and configurations 1, before anything is allocated
@@ -635,7 +641,7 @@ class TestCli:
         assert main(args) == code
         assert time.monotonic() - start < 2.0
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"limit {limit} = " in err
+        assert err.startswith("error: ") and f"{limit} = " in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit, field", [

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,21 @@ def test_membership_matches_enumeration_fuzz(data, r, gamma):
                        label="probes")
     for index in probes:
         assert (index in cross) == (index in expected)
+    # the membership table on boxes smaller than the cross, equal to it,
+    # larger than it, and with no row from r on
+    height, width = n + 1, cross.j_bound + 1
+    boxes = [(height, width), (height // 2, width // 2 + 1),
+             (height + 3, width + 5), (r, width), (0, 0),
+             data.draw(st.tuples(st.integers(0, n + 3), st.integers(0, n + 3)),
+                       label="box")]
+    for rows, cols in boxes:
+        want = np.zeros((rows, cols), dtype=bool)
+        for k, j in expected:
+            if k < rows and j < cols:
+                want[k, j] = True
+        table = cross.mask(rows, cols)
+        assert table.dtype == bool and table.flags.writeable
+        assert np.array_equal(table, want)
     # column bounds of a large cross at sampled columns
     big = build_cross(2**17, gamma, r)
     ks = data.draw(st.lists(st.integers(r, 2**17), min_size=1, max_size=10),

@@ -126,21 +126,6 @@ class TestPerturb:
         noise = NoiseSpec(p=2.0, delta=0.0, mode=NOISE_UNIFORM, seed=1)
         assert perturb(grid, noise, build_cross(8, 1.0, 1)) == grid
 
-    def test_empty_support_rejected(self):
-        grid = CoeffGrid([((1, 1), 0.5)], 8, 8)
-        noise = NoiseSpec(p=2.0, delta=0.1, mode=NOISE_UNIFORM, seed=1)
-
-        class Empty:
-            n = 8
-            r = 1
-            j_bound = 0
-
-            def __iter__(self):
-                return iter(())
-
-        with pytest.raises(ValueError):
-            perturb(grid, noise, Empty())
-
     def test_sup_mode_saturation(self, rng):
         grid = random_grid(rng, 10, 10, fill=0.3)
         cross = build_cross(10, 1.0, 1)

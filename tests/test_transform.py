@@ -36,9 +36,9 @@ class TestCoeffGrid:
         with pytest.raises(ValueError, match="entry 1: duplicate"):
             CoeffGrid([((0, 0), 0.0), ((0, 0), 1.0)])  # zero first
         with pytest.raises(ValueError, match="entry 2: duplicate"):
-            CoeffGrid.from_entries([0, 1, 0], [0, 0, 0], [1.0, 2.0, 0.0])
+            CoeffGrid([((0, 0), 1.0), ((1, 0), 2.0), ((0, 0), 0.0)])
         with pytest.raises(ValueError, match="entry 1: invalid index pair"):
-            CoeffGrid.from_entries([0, 1.5], [0, 0], [1.0, 2.0])
+            CoeffGrid([((0, 0), 1.0), ((1.5, 0), 2.0)])
 
     def test_duplicate_error_names_first_repeat(self, rng):
         for _ in range(5):
@@ -46,14 +46,16 @@ class TestCoeffGrid:
             pos = np.sort(rng.choice(200, size=3, replace=False))
             ks[pos] = ks[pos[0]]
             with pytest.raises(ValueError, match=rf"^entry {pos[1]}: duplicate"):
-                CoeffGrid.from_entries(ks, np.zeros(200, int), np.ones(200))
+                CoeffGrid([((k, 0), 1.0) for k in ks])
 
-    def test_from_entries_matches_constructor(self, rng):
+    def test_pairs_match_dense(self, rng):
         values = rng.uniform(-1, 1, size=(6, 4))
         ks, js = np.nonzero(values > 0)
-        expected = CoeffGrid({(k, j): values[k, j] for k, j in zip(ks, js)}, 8, 4)
-        assert CoeffGrid.from_entries(ks, js, values[ks, js], 8, 4) == expected
-        assert CoeffGrid.from_entries([], [], []) == CoeffGrid()
+        expected = np.zeros((9, 5))
+        expected[ks, js] = values[ks, js]
+        pairs = zip(zip(ks, js), values[ks, js])
+        assert CoeffGrid(pairs, 8, 4) == CoeffGrid.from_dense(expected)
+        assert CoeffGrid([]) == CoeffGrid({}) == CoeffGrid()
 
     def test_items_lexicographic(self, rng):
         grid = random_grid(rng, 6, 6, fill=0.4)
@@ -88,7 +90,7 @@ class TestCoeffGrid:
 
     def test_restrict(self):
         grid = CoeffGrid([((1, 0), 1.0), ((2, 5), 2.0), ((4, 1), 3.0)], 8, 8)
-        kept = grid.restrict_to({(1, 0), (4, 1)})
+        kept = grid.restrict_to(build_cross(4, 1.0, 1))  # (2, 5) lies outside
         assert kept.nnz == 2
         assert kept.get(2, 5) == 0.0
         assert kept.max_k == 8 and kept.max_j == 8
