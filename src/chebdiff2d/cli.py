@@ -39,6 +39,15 @@ def _resolve_level(args) -> int:
     return n
 
 
+def _noise_index(text: str) -> float:
+    """``--p``: a number or ``inf``; a refusal is a usage error."""
+    try:
+        return harness.parse_p(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or 'inf', got {text!r}") from None
+
+
 def _cmd_differentiate(args) -> int:
     n = _resolve_level(args)
     result = harness.run_single(args.input, n, args.gamma, args.r,
@@ -128,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first smoothness parameter for --delta")
     p.add_argument("--mu2", type=float, default=None,
                    help="second smoothness parameter for --delta")
-    p.add_argument("--p", type=harness.parse_p, default=None,
+    p.add_argument("--p", type=_noise_index, default=None,
                    help="noise norm index for --delta (number or 'inf')")
     p.add_argument("--level-constant", type=float, default=1.0,
                    help="multiplier in the level rule for --delta")

@@ -71,7 +71,8 @@ def _exact_sum(values: np.ndarray) -> float:
     (MAX_TABLE_ENTRIES) every partial sum stays below 2**53 units, so both
     sums are exact.  The per-exponent sums are added as Python ints and
     rounded once by int true division, which rounds correctly as fsum
-    does.  A non-finite value or a larger array is left to fsum.
+    does; a finite sum beyond the float range is inf, where fsum raises
+    OverflowError.  A non-finite value or a larger array is left to fsum.
     """
     values = values.ravel()
     if values.size > MAX_TABLE_ENTRIES:
@@ -88,13 +89,31 @@ def _exact_sum(values: np.ndarray) -> float:
     bins = np.flatnonzero((high != 0) | (low != 0))
     total = sum(((int(h) << 26) + int(lo)) << b for b, h, lo in
                 zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()))
-    return total / (1 << 1126)  # exponent bin b holds multiples of 2**(b - 1126)
+    try:
+        return total / (1 << 1126)  # bin b holds multiples of 2**(b - 1126)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _root_sum(square, dense: np.ndarray) -> float:
+    """``sqrt`` of the correctly rounded sum of ``square(dense)``, where
+    ``square`` is homogeneous of degree 2.
+
+    A sum beyond the float range is taken over ``dense / 2**e`` instead,
+    with ``2**e`` just above the table's peak, and the root scaled back, so
+    a finite norm stays finite; every other result keeps its bits.
+    """
+    with np.errstate(over="ignore"):  # a term, or the norm, may overflow
+        total = _exact_sum(square(dense))
+        if total < math.inf:
+            return math.sqrt(total)
+        e = math.frexp(float(np.abs(dense).max()))[1]
+        return float(np.ldexp(math.sqrt(_exact_sum(square(np.ldexp(dense, -e)))), e))
 
 
 def l2_omega_norm(coeffs: CoeffGrid) -> float:
     """Weighted L2 norm, exact through the coefficients (Parseval)."""
-    dense = coeffs._dense
-    return math.sqrt(_exact_sum(dense * dense))
+    return _root_sum(lambda a: a * a, coeffs._dense)
 
 
 def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> float:
@@ -179,9 +198,8 @@ def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
         raise ValueError("q must lie in [2, inf)")
     uk = np.maximum(1, np.arange(coeffs.max_k + 1))
     uj = np.maximum(1, np.arange(coeffs.max_j + 1))
-    dense = coeffs._dense
-    weighted = np.outer(uk, uj) ** (1.0 - 2.0 / q) * dense * dense
-    return math.sqrt(_exact_sum(weighted))
+    weights = np.outer(uk, uj) ** (1.0 - 2.0 / q)
+    return _root_sum(lambda a: weights * a * a, coeffs._dense)
 
 
 def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:

@@ -13,7 +13,8 @@ CSV:   header line ``k,j,coeff``, one nonzero entry per line, coefficient
        lines.
 JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``;
        indices and bounds are JSON integers.
-Omitted index pairs are zero in both formats; a repeated pair is an error.
+Omitted index pairs are zero in both formats; a repeated pair, or a JSON
+key given twice in one object, is an error.
 Both readers parse and validate whole arrays at once.
 """
 
@@ -45,6 +46,17 @@ def _first(mask) -> int | None:
     """Position of the first True in a boolean vector, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
+
+
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for :func:`json.load`: an object that gives a
+    key twice is a ValueError naming the key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _check_table_size(max_k: int, max_j: int) -> None:
@@ -352,9 +364,11 @@ def write_coeff_json(coeffs: CoeffGrid, path) -> None:
 def read_coeff_json(path) -> CoeffGrid:
     with _open_text(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise CoeffFileError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # a repeated key, or a byte that is not UTF-8
+            raise CoeffFileError(f"{path}: {exc}") from None
     try:
         max_k, max_j, entries = doc["max_k"], doc["max_j"], doc["entries"]
     except (KeyError, TypeError):

@@ -572,13 +572,14 @@ class TestCli:
                 (differentiate + ["--n", "8", "--delta", "1e-3"],
                  "argument --delta: not allowed with argument --n"),
                 (differentiate + ["--delta", "1e-3", "--mu1", "3", "--mu2",
-                                  "2", "--p", "abc"], "argument --p: invalid")):
+                                  "2", "--p", "abc"],
+                 "argument --p: expected a number or 'inf', got 'abc'")):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert message in err
-            assert "Traceback" not in err
+            assert "Traceback" not in err and "parse_p" not in err
 
     def test_experiment_invalid_config_exit_code(self, tmp_path):
         config = {
@@ -672,13 +673,16 @@ class TestCli:
         (lambda doc: doc["problem"].update(mu1=200.0, mu2=199.0)
          or doc.update(gamma=1.0),
          "the class norm overflows for s = 1.0, mu1 = 200.0, mu2 = 199.0"),
+        # json.dumps never repeats a key, so this edit returns the text
+        (lambda doc: json.dumps(doc)[:-1] + ', "gamma": 1.2}',
+         "config.json: duplicate key 'gamma'"),
     ])
     def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
         # in process: an exception escaping main() is what prints a traceback
         doc = small_doc()
         doc = edit(doc) or doc
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main(["experiment", "--config", str(cfg_path),
                      "--output", str(tmp_path / "out")])
         err = capsys.readouterr().err

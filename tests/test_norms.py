@@ -29,10 +29,26 @@ class TestL2:
             assert lq_omega_norm(grid, 2.0) == pytest.approx(
                 l2_omega_norm(grid), rel=1e-10)
 
+    @pytest.mark.parametrize("value", [1.3e154, 1e200, 1e300])
+    def test_finite_norm_beyond_the_range_of_the_sum(self, value):
+        # the squares' sum (or, from 1e200, each square) exceeds the float
+        # range, the norm does not
+        grid = CoeffGrid([((0, 0), value), ((3, 2), -value)])
+        want = math.hypot(value, value)
+        assert l2_omega_norm(grid) == pytest.approx(want, rel=1e-15)
+        assert lq_coefficient_bound(grid, 2.0) == pytest.approx(want, rel=1e-15)
+        assert lq_coefficient_bound(grid, 4.0) == pytest.approx(
+            value * math.sqrt(1.0 + math.sqrt(6.0)), rel=1e-15)
+
+    def test_norm_beyond_the_float_range_is_inf(self):
+        top = np.finfo(float).max
+        assert l2_omega_norm(CoeffGrid([((0, 0), top), ((0, 1), top)])) == math.inf
+
 
 class TestExactSum:
     """The array sum behind l2w, the class norm and the Lq coefficient bound
-    is math.fsum's correctly rounded result, bit for bit."""
+    is math.fsum's correctly rounded result, bit for bit, except that a
+    finite sum beyond the float range is inf where fsum raises."""
 
     @settings(deadline=None, database=None)
     @given(size=st.integers(0, 4096), seed=st.integers(0, 2 ** 32 - 1),
@@ -67,6 +83,12 @@ class TestExactSum:
         assert math.isnan(_exact_sum(np.array([1.0, math.nan])))
         with pytest.raises(ValueError, match="inf"):
             _exact_sum(np.array([math.inf, -math.inf]))
+
+    def test_sum_beyond_the_float_range_is_signed_inf(self):
+        top = np.finfo(float).max
+        assert _exact_sum(np.array([top, top, -1.0])) == math.inf
+        assert _exact_sum(np.array([-top, 1.0, -top])) == -math.inf
+        assert _exact_sum(np.array([top, top, -top])) == top
 
     def test_class_member_terms(self):
         spec = WienerSpec(s=1.0, mu1=3.0, mu2=2.0)

@@ -364,10 +364,12 @@ class TestFileFormats:
         ('{"max_k": 2, "entries": []}', "expected an object"),
         ('[1, 2]', "expected an object"),
         ('{"max_k": 2,\n "max_j": }', "line 2"),
+        ('{"max_k": 1, "max_k": 3, "max_j": 0, "entries": [[3, 0, 1.0]]}',
+         "^[^:]*bad.json: duplicate key 'max_k'$"),
     ], ids=["duplicate-after-zero", "fractional-index", "float-index",
             "bool-index", "fractional-bound", "bool-bound", "negative-index",
             "out-of-bounds", "pair-entry", "entries-object", "missing-field",
-            "not-an-object", "syntax-error"])
+            "not-an-object", "syntax-error", "repeated-key"])
     def test_json_reader_rejects(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(doc)
