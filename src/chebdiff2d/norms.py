@@ -108,7 +108,8 @@ def _root_sum(square, dense: np.ndarray) -> float:
         if total < math.inf:
             return math.sqrt(total)
         e = math.frexp(float(np.abs(dense).max()))[1]
-        return float(np.ldexp(math.sqrt(_exact_sum(square(np.ldexp(dense, -e)))), e))
+        scaled = _exact_sum(square(np.ldexp(dense, -e)))
+        return float(np.ldexp(math.sqrt(scaled), e))
 
 
 def l2_omega_norm(coeffs: CoeffGrid) -> float:
