@@ -47,7 +47,7 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     """
     if int(r) != r or r < 1:
         raise ValueError("derivative order r must be an integer >= 1")
-    values = coeffs.to_dense()
+    values = coeffs._dense  # only read: each step writes a fresh table
     rows, cols = values.shape
     weights = 2.0 * np.arange(rows)[:, None]
     for _ in range(int(r)):
@@ -56,13 +56,14 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
         # even and the odd rows apart, each from a zero row, and leaves
         # terms[l] = b[l-1] = b[l+1] + 2l * a[l]
         terms = np.zeros((2 * ((rows + 1) // 2 + 1), cols))
-        np.multiply(weights, values, out=terms[:rows])
-        pairs = terms.reshape(-1, 2, cols)[::-1]
-        np.cumsum(pairs, axis=0, out=pairs)
+        with np.errstate(over="ignore", invalid="ignore"):  # _wrap refuses
+            np.multiply(weights, values, out=terms[:rows])
+            pairs = terms.reshape(-1, 2, cols)[::-1]
+            np.cumsum(pairs, axis=0, out=pairs)
         values = terms[1:rows + 1]
         values[0] *= zeta0
     out_k = max(0, coeffs.max_k - int(r))
-    return CoeffGrid.from_dense(values[: out_k + 1, :])
+    return CoeffGrid._wrap(values[: out_k + 1])
 
 
 def truncated_derivative(coeffs_delta: CoeffGrid, n: int, gamma: float, r: int) -> CoeffGrid:

@@ -454,7 +454,7 @@ def _synthesize_longdouble(coeffs: CoeffGrid, ts: np.ndarray,
     bt[:, 0] = inv_sqrt_pi
     btau = np.cos(np.outer(np.arccos(taus.astype(_LD)), jd)) * sqrt_2_pi
     btau[:, 0] = inv_sqrt_pi
-    dense = coeffs.to_dense().astype(_LD)
+    dense = coeffs._dense.astype(_LD)
     return np.einsum("pk,kj,pj->p", bt, dense, btau)
 
 
@@ -503,8 +503,7 @@ def _probe_points(rng: np.random.Generator, count: int):
 
 
 def _random_grid(rng: np.random.Generator, max_k: int, max_j: int) -> CoeffGrid:
-    return CoeffGrid.from_dense(
-        rng.uniform(-1.0, 1.0, size=(max_k + 1, max_j + 1)))
+    return CoeffGrid._wrap(rng.uniform(-1.0, 1.0, size=(max_k + 1, max_j + 1)))
 
 
 def _derivative_oracle_residual(zeta0: float) -> float:
@@ -585,7 +584,7 @@ def _check_roundtrip() -> CheckResult:
     rng = np.random.default_rng(13)
     grid = _random_grid(rng, 16, 16)
     back = analyze(lambda t, u: synthesize(grid, t, u), 16, 16)
-    dev = float(np.abs(back.to_dense() - grid.to_dense()).max())
+    dev = float(np.abs(back._dense - grid._dense).max())
     return CheckResult("analyze-synthesize-roundtrip", dev <= 1e-11, dev,
                        "max coefficient deviation, 16x16 box")
 
@@ -673,7 +672,7 @@ def _check_noise_saturation() -> CheckResult:
     for p in (1.0, 2.0, 5.0, math.inf):
         for mode in NOISE_MODES:
             noise = NoiseSpec(p=p, delta=0.37, mode=mode, seed=99)
-            table = (perturb(base, noise, cross) - base).to_dense()
+            table = (perturb(base, noise, cross) - base)._dense
             xi = table[cross.mask(*table.shape)]
             worst = max(worst, abs(lp_norm(xi, p) - 0.37))
     return CheckResult("noise-lp-saturation", worst <= 1e-12, worst,

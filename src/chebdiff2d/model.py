@@ -131,7 +131,7 @@ def _class_norm(dense: np.ndarray, spec: WienerSpec) -> float:
 
 def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:
     """Class norm (sum_k,j max(1,k)^(s*mu1) max(1,j)^(s*mu2) |a|^s)^(1/s)."""
-    return _class_norm(coeffs.to_dense(), spec)
+    return _class_norm(coeffs._dense, spec)
 
 
 def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
@@ -153,7 +153,7 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     profile = np.outer(uk ** (-spec.mu1 - epsilon), uj ** (-spec.mu2 - epsilon))
     kk, jj = np.meshgrid(np.arange(max_k + 1), np.arange(max_j + 1), indexing="ij")
     values = keyed_signs(seed, kk.ravel(), jj.ravel()).reshape(profile.shape) * profile
-    return CoeffGrid.from_dense(values / _class_norm(values, spec))
+    return CoeffGrid._wrap(values / _class_norm(values, spec))
 
 
 def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> CoeffGrid:
@@ -179,4 +179,5 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
             raw[0] = 1.0
     table = np.zeros((max_k + 1, max_j + 1))
     table[ks, js] = (noise.delta / lp_norm(raw, noise.p)) * raw
-    return coeffs + CoeffGrid._wrap(table)  # the sum refuses a non-finite value
+    table[: coeffs.max_k + 1, : coeffs.max_j + 1] += coeffs._dense
+    return CoeffGrid._wrap(table)

@@ -185,7 +185,7 @@ def _tensor_values(coeffs: CoeffGrid, nodes: str, size: int) -> np.ndarray:
     as :func:`~chebdiff2d.transform.grid_synthesize` does."""
     bt = _basis(coeffs.max_k, nodes, size)
     btau = _basis(coeffs.max_j, nodes, size)
-    return bt @ coeffs.to_dense() @ btau.T
+    return bt @ coeffs._dense @ btau.T
 
 
 def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:

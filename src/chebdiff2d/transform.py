@@ -138,17 +138,18 @@ class CoeffGrid:
 
     @classmethod
     def from_dense(cls, array) -> "CoeffGrid":
-        """Build a grid from a 2-D array; entry [k, j] is the coefficient."""
-        arr = np.asarray(array, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("dense input must be a nonempty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("dense input contains non-finite values")
-        return cls._wrap(arr.copy())
+        """Grid from a copy of a 2-D array whose entry [k, j] is a[k, j]."""
+        return cls._wrap(np.array(array, dtype=float, order="C"))
 
     @classmethod
     def _wrap(cls, dense: np.ndarray) -> "CoeffGrid":
-        """Adopt a validated, unshared table as the (now read-only) storage."""
+        """Adopt an unshared 2-D float table as the read-only storage,
+        refusing an empty table or naming the first non-finite entry."""
+        if dense.ndim != 2 or dense.size == 0:
+            raise ValueError("dense input must be a nonempty 2-D array")
+        if not np.isfinite(dense).all():
+            k, j = np.argwhere(~np.isfinite(dense))[0].tolist()
+            raise ValueError(f"non-finite coefficient at ({k}, {j})")
         dense.setflags(write=False)
         grid = cls.__new__(cls)
         grid._dense = dense
@@ -190,24 +191,25 @@ class CoeffGrid:
         return CoeffGrid._wrap(
             np.where(cross.mask(*self._dense.shape), self._dense, 0.0))
 
-    def _binary(self, other: "CoeffGrid", sign: float) -> "CoeffGrid":
+    def _binary(self, other: "CoeffGrid", ufunc) -> "CoeffGrid":
         if not isinstance(other, CoeffGrid):
             return NotImplemented
-        mk = max(self.max_k, other.max_k)
-        mj = max(self.max_j, other.max_j)
-        out = np.zeros((mk + 1, mj + 1))
+        out = np.zeros(np.maximum(self._dense.shape, other._dense.shape))
         out[: self.max_k + 1, : self.max_j + 1] = self._dense
-        out[: other.max_k + 1, : other.max_j + 1] += sign * other._dense
-        return CoeffGrid.from_dense(out)
+        part = out[: other.max_k + 1, : other.max_j + 1]
+        with np.errstate(over="ignore"):  # _wrap names an overflowed entry
+            ufunc(part, other._dense, out=part)
+        return CoeffGrid._wrap(out)
 
     def __add__(self, other):
-        return self._binary(other, 1.0)
+        return self._binary(other, np.add)
 
     def __sub__(self, other):
-        return self._binary(other, -1.0)
+        return self._binary(other, np.subtract)
 
     def __mul__(self, alpha):
-        return CoeffGrid.from_dense(float(alpha) * self._dense)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return CoeffGrid._wrap(float(alpha) * self._dense)
 
     __rmul__ = __mul__
 
@@ -237,8 +239,7 @@ def analyze(f, max_k: int, max_j: int) -> CoeffGrid:
     bk = basis_matrix(max_k, ts)
     bj = basis_matrix(max_j, ts)
     w = math.pi / ts.size
-    coeffs = (w * w) * (bk.T @ samples @ bj)
-    return CoeffGrid.from_dense(coeffs)
+    return CoeffGrid._wrap((w * w) * (bk.T @ samples @ bj))
 
 
 def synthesize(coeffs: CoeffGrid, t: float, tau: float) -> float:
@@ -386,13 +387,11 @@ def read_coeff_json(path) -> CoeffGrid:
     if bad is not None:
         raise CoeffFileError(f"{path}: entries[{bad}]: k and j must be integers")
     try:
-        dense = _entry_table(table[:, 0].astype(np.int64),
-                             table[:, 1].astype(np.int64),
-                             table[:, 2].astype(float), max_k, max_j,
-                             "entries[{}]".format)
+        return CoeffGrid._wrap(_entry_table(
+            table[:, 0].astype(np.int64), table[:, 1].astype(np.int64),
+            table[:, 2].astype(float), max_k, max_j, "entries[{}]".format))
     except (OverflowError, TypeError, ValueError) as exc:
         raise CoeffFileError(f"{path}: {exc}") from None
-    return CoeffGrid._wrap(dense)
 
 
 def read_coeff_file(path) -> CoeffGrid:

@@ -86,6 +86,16 @@ def test_linear_term_derivative():
     assert expected == pytest.approx(0.4501581581, abs=1e-10)
 
 
+@pytest.mark.parametrize("entries", [
+    [((600, 0), 1e308)],                       # 1200 * 1e308 overflows
+    [((600, 0), 1e308), ((598, 0), -1e308)],   # and inf - inf is nan
+], ids=["overflow", "inf-minus-inf"])
+def test_overflowing_derivative_is_refused(entries):
+    # no RuntimeWarning either: tier-1 turns warnings into errors
+    with pytest.raises(ValueError, match=r"^non-finite coefficient at \(1, 0\)$"):
+        differentiate_coeffs(CoeffGrid(entries), 1)
+
+
 def test_invalid_order():
     with pytest.raises(ValueError):
         differentiate_coeffs(CoeffGrid([((1, 0), 1.0)]), 0)

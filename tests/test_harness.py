@@ -497,6 +497,17 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    def test_differentiate_overflow(self, tmp_path):
+        # one error line naming the entry: no numpy warning, no traceback
+        src = tmp_path / "big.csv"
+        src.write_text("k,j,coeff\n600,0,1e308\n")
+        out = tmp_path / "o.csv"
+        proc = self.run_cli("differentiate", "--input", str(src), "--r", "1",
+                            "--n", "600", "--gamma", "1.5", "--output", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite coefficient at (1, 0)\n"
+        assert not out.exists()
+
     def test_differentiate_auto_level(self, tmp_path):
         grid = analyze(lambda t, u: t**2, 4, 0)
         src = tmp_path / "in.csv"

@@ -126,6 +126,20 @@ class TestPerturb:
         noise = NoiseSpec(p=2.0, delta=0.0, mode=NOISE_UNIFORM, seed=1)
         assert perturb(grid, noise, build_cross(8, 1.0, 1)) == grid
 
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    def test_is_the_sum_with_its_noise_bit_for_bit(self, rng, mode):
+        # signed zeros included: where there is no noise, -0.0 + 0.0 is +0.0
+        values = rng.uniform(-1.0, 1.0, size=(9, 7))
+        values[rng.random(values.shape) < 0.3] = -0.0
+        grid = CoeffGrid.from_dense(values)
+        cross = build_cross(12, 1.5, 1)
+        noise = NoiseSpec(p=2.0, delta=0.3, mode=mode, seed=4)
+        alone = perturb(CoeffGrid.from_dense(np.zeros((9, 7))), noise, cross)
+        expected = (grid + alone)._dense
+        got = perturb(grid, noise, cross)._dense
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_sup_mode_saturation(self, rng):
         grid = random_grid(rng, 10, 10, fill=0.3)
         cross = build_cross(10, 1.0, 1)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdiff2d import (CoeffFileError, CoeffGrid, analyze, build_cross,
-                        eval_orthonormal, grid_synthesize,
-                        l2_omega_norm,
-                        lq_omega_norm, read_coeff_csv, read_coeff_file,
-                        read_coeff_json, run_single, synthesize,
-                        write_coeff_csv, write_coeff_json)
+from chebdiff2d import (CoeffFileError, CoeffGrid, NoiseSpec, WienerSpec,
+                        analyze, build_cross, differentiate_coeffs,
+                        eval_orthonormal, grid_synthesize, l2_omega_norm,
+                        lq_omega_norm, make_class_member, perturb,
+                        read_coeff_csv, read_coeff_file, read_coeff_json,
+                        run_single, synthesize, write_coeff_csv,
+                        write_coeff_json)
 from helpers import random_grid
 
 
@@ -87,6 +88,47 @@ class TestCoeffGrid:
         assert np.allclose(diff.to_dense()[:5, :7], a.to_dense(), atol=1e-15)
         doubled = 2.0 * a
         assert doubled.get(1, 1) == pytest.approx(2 * a.get(1, 1))
+
+    @pytest.mark.parametrize("op, where", [
+        (lambda g: g + g, "(1, 2)"),
+        (lambda g: g - (-1.0 * g), "(1, 2)"),
+        (lambda g: CoeffGrid([((4, 0), 1.0)]) + g + g, "(1, 2)"),  # padded
+        (lambda g: 3.0 * g, "(1, 2)"),
+        (lambda g: g * 3.0, "(1, 2)"),
+        (lambda g: g * math.inf, "(0, 0)"),  # inf * 0 is nan
+        (lambda g: CoeffGrid.from_dense([[0.0, 1.0], [math.nan, 2.0]]), "(1, 0)"),
+    ], ids=["add", "sub", "add-padded", "rmul", "mul", "mul-inf", "from-dense"])
+    def test_overflow_is_refused_naming_the_entry(self, op, where):
+        # no RuntimeWarning either: tier-1 turns warnings into errors
+        grid = CoeffGrid([((1, 2), 1e308)], 2, 3)
+        with pytest.raises(ValueError) as info:
+            op(grid)
+        assert str(info.value) == f"non-finite coefficient at {where}"
+
+    def test_from_dense_copies_its_array(self):
+        source = np.arange(6.0).reshape(2, 3)
+        grid = CoeffGrid.from_dense(source)
+        source[0, 1] = 7.0
+        assert grid.get(0, 1) == 1.0
+        assert source.flags.writeable
+        assert CoeffGrid.from_dense(source.T)._dense.flags.c_contiguous
+
+    @pytest.mark.parametrize("make", [
+        lambda g: g + g,
+        lambda g: g - g,
+        lambda g: 2.0 * g,
+        lambda g: g.restrict_to(build_cross(4, 1.5, 1)),
+        lambda g: differentiate_coeffs(g, 2),
+        lambda g: perturb(g, NoiseSpec(p=2.0, delta=0.1), build_cross(8, 1.5, 1)),
+        lambda g: analyze(lambda t, u: t * u, 3, 2),
+        lambda g: make_class_member(WienerSpec(1.0, 3.0, 2.0), 5, 4, seed=1),
+        lambda g: CoeffGrid.from_dense(g.to_dense()),
+    ], ids=["add", "sub", "mul", "restrict_to", "differentiate_coeffs",
+            "perturb", "analyze", "make_class_member", "from_dense"])
+    def test_results_are_read_only(self, rng, make):
+        grid = make(random_grid(rng, 5, 4))
+        with pytest.raises(ValueError, match="read-only"):
+            grid._dense[0, 0] = 1.0
 
     def test_restrict(self):
         grid = CoeffGrid([((1, 0), 1.0), ((2, 5), 2.0), ((4, 1), 3.0)], 8, 8)
