@@ -14,7 +14,6 @@ reports bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, astuple, dataclass
 
@@ -31,7 +30,7 @@ from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
 from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
-from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _unique_keys, analyze,
+from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _load_json, analyze,
                         grid_synthesize, read_coeff_file, synthesize,
                         write_coeff_csv, write_csv_table)
 from .tuning import (ProblemSpec, choose_n, gamma_admissible, gamma_range,
@@ -242,14 +241,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except ValueError as exc:  # a repeated key, or a byte that is not UTF-8
-            raise ValueError(f"{path}: {exc}") from None
-    return config_from_dict(doc)
+    return config_from_dict(_load_json(path, ValueError))
 
 
 # ---------------------------------------------------------------------------

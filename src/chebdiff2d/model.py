@@ -148,12 +148,12 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _check_table_size(max_k, max_j)
-    uk = np.maximum(1, np.arange(max_k + 1, dtype=float))
-    uj = np.maximum(1, np.arange(max_j + 1, dtype=float))
-    profile = np.outer(uk ** (-spec.mu1 - epsilon), uj ** (-spec.mu2 - epsilon))
-    kk, jj = np.meshgrid(np.arange(max_k + 1), np.arange(max_j + 1), indexing="ij")
-    values = keyed_signs(seed, kk.ravel(), jj.ravel()).reshape(profile.shape) * profile
-    return CoeffGrid._wrap(values / _class_norm(values, spec))
+    ks, js = np.arange(max_k + 1)[:, None], np.arange(max_j + 1)
+    values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
+              * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)
+              * keyed_signs(seed, ks, js))
+    values /= _class_norm(values, spec)
+    return CoeffGrid._wrap(values)
 
 
 def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> CoeffGrid:

@@ -162,7 +162,8 @@ def sup_norm(coeffs: CoeffGrid, points_per_dim: int = 257) -> float:
     the grid maximum underestimates the true sup by an amount controlled by
     M relative to the polynomial degrees.
     """
-    return float(np.abs(_tensor_values(coeffs, "cosine", points_per_dim)).max())
+    values = _tensor_values(coeffs, "cosine", points_per_dim)
+    return float(np.abs(values, out=values).max())
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,8 +9,8 @@ File formats
 ------------
 CSV:   header line ``k,j,coeff``, one nonzero entry per line, coefficient
        printed with 17 significant digits (lossless round trip).  Readers
-       accept fields quoted with ``"`` or padded with spaces, and skip blank
-       lines.
+       accept fields quoted with ``"`` or padded with white space (spaces,
+       tabs and other Unicode white space), and skip blank lines.
 JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``;
        indices and bounds are JSON integers.
 Omitted index pairs are zero in both formats; a repeated pair, or a JSON
@@ -57,6 +57,18 @@ def _unique_keys(pairs) -> dict:
             raise ValueError(f"duplicate key {key!r}")
         doc[key] = value
     return doc
+
+
+def _load_json(path, error: type[ValueError]):
+    """The JSON document in ``path``.  Bad syntax, a repeated key or a byte
+    that is not UTF-8 raises ``error``, naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # a repeated key, or a byte that is not UTF-8
+            raise error(f"{path}: {exc}") from None
 
 
 def _check_table_size(max_k: int, max_j: int) -> None:
@@ -363,13 +375,7 @@ def write_coeff_json(coeffs: CoeffGrid, path) -> None:
 
 
 def read_coeff_json(path) -> CoeffGrid:
-    with _open_text(path) as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise CoeffFileError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except ValueError as exc:  # a repeated key, or a byte that is not UTF-8
-            raise CoeffFileError(f"{path}: {exc}") from None
+    doc = _load_json(path, CoeffFileError)
     try:
         max_k, max_j, entries = doc["max_k"], doc["max_j"], doc["entries"]
     except (KeyError, TypeError):

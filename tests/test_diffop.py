@@ -91,7 +91,7 @@ def test_linear_term_derivative():
     [((600, 0), 1e308), ((598, 0), -1e308)],   # and inf - inf is nan
 ], ids=["overflow", "inf-minus-inf"])
 def test_overflowing_derivative_is_refused(entries):
-    # no RuntimeWarning either: tier-1 turns warnings into errors
+    # nor a RuntimeWarning: pyproject.toml turns warnings into errors
     with pytest.raises(ValueError, match=r"^non-finite coefficient at \(1, 0\)$"):
         differentiate_coeffs(CoeffGrid(entries), 1)
 

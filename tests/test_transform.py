@@ -99,7 +99,7 @@ class TestCoeffGrid:
         (lambda g: CoeffGrid.from_dense([[0.0, 1.0], [math.nan, 2.0]]), "(1, 0)"),
     ], ids=["add", "sub", "add-padded", "rmul", "mul", "mul-inf", "from-dense"])
     def test_overflow_is_refused_naming_the_entry(self, op, where):
-        # no RuntimeWarning either: tier-1 turns warnings into errors
+        # nor a RuntimeWarning: pyproject.toml turns warnings into errors
         grid = CoeffGrid([((1, 2), 1e308)], 2, 3)
         with pytest.raises(ValueError) as info:
             op(grid)
@@ -301,6 +301,10 @@ class TestFileFormats:
                      id="quoted-header"),
         pytest.param("k , j, coeff \n 1 ,0 , -3.5 \n", {(1, 0): -3.5},
                      id="padded"),
+        pytest.param("k,j,coeff\n\t1, 2, 3.0\n", {(1, 2): 3.0},
+                     id="tab-padded"),
+        pytest.param("k,j,coeff\n\u00a01,\u20032,\v3.0\u00a0\n",
+                     {(1, 2): 3.0}, id="unicode-space-padded"),
         pytest.param("k,j,coeff\r\n0,1,1.5\r\n2,0,-1\r\n",
                      {(0, 1): 1.5, (2, 0): -1.0}, id="crlf"),
         pytest.param("k,j,coeff\n+1,0,1e-3\n", {(1, 0): 1e-3},
