@@ -20,11 +20,11 @@ Both readers parse and validate whole arrays at once.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -299,61 +299,38 @@ def write_coeff_csv(coeffs: CoeffGrid, path) -> None:
     write_csv_table(path, "k,j,coeff", "%d,%d,%.17g", *_nonzero_entries(coeffs))
 
 
-@contextlib.contextmanager
-def _open_text(path):
-    """Open ``path`` as UTF-8; an undecodable byte is a CoeffFileError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise CoeffFileError(f"{path}: {exc}") from None
-
-
-def _csv_body(fh):
-    """Yield (line number, line) for the non-blank lines left in ``fh``,
-    which has consumed the header (line 1)."""
-    for number, line in enumerate(fh, start=2):
-        if not line.isspace():
-            yield number, line
-
-
 def _csv_line_number(path, row: int) -> int:
     """File line number of data row ``row`` (0-based, blank lines skipped)."""
-    with _open_text(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()
-        return next(itertools.islice(_csv_body(fh), row, None))[0]
+        body = (n for n, line in enumerate(fh, start=2) if not line.isspace())
+        return next(itertools.islice(body, row, None))
 
 
 def read_coeff_csv(path) -> CoeffGrid:
-    with _open_text(path) as fh:
-        header = fh.readline()
-        if header and [cell.strip() for cell in
-                       next(csv.reader([header]), [])] != _CSV_HEADER:
-            raise CoeffFileError(f"{path}: line 1: expected header 'k,j,coeff'")
-        last = None  # (number, line) of the line the parser read last
-
-        def lines():
-            nonlocal last
-            for last in _csv_body(fh):
-                yield last[1]
-
-        fed = lines()
-        first = next(fed, None)
-        if first is None:  # header only: loadtxt would warn on no data
-            return CoeffGrid()
-        try:
-            rows = np.loadtxt(itertools.chain([first], fed), dtype=_CSV_ROW,
-                              delimiter=",", quotechar='"', comments=None,
-                              ndmin=1)
-        except UnicodeDecodeError:  # not a bad line: _open_text reports it
-            raise
-        except ValueError as exc:
-            # the parser stops at the first bad line without reading ahead
-            number, line = last
-            fields = len(next(csv.reader([line]), []))
-            reason = (f"expected 3 fields, got {fields}" if fields != 3
-                      else str(exc).split(" at row ")[0])
-            raise CoeffFileError(f"{path}: line {number}: {reason}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            lines = [line for line in fh if not line.isspace()]
+    except UnicodeDecodeError as exc:
+        raise CoeffFileError(f"{path}: {exc}") from None
+    if header and [cell.strip() for cell in
+                   next(csv.reader([header]), [])] != _CSV_HEADER:
+        raise CoeffFileError(f"{path}: line 1: expected header 'k,j,coeff'")
+    if not lines:  # header only: loadtxt would warn on no data
+        return CoeffGrid()
+    fed = iter(lines)
+    try:
+        rows = np.loadtxt(fed, dtype=_CSV_ROW, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
+    except ValueError as exc:
+        # the parser stops at the first bad line without reading ahead
+        row = len(lines) - operator.length_hint(fed) - 1
+        fields = len(next(csv.reader([lines[row]]), []))
+        reason = (f"expected 3 fields, got {fields}" if fields != 3
+                  else str(exc).split(" at row ")[0])
+        raise CoeffFileError(
+            f"{path}: line {_csv_line_number(path, row)}: {reason}") from None
     try:
         dense = _entry_table(rows["k"], rows["j"], rows["value"], None, None,
                              lambda i: f"line {_csv_line_number(path, i)}")
