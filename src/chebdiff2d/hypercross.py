@@ -4,8 +4,10 @@ For level n, shape parameter gamma >= 1 and derivative order r >= 1 the set
 holds the pairs (k, j) with r <= k <= n where j = 0 is always admitted and
 j >= 1 requires k * j**gamma <= n.  Admission is monotone in j, so a set is
 one read-only array of column bounds (the largest admitted j per k),
-computed once: exactly for gamma in {1, 2} and with a small relative
-tolerance otherwise, so ties at the boundary are deterministic.
+computed once with a small relative tolerance, so ties at the boundary
+are deterministic.  For gamma in {1, 2} the products k * j**gamma are exact
+integers and the tolerance is below one up to MAX_LEVEL, so the bounds are
+exactly n // k and isqrt(n // k).
 Enumeration is ordered by ascending k, then ascending j.
 """
 
@@ -24,14 +26,9 @@ MAX_LEVEL = 2 ** 20
 
 def _column_bounds(n: int, gamma: float, r: int) -> np.ndarray:
     """Largest admitted j for each column k = r..n, as int64."""
-    ks = np.arange(r, n + 1)
-    if gamma == 1.0:
-        return n // ks
-    if gamma == 2.0:  # a correctly rounded sqrt floors to isqrt below 2**52
-        return np.floor(np.sqrt(n // ks)).astype(np.int64)
     # the guess is within one of the bound; j**gamma overflowing to inf for
     # a huge gamma correctly fails the test
-    kf, bound = ks.astype(float), n * (1.0 + _BOUNDARY_RTOL)
+    kf, bound = np.arange(r, n + 1, dtype=float), n * (1.0 + _BOUNDARY_RTOL)
     with np.errstate(over="ignore"):
         j = np.floor((n / kf) ** (1.0 / gamma))
         j += kf * (j + 1.0) ** gamma <= bound

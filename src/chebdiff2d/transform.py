@@ -12,7 +12,8 @@ CSV:   header line ``k,j,coeff``, one nonzero entry per line, coefficient
        accept fields quoted with ``"`` or padded with white space (spaces,
        tabs and other Unicode white space), and skip blank lines.
 JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``;
-       indices and bounds are JSON integers.
+       indices and bounds are JSON integers, values JSON numbers (not
+       strings, ``true`` or ``null``).
 Omitted index pairs are zero in both formats; a repeated pair, or a JSON
 key given twice in one object, is an error.
 Both readers parse and validate whole arrays at once.
@@ -313,6 +314,11 @@ def read_coeff_csv(path) -> CoeffGrid:
             header = fh.readline()
             lines = [line for line in fh if not line.isspace()]
     except UnicodeDecodeError as exc:
+        try:  # the text reader counts the position from its current block
+            with open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise CoeffFileError(f"{path}: {exc}") from None
     if header and [cell.strip() for cell in
                    next(csv.reader([header]), [])] != _CSV_HEADER:
@@ -365,15 +371,25 @@ def read_coeff_json(path) -> CoeffGrid:
     if table is None or table.shape not in ((0,), (len(entries), 3)):
         raise CoeffFileError(f"{path}: entries must be a list of "
                              f"[k, j, value] triples")
-    table = table.reshape(-1, 3)
-    bad = _first((np.frompyfunc(type, 1, 1)(table[:, :2]) != int).any(axis=1))
+    ks, js, values = table.reshape(-1, 3).T
+    bad = _first(~np.frompyfunc(  # bool is an int subclass, and is refused
+        lambda k, j, v: type(k) is int and type(j) is int
+        and type(v) in (int, float), 3, 1)(ks, js, values).astype(bool))
     if bad is not None:
-        raise CoeffFileError(f"{path}: entries[{bad}]: k and j must be integers")
+        raise CoeffFileError(f"{path}: entries[{bad}]: k and j must be "
+                             f"integers and the value a number")
     try:
-        return CoeffGrid._wrap(_entry_table(
-            table[:, 0].astype(np.int64), table[:, 1].astype(np.int64),
-            table[:, 2].astype(float), max_k, max_j, "entries[{}]".format))
-    except (OverflowError, TypeError, ValueError) as exc:
+        ks, js = ks.astype(np.int64), js.astype(np.int64)
+    except OverflowError:  # an index outside int64 is never in bounds
+        int64 = range(-2 ** 63, 2 ** 63)
+        bad = next(i for i, (k, j) in enumerate(zip(ks, js))
+                   if k not in int64 or j not in int64)
+        raise CoeffFileError(f"{path}: entries[{bad}]: invalid index pair "
+                             f"({ks[bad]}, {js[bad]})") from None
+    try:
+        return CoeffGrid._wrap(_entry_table(ks, js, values.astype(float),
+                                            max_k, max_j, "entries[{}]".format))
+    except (OverflowError, ValueError) as exc:
         raise CoeffFileError(f"{path}: {exc}") from None
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdiff2d import build_cross, cardinality
-from chebdiff2d.hypercross import MAX_LEVEL
+from chebdiff2d.hypercross import MAX_LEVEL, _column_bounds
 
 
 def brute_force(n, gamma, r):
@@ -138,6 +138,19 @@ def test_level_limit():
     assert build_cross(MAX_LEVEL, 1.0, 1).n == MAX_LEVEL  # one bound per column
     with pytest.raises(ValueError, match=f"exceeds the limit MAX_LEVEL = {MAX_LEVEL}"):
         build_cross(MAX_LEVEL + 1, 1.0, 1)
+
+
+def test_integer_gammas_give_exact_integer_bounds():
+    # k * j**gamma is an exact integer and n * 1e-12 < 1 up to MAX_LEVEL, so
+    # the tolerant test decides exactly: the bounds are n // k and
+    # isqrt(n // k)
+    for n in [*range(1, 3000), 2**10, 2**17, MAX_LEVEL]:
+        for r in range(1, min(n, 3) + 1):
+            quotients = n // np.arange(r, n + 1)
+            values, where = np.unique(quotients, return_inverse=True)
+            roots = np.array([math.isqrt(q) for q in values.tolist()])[where]
+            assert np.array_equal(_column_bounds(n, 1.0, r), quotients)
+            assert np.array_equal(_column_bounds(n, 2.0, r), roots)
 
 
 @pytest.mark.parametrize("gamma,normalizer", [

@@ -14,6 +14,7 @@ from chebdiff2d import (CoeffFileError, CoeffGrid, NoiseSpec, WienerSpec,
                         read_coeff_csv, read_coeff_file, read_coeff_json,
                         run_single, synthesize, write_coeff_csv,
                         write_coeff_json)
+import reference
 from helpers import random_grid
 
 
@@ -257,6 +258,74 @@ class TestGridSynthesize:
                         synthesize(grid, t, u), abs=1e-12)
 
 
+# White space the README allows around a field, and in a blank line.
+_SPACE = st.text(st.sampled_from(" \t\v\f\u00a0\u2003"), max_size=2)
+_SIGN_AND_ZEROS = st.sampled_from(["", "+", "0", "+00"])
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map("{:+.6E}".format),
+    st.integers(-10**6, 10**6).map(str),
+    st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-330, 300)),
+    st.sampled_from(["1.", ".5", "-.25", "+2.", "-0"]))
+# A token that is neither an integer nor a number; some that are a number
+# but not an integer.
+_BAD_TOKEN = st.sampled_from(["x", "", "1_0", "0x1", "1.2.3", "\u0661",
+                              "\uff11", "infinity", "--1", "1e", ".", "+",
+                              "1 2", "# 1"])
+_NOT_INTEGER = st.sampled_from(["3.0", "1e2", "2.", ".5"])
+# Half the files have no fault.
+_FAULT = st.one_of(st.none(), st.sampled_from([
+    "field-count", "bad-token", "negative-index", "non-finite",
+    "repeated-pair", "bad-header", "bad-byte"]))
+
+
+@st.composite
+def near_valid_csv(draw):
+    """Bytes of a CSV coefficient file: entries written with quoting,
+    padding, signs, exponents, blank lines and LF or CRLF endings, then at
+    most one fault."""
+    def field(token):
+        text = draw(_SPACE) + token + draw(_SPACE)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    fault = draw(_FAULT)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          unique=True, min_size=fault is not None, max_size=8))
+    tokens = [[draw(_SIGN_AND_ZEROS) + str(k), draw(_SIGN_AND_ZEROS) + str(j),
+               draw(_VALUE)] for k, j in pairs]
+    at = draw(st.integers(0, len(tokens) - 1)) if tokens else 0
+    if fault == "field-count":
+        tokens[at] = tokens[at][:2] if draw(st.booleans()) else tokens[at] + ["1"]
+    elif fault == "bad-token":
+        column = draw(st.integers(0, 2))
+        tokens[at][column] = draw(
+            _BAD_TOKEN if column == 2 else st.one_of(_BAD_TOKEN, _NOT_INTEGER))
+    elif fault == "negative-index":
+        tokens[at][draw(st.integers(0, 1))] = f"-{draw(st.integers(1, 6))}"
+    elif fault == "non-finite":
+        tokens[at][2] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN",
+                                              "1e400"]))
+    elif fault == "repeated-pair":
+        later = draw(st.integers(at + 1, len(tokens)))
+        tokens.insert(later, tokens[at][:2] + [draw(_VALUE)])
+    lines = [",".join(map(field, row)) for row in tokens]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_SPACE))
+    header = ["k", "j", "coeff"]
+    if fault == "bad-header":
+        header = draw(st.sampled_from([["k", "j"], ["k", "j", "coef"],
+                                       ["j", "k", "coeff"]]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(
+        [",".join(map(field, header))] + lines)
+    if lines and draw(st.booleans()):
+        text += "\n"
+    data = text.encode()
+    if fault == "bad-byte":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
 class TestFileFormats:
     def test_csv_round_trip(self, rng, tmp_path):
         grid = random_grid(rng, 9, 7, fill=0.3)
@@ -390,6 +459,49 @@ class TestFileFormats:
                            match=rf"line {line}: duplicate index pair \(0, 0\)"):
             read_coeff_csv(path)
 
+    @pytest.mark.parametrize("row", [50_000, 50_001, 120_000])
+    @pytest.mark.parametrize("bad", ["0,1", "0,1,2,3", "x,0,1"])
+    def test_csv_refusal_past_the_first_parser_chunk(self, tmp_path, row, bad):
+        # the parser takes 50 000 rows at a time; one blank line after the
+        # header puts data row i on file line i + 3
+        lines = [f"{i},{i % 7},0.5" for i in range(200_000)]
+        lines[row] = bad
+        path = tmp_path / "big.csv"
+        path.write_text("k,j,coeff\n\n" + "\n".join(lines) + "\n")
+        with pytest.raises(CoeffFileError) as info:
+            read_coeff_csv(path)
+        assert re.findall(r"\bline (\d+)", str(info.value)) == [str(row + 3)]
+
+    def test_csv_decode_error_names_the_file_offset(self, tmp_path):
+        # a bad byte past the reader's first 8 KB block, and a line that
+        # breaks the format before it: the byte is reported, at its offset
+        data = bytearray(b"k,j,coeff\n0,1\n" + b"".join(
+            b"%d,0,1.5\n" % i for i in range(1, 30_000)))
+        data[228_905] = 0xFF
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CoeffFileError, match=(
+                r"^[^:]*bad.csv: 'utf-8' codec can't decode byte 0xff in "
+                r"position 228905: invalid start byte$")):
+            read_coeff_csv(path)
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(data=st.data())
+    def test_csv_reader_agrees_with_reference(self, tmp_path_factory, data):
+        text = data.draw(near_valid_csv())
+        path = tmp_path_factory.mktemp("reference") / "in.csv"
+        path.write_bytes(text)
+        try:
+            table = reference.read_csv(text)
+        except reference.Refused as refused:
+            with pytest.raises(CoeffFileError) as info:
+                read_coeff_csv(path)
+            named = [int(n) for n in re.findall(r"\bline (\d+)",
+                                                 str(info.value))]
+            assert named == ([] if refused.line is None else [refused.line])
+        else:
+            assert read_coeff_csv(path) == CoeffGrid.from_dense(table)
+
     @pytest.mark.parametrize("doc, message", [
         ('{"max_k": 2, "max_j": 2, "entries": [[0, 0, 0], [0, 0, 1.5]]}',
          r"entries\[1\]: duplicate index pair"),
@@ -412,10 +524,24 @@ class TestFileFormats:
         ('{"max_k": 2,\n "max_j": }', "line 2"),
         ('{"max_k": 1, "max_k": 3, "max_j": 0, "entries": [[3, 0, 1.0]]}',
          "^[^:]*bad.json: duplicate key 'max_k'$"),
+        ('{"max_k": 2, "max_j": 2, "entries": [[0, 0, 1], [1, 1, "3.5"]]}',
+         r"entries\[1\]: k and j must be integers and the value a number$"),
+        ('{"max_k": 2, "max_j": 2, "entries": [[1, 1, true]]}',
+         r"entries\[0\]: k and j must be integers and the value a number$"),
+        ('{"max_k": 2, "max_j": 2, "entries": [[1, 1, null]]}',
+         r"entries\[0\]: k and j must be integers and the value a number$"),
+        ('{"max_k": 2, "max_j": 2, "entries": [[1, 1, [2.0]]]}',
+         r"entries\[0\]: k and j must be integers and the value a number$"),
+        ('{"max_k": 2, "max_j": 2, "entries": [[0, 0, 1], [%d, 1, 2.0]]}'
+         % 10**30, r"entries\[1\]: invalid index pair \(%d, 1\)$" % 10**30),
+        ('{"max_k": 2, "max_j": 2, "entries": [[0, -%d, 2.0]]}' % 2**64,
+         r"entries\[0\]: invalid index pair \(0, -%d\)$" % 2**64),
     ], ids=["duplicate-after-zero", "fractional-index", "float-index",
             "bool-index", "fractional-bound", "bool-bound", "negative-index",
             "out-of-bounds", "pair-entry", "entries-object", "missing-field",
-            "not-an-object", "syntax-error", "repeated-key"])
+            "not-an-object", "syntax-error", "repeated-key", "string-value",
+            "bool-value", "null-value", "list-value", "oversized-index",
+            "oversized-negative-index"])
     def test_json_reader_rejects(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(doc)
