@@ -459,8 +459,8 @@ class TestFileFormats:
                            match=rf"line {line}: duplicate index pair \(0, 0\)"):
             read_coeff_csv(path)
 
-    @pytest.mark.parametrize("row", [50_000, 50_001, 120_000])
-    @pytest.mark.parametrize("bad", ["0,1", "0,1,2,3", "x,0,1"])
+    @pytest.mark.parametrize("row, bad", [
+        (50_000, "0,1"), (50_001, "0,1,2,3"), (120_000, "x,0,1")])
     def test_csv_refusal_past_the_first_parser_chunk(self, tmp_path, row, bad):
         # the parser takes 50 000 rows at a time; one blank line after the
         # header puts data row i on file line i + 3
@@ -488,11 +488,11 @@ class TestFileFormats:
     @settings(deadline=None, database=None, max_examples=200)
     @given(data=st.data())
     def test_csv_reader_agrees_with_reference(self, tmp_path_factory, data):
-        text = data.draw(near_valid_csv())
+        raw = data.draw(near_valid_csv())
         path = tmp_path_factory.mktemp("reference") / "in.csv"
-        path.write_bytes(text)
+        path.write_bytes(raw)
         try:
-            table = reference.read_csv(text)
+            table = reference.read_csv(raw)
         except reference.Refused as refused:
             with pytest.raises(CoeffFileError) as info:
                 read_coeff_csv(path)
