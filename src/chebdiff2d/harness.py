@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_nodes,
                     peak_value)
@@ -277,6 +276,8 @@ def fit_rate(points) -> RateFit:
     resid = y - (intercept + slope * x)
     s2 = float(np.sum(resid**2)) / (n - 2)
     se = math.sqrt(s2 / sxx)
+    # imported here: import chebdiff2d, differentiate and validate skip scipy
+    from scipy.special import stdtrit
     tq = float(stdtrit(n - 2, 0.975))  # Student-t 97.5 % quantile
     return RateFit(slope, intercept, slope - tq * se, slope + tq * se)
 

@@ -172,7 +172,13 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
         # amplification k**(2r-1) peaks at k = n, where j = 0 is always admitted
         raw = np.where((ks == support.n) & (js == 0), 1.0, 0.0)
     elif noise.mode == NOISE_TOPWEIGHT:
-        raw = np.maximum(ks, 1).astype(float) ** (2 * support.r - 1)
+        # k / 2**e < 1 for every k <= n, so the power cannot overflow, and
+        # the scale is a power of two, so the normalised noise keeps its bits
+        e = math.frexp(support.n)[1]
+        raw = (np.maximum(ks, 1) * 2.0 ** -e) ** (2 * support.r - 1)
+        if raw.max() < np.finfo(float).tiny:  # the peak, at k = n, underflows
+            raise ValueError(f"adversarial-topweight noise underflows for "
+                             f"r = {support.r}, n = {support.n}")
     else:
         raw = 2.0 * keyed_uniform(noise.seed, ks, js) - 1.0
         if not np.any(raw):

@@ -387,8 +387,18 @@ def read_coeff_json(path) -> CoeffGrid:
         raise CoeffFileError(f"{path}: entries[{bad}]: invalid index pair "
                              f"({ks[bad]}, {js[bad]})") from None
     try:
-        return CoeffGrid._wrap(_entry_table(ks, js, values.astype(float),
-                                            max_k, max_j, "entries[{}]".format))
+        values = values.astype(float)
+    except OverflowError:  # an integer value past the float range
+        for bad, value in enumerate(values):
+            try:
+                float(value)
+            except OverflowError:
+                raise CoeffFileError(f"{path}: entries[{bad}]: coefficient at "
+                                     f"({ks[bad]}, {js[bad]}) is too large "
+                                     f"for a float") from None
+    try:
+        return CoeffGrid._wrap(_entry_table(ks, js, values, max_k, max_j,
+                                            "entries[{}]".format))
     except (OverflowError, ValueError) as exc:
         raise CoeffFileError(f"{path}: {exc}") from None
 

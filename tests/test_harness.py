@@ -214,6 +214,31 @@ class TestFitRate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_scipy_loads_only_to_fit_rates(self, tmp_path):
+        # differentiate and validate run on numpy alone; fit_rate still
+        # imports scipy.special, for the Student-t quantile
+        src = tmp_path / "in.csv"
+        write_coeff_csv(analyze(lambda t, u: t**2 * u, 4, 4), src)
+        child = """if True:
+            import contextlib, io, json, sys
+            import chebdiff2d
+            from chebdiff2d import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["validate", "--json"]),
+                         cli.main(["differentiate", "--input", sys.argv[1],
+                                   "--r", "1", "--n", "4", "--gamma", "1.0",
+                                   "--output", sys.argv[2]])]
+            loaded = [m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy.")]
+            chebdiff2d.fit_rate([(1e-1, 1.0), (1e-2, 0.2), (1e-3, 0.03)])
+            print(json.dumps([codes, loaded, "scipy.special" in sys.modules]))
+            """
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(src), str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0], [], True]
+
 
 class TestRunConvergence:
     def test_report_structure_and_determinism(self):
@@ -478,6 +503,9 @@ class TestCli:
                 ("bad.csv", b"k,j,coeff\n0,0,1\n\n2,0,nan\n", "line 4"),
                 ("bad.json", b'{"max_k": 2, "max_j": 0, "entries": '
                              b'[[0, 0, 1], [1.5, 0, 2]]}', "entries[1]"),
+                ("huge.json", b'{"max_k": 2, "max_j": 2, "entries": '
+                              b'[[0, 0, 1.0], [1, 1, 1%s]]}' % (b"0" * 400),
+                 "entries[1]"),
                 ("bytes.json", b"\xff\xfe", f"{undecodable} 0"),
                 ("header.csv", b"k,j\xff,coeff\n0,0,1\n", f"{undecodable} 3"),
                 ("body.csv", b"k,j,coeff\n0,0,1\n\xff\n", f"{undecodable} 16")):

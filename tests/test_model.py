@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,36 @@ class TestPerturb:
         assert noisy.get(3, 0) == pytest.approx(0.5)
         assert noisy.get(1, 0) == pytest.approx(0.5 / 3)
         assert noisy.get(2, 0) == pytest.approx(1.0 / 3)
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_topweight_keeps_the_bytes_of_the_plain_power(self, r):
+        # the weights are formed as (k / 2**e) ** (2r - 1) to keep them
+        # finite; the power-of-two scale must cancel exactly on normalising
+        for n in (8, 16, 37, 100, 256, 1000, 4097):
+            cross = build_cross(n, 1.5, r)
+            ks, js = np.nonzero(cross.mask(n + 1, cross.j_bound + 1))
+            raw = np.maximum(ks, 1).astype(float) ** (2 * r - 1)
+            for p in (1.0, 1.5, 2.0, math.inf):
+                noise = NoiseSpec(p=p, delta=0.1, mode=NOISE_TOPWEIGHT)
+                noisy = perturb(CoeffGrid([], 0, 0), noise, cross)
+                assert (noisy.to_dense()[ks, js].tobytes()
+                        == ((0.1 / lp_norm(raw, p)) * raw).tobytes()), (n, p)
+
+    def test_topweight_large_order_stays_finite(self):
+        grid = CoeffGrid([((0, 0), 1.0)], 400, 4)
+        noise = NoiseSpec(p=2.0, delta=0.1, mode=NOISE_TOPWEIGHT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noisy = perturb(grid, noise, build_cross(400, 1.5, 150))
+        added = (noisy - grid).to_dense()
+        assert np.isfinite(added).all()
+        assert lp_norm(added, 2.0) == pytest.approx(0.1, abs=1e-12)
+
+    def test_topweight_refuses_an_underflowing_peak(self):
+        # the peak (n / 2**e) ** (2r - 1) = 2**-1073 is not a normal float
+        noise = NoiseSpec(p=2.0, delta=0.1, mode=NOISE_TOPWEIGHT)
+        with pytest.raises(ValueError, match="underflows for r = 537, n = 1024"):
+            perturb(CoeffGrid([], 0, 0), noise, build_cross(1024, 1.5, 537))
 
     @pytest.mark.parametrize("mode", NOISE_MODES)
     def test_seed_independence_is_declared(self, rng, mode):

@@ -536,12 +536,20 @@ class TestFileFormats:
          % 10**30, r"entries\[1\]: invalid index pair \(%d, 1\)$" % 10**30),
         ('{"max_k": 2, "max_j": 2, "entries": [[0, -%d, 2.0]]}' % 2**64,
          r"entries\[0\]: invalid index pair \(0, -%d\)$" % 2**64),
+        ('{"max_k": 2, "max_j": 2, "entries": [[0, 0, 1.0], [1, 1, 1%s]]}'
+         % ("0" * 400),
+         r"entries\[1\]: coefficient at \(1, 1\) is too large for a float$"),
+        # the least integer that rounds past the float range
+        ('{"max_k": 2, "max_j": 2, "entries": [[2, 0, -%d]]}'
+         % (2**1024 - 2**970),
+         r"entries\[0\]: coefficient at \(2, 0\) is too large for a float$"),
     ], ids=["duplicate-after-zero", "fractional-index", "float-index",
             "bool-index", "fractional-bound", "bool-bound", "negative-index",
             "out-of-bounds", "pair-entry", "entries-object", "missing-field",
             "not-an-object", "syntax-error", "repeated-key", "string-value",
             "bool-value", "null-value", "list-value", "oversized-index",
-            "oversized-negative-index"])
+            "oversized-negative-index", "oversized-value",
+            "least-oversized-value"])
     def test_json_reader_rejects(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(doc)
@@ -554,3 +562,7 @@ class TestFileFormats:
         assert read_coeff_json(path) == CoeffGrid({(2, 1): 5.0}, 3, 1)
         path.write_text('{"max_k": 3, "max_j": 1, "entries": []}')
         assert read_coeff_json(path) == CoeffGrid({}, 3, 1)
+        # the largest integer that rounds into the float range is accepted
+        path.write_text('{"max_k": 0, "max_j": 0, "entries": [[0, 0, %d]]}'
+                        % (2**1024 - 2**970 - 1))
+        assert read_coeff_json(path) == CoeffGrid({(0, 0): np.finfo(float).max})
