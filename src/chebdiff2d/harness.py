@@ -31,7 +31,7 @@ from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
 from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _load_json, analyze,
                         grid_synthesize, read_coeff_file, synthesize,
-                        write_coeff_csv, write_csv_table)
+                        write_coeff_csv, write_csv_table, write_value_table)
 from .tuning import (ProblemSpec, choose_n, gamma_admissible, gamma_range,
                      theoretical_rate, validate_spec, with_metric)
 
@@ -421,10 +421,8 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
     result = truncated_derivative(grid, n, gamma, r)
     write_coeff_csv(result, output)
     if eval_grid is not None:
-        values = grid_synthesize(result, nodes, nodes)
-        write_csv_table(f"{output}.values.csv", "t,tau,value",
-                        "%.17g,%.17g,%.17g", np.repeat(nodes, nodes.size),
-                        np.tile(nodes, nodes.size), values.ravel())
+        write_value_table(f"{output}.values.csv", nodes, nodes,
+                          grid_synthesize(result, nodes, nodes))
     return result
 
 

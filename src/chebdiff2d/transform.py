@@ -16,7 +16,8 @@ JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``;
        strings, ``true`` or ``null``).
 Omitted index pairs are zero in both formats; a repeated pair, or a JSON
 key given twice in one object, is an error.
-Both readers parse and validate whole arrays at once.
+The CSV reader validates whole arrays at once; the JSON reader checks the set of
+types in each entry column, and seeks the first bad entry only after a check fails.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
 
 class CoeffFileError(ValueError):
     """Malformed coefficient file; the message names the line or entry."""
-
-
-def _first(mask) -> int | None:
-    """Position of the first True in a boolean vector, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
 
 
 def _unique_keys(pairs) -> dict:
@@ -81,51 +76,46 @@ def _check_table_size(max_k: int, max_j: int) -> None:
 
 
 def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
-    """Validate entries given as parallel (k, j, value) arrays and scatter
+    """Validate entries given as parallel k, j and value vectors and scatter
     them into a dense (max_k + 1) x (max_j + 1) table.
 
     Indices must be integral and nonnegative, values finite, and pairs
     distinct and inside the bounds, which default to the largest indices.
     An error names the first offending entry i as ``where(i)``.
     """
-    keys = np.column_stack((ks, js))
+    def refuse(bad, reason: str) -> None:
+        """Refuse the least entry in the index array ``bad``, if any;
+        ``reason`` has a ``{}`` for its (k, j) pair."""
+        if bad.size:
+            i = int(bad.min())
+            pair = f"({ks[i].item()}, {js[i].item()})"
+            raise ValueError(f"{where(i)}: {reason.format(pair)}")
+
     values = np.asarray(values, dtype=float)
-    if keys.dtype.kind not in "biuf" or values.shape != (len(keys),):
+    if not {ks.dtype.kind, js.dtype.kind} <= set("biuf") or (
+            values.shape != ks.shape):
         raise ValueError("entries must be (k, j, value) with numeric k and j")
-    valid = keys >= 0
-    if keys.dtype.kind == "f":
-        valid &= np.isfinite(keys) & (np.floor(keys) == keys)
-    bad = _first(~valid.all(axis=1))
-    if bad is not None:
-        k, j = keys[bad].tolist()
-        raise ValueError(f"{where(bad)}: invalid index pair ({k}, {j})")
-    keys = keys.astype(np.int64)
-    bad = _first(~np.isfinite(values))
-    if bad is not None:
-        k, j = keys[bad].tolist()
-        raise ValueError(f"{where(bad)}: non-finite coefficient at ({k}, {j})")
-    top_k, top_j = keys.max(axis=0, initial=0).tolist()
-    max_k = top_k if max_k is None else max_k
-    max_j = top_j if max_j is None else max_j
+    valid = (ks >= 0) & (js >= 0)
+    if ks.dtype.kind == "f" or js.dtype.kind == "f":
+        valid &= (np.isfinite(ks) & (np.floor(ks) == ks)
+                  & np.isfinite(js) & (np.floor(js) == js))
+    refuse(np.flatnonzero(~valid), "invalid index pair {}")
+    ks, js = ks.astype(np.int64, copy=False), js.astype(np.int64, copy=False)
+    refuse(np.flatnonzero(~np.isfinite(values)), "non-finite coefficient at {}")
+    max_k = int(ks.max(initial=0)) if max_k is None else max_k
+    max_j = int(js.max(initial=0)) if max_j is None else max_j
     if max_k < 0 or max_j < 0:
         raise ValueError("degree bounds must be nonnegative")
-    bad = _first((keys[:, 0] > max_k) | (keys[:, 1] > max_j))
-    if bad is not None:
-        k, j = keys[bad].tolist()
-        raise ValueError(f"{where(bad)}: entry ({k}, {j}) outside declared "
-                         f"bounds ({max_k}, {max_j})")
+    refuse(np.flatnonzero((ks > max_k) | (js > max_j)),
+           f"entry {{}} outside declared bounds ({max_k}, {max_j})")
     _check_table_size(max_k, max_j)
     dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
-    cells = np.ravel_multi_index((keys[:, 0], keys[:, 1]), dense.shape)
+    cells = np.ravel_multi_index((ks, js), dense.shape)
     # a stable sort keeps equal cells in entry order, so every entry after
     # the first of its run repeats an earlier pair
     order = np.argsort(cells, kind="stable")
-    repeats = order[1:][np.diff(cells[order]) == 0]
-    if repeats.size:
-        bad = int(repeats.min())
-        k, j = keys[bad].tolist()
-        raise ValueError(f"{where(bad)}: duplicate index pair ({k}, {j})")
-    dense.flat[cells] = values
+    refuse(order[1:][np.diff(cells[order]) == 0], "duplicate index pair {}")
+    dense.reshape(-1)[cells] = values
     return dense
 
 
@@ -290,6 +280,18 @@ def write_csv_table(path, header: str, row: str, *columns) -> None:
         fh.write("\r\n".join(itertools.chain([header], lines)) + "\r\n")
 
 
+def write_value_table(path, ts, taus, values) -> None:
+    """Write the ``t,tau,value`` table of ``values[i, m]`` at ``(ts[i],
+    taus[m])``, ``i`` major, every number as ``%.17g``.  Each node is
+    formatted once; each grid row is filled through one ``%`` and written
+    on its own, so the memory it takes is one grid row of text."""
+    parts = [""] + [",%.17g,%%.17g\r\n" % tau for tau in np.asarray(taus).tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,tau,value\r\n")
+        fh.writelines(("%.17g" % t).join(parts) % tuple(row.tolist())
+                      for t, row in zip(np.asarray(ts).tolist(), values))
+
+
 def _nonzero_entries(coeffs: CoeffGrid):
     """(ks, js, values) of the nonzero entries, ascending (k, j)."""
     ks, js = np.nonzero(coeffs._dense)
@@ -367,35 +369,35 @@ def read_coeff_json(path) -> CoeffGrid:
     for name, bound in (("max_k", max_k), ("max_j", max_j)):
         if type(bound) is not int:  # bool is an int subclass, and is refused
             raise CoeffFileError(f"{path}: {name} must be an integer")
-    table = np.asarray(entries, dtype=object) if isinstance(entries, list) else None
-    if table is None or table.shape not in ((0,), (len(entries), 3)):
+    if not (isinstance(entries, list) and set(map(type, entries)) <= {list}
+            and set(map(len, entries)) <= {3}):
         raise CoeffFileError(f"{path}: entries must be a list of "
                              f"[k, j, value] triples")
-    ks, js, values = table.reshape(-1, 3).T
-    bad = _first(~np.frompyfunc(  # bool is an int subclass, and is refused
-        lambda k, j, v: type(k) is int and type(j) is int
-        and type(v) in (int, float), 3, 1)(ks, js, values).astype(bool))
-    if bad is not None:
+    column = [operator.itemgetter(i) for i in range(3)]
+    # bool is an int subclass, and is refused
+    if not ({*map(type, map(column[0], entries)),
+             *map(type, map(column[1], entries))} <= {int}
+            and set(map(type, map(column[2], entries))) <= {int, float}):
+        bad = next(i for i, (k, j, v) in enumerate(entries)
+                   if {type(k), type(j)} != {int} or type(v) not in (int, float))
         raise CoeffFileError(f"{path}: entries[{bad}]: k and j must be "
                              f"integers and the value a number")
     try:
-        ks, js = ks.astype(np.int64), js.astype(np.int64)
+        ks = np.fromiter(map(column[0], entries), np.int64, len(entries))
+        js = np.fromiter(map(column[1], entries), np.int64, len(entries))
     except OverflowError:  # an index outside int64 is never in bounds
         int64 = range(-2 ** 63, 2 ** 63)
-        bad = next(i for i, (k, j) in enumerate(zip(ks, js))
+        bad = next(i for i, (k, j, _) in enumerate(entries)
                    if k not in int64 or j not in int64)
         raise CoeffFileError(f"{path}: entries[{bad}]: invalid index pair "
-                             f"({ks[bad]}, {js[bad]})") from None
+                             f"({entries[bad][0]}, {entries[bad][1]})") from None
     try:
-        values = values.astype(float)
-    except OverflowError:  # an integer value past the float range
-        for bad, value in enumerate(values):
-            try:
-                float(value)
-            except OverflowError:
-                raise CoeffFileError(f"{path}: entries[{bad}]: coefficient at "
-                                     f"({ks[bad]}, {js[bad]}) is too large "
-                                     f"for a float") from None
+        values = np.fromiter(map(column[2], entries), float, len(entries))
+    except OverflowError:  # an integer that float() rounds to 2**1024 or more
+        bad = next(i for i, (_, _, v) in enumerate(entries)
+                   if abs(v) >= 2 ** 1024 - 2 ** 970)
+        raise CoeffFileError(f"{path}: entries[{bad}]: coefficient at ({ks[bad]}, "
+                             f"{js[bad]}) is too large for a float") from None
     try:
         return CoeffGrid._wrap(_entry_table(ks, js, values, max_k, max_j,
                                             "entries[{}]".format))

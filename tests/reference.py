@@ -1,12 +1,15 @@
-"""A slow reference reader for coefficient CSV files.
+"""Slow reference readers for coefficient CSV and JSON files.
 
-It follows the README's "File formats" section word for word and shares no
-code with :mod:`chebdiff2d.transform`: the text is split into lines by hand,
-each line into fields by :mod:`csv`, and the fields are matched against
-ASCII regular expressions before :func:`int` and :func:`float` convert them.
+They follow the README's "File formats" section word for word and share no
+code with :mod:`chebdiff2d.transform`.  For CSV the text is split into lines
+by hand, each line into fields by :mod:`csv`, and the fields are matched
+against ASCII regular expressions before :func:`int` and :func:`float`
+convert them.  For JSON the document is parsed by :mod:`json` and every
+rule is checked by a plain loop over the parsed values.
 """
 
 import csv
+import json
 import math
 import re
 
@@ -19,13 +22,20 @@ NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?",
                     re.ASCII)
 
 
-class Refused(Exception):
-    """The file breaks the README; ``line`` is its 1-based line number, or
-    None for a byte that is not UTF-8."""
+#: "The table (max_k + 1) x (max_j + 1) holds at most 2^26 entries"
+MAX_ENTRIES = 2 ** 26
 
-    def __init__(self, line):
-        super().__init__(line)
+
+class Refused(Exception):
+    """The file breaks the README.  ``line`` is the 1-based number of the
+    offending CSV line, ``entry`` the 0-based index of the offending JSON
+    entry; each is None where the fault has none (a byte that is not UTF-8,
+    a JSON fault outside the entries)."""
+
+    def __init__(self, line=None, entry=None):
+        super().__init__(line, entry)
         self.line = line
+        self.entry = entry
 
 
 def _fields(line):
@@ -73,5 +83,78 @@ def read_csv(data: bytes) -> np.ndarray:
     cols = 1 + max((j for _, j in entries), default=0)
     table = np.zeros((rows, cols))
     for (k, j), value in entries.items():
+        table[k, j] = value
+    return table
+
+
+def _no_repeated_keys(pairs):
+    """The object of ``pairs``: "a key given twice in one object is an
+    error too"."""
+    seen = {}
+    for key, value in pairs:
+        if key in seen:
+            raise Refused()
+        seen[key] = value
+    return seen
+
+
+def _is_integer(value):
+    """A JSON integer: "not `2.0` and not `true`"."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_json(data: bytes) -> np.ndarray:
+    """The dense (max_k + 1) x (max_j + 1) table that the README makes of a
+    JSON file's bytes, or :class:`Refused` naming the first offending entry
+    (or none, for a fault outside the entries)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise Refused() from None
+    try:
+        doc = json.loads(text, object_pairs_hook=_no_repeated_keys)
+    except ValueError:  # bad syntax
+        raise Refused() from None
+    # `{"max_k": ..., "max_j": ..., "entries": [[k, j, value], ...]}`
+    if not isinstance(doc, dict):
+        raise Refused()
+    for field in ("max_k", "max_j", "entries"):
+        if field not in doc:
+            raise Refused()
+    max_k, max_j, entries = doc["max_k"], doc["max_j"], doc["entries"]
+    # "`max_k`, `max_j` ... are JSON integers ... at least 0"
+    for bound in (max_k, max_j):
+        if not _is_integer(bound) or bound < 0:
+            raise Refused()
+    if (max_k + 1) * (max_j + 1) > MAX_ENTRIES:
+        raise Refused()
+    if not isinstance(entries, list):
+        raise Refused()
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise Refused()
+    table = np.zeros((max_k + 1, max_j + 1))
+    seen = set()
+    for number, (k, j, value) in enumerate(entries):
+        # "`k` and `j` are JSON integers"
+        if not (_is_integer(k) and _is_integer(j)):
+            raise Refused(entry=number)
+        # "`value` is a finite JSON number (not a string such as `"3.5"`,
+        # and not `true` or `null`)"
+        if not (_is_integer(value) or isinstance(value, float)):
+            raise Refused(entry=number)
+        try:
+            value = float(value)
+        except OverflowError:  # "an integer value too large for a float"
+            raise Refused(entry=number) from None
+        if not math.isfinite(value):
+            raise Refused(entry=number)
+        # "at least 0, and every entry lies within the bounds"
+        if not (0 <= k <= max_k and 0 <= j <= max_j):
+            raise Refused(entry=number)
+        # "a repeated `(k, j)` pair is an error, whatever its values"
+        if (k, j) in seen:
+            raise Refused(entry=number)
+        seen.add((k, j))
         table[k, j] = value
     return table

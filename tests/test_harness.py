@@ -16,11 +16,11 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         TrialRecord, WienerSpec, analyze, build_cross,
                         cardinality, choose_n, config_from_dict,
                         differentiate_coeffs, evaluate_metric, fit_rate,
-                        grid_synthesize, parse_metric, perturb,
-                        read_coeff_csv, run_convergence, run_single,
+                        grid_synthesize, make_class_member, parse_metric,
+                        perturb, read_coeff_csv, run_convergence, run_single,
                         synthesize, theoretical_rate, truncated_derivative,
                         validate_suite, with_metric,
-                        write_coeff_csv)
+                        write_coeff_csv, write_coeff_json)
 from chebdiff2d.cli import main
 
 # child interpreters import the chebdiff2d this one imported, installed or not
@@ -524,6 +524,24 @@ class TestCli:
                             "--n", "4", "--gamma", "1.0", "--output", str(out))
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_differentiate_csv_and_json_write_the_same_bytes(self, tmp_path,
+                                                            capsys):
+        grid = make_class_member(
+            WienerSpec(s=1.0, mu1=3.0, mu2=2.0), 40, 30, seed=7)
+        outputs = []
+        for fmt, write in (("csv", write_coeff_csv), ("json", write_coeff_json)):
+            src = tmp_path / f"in.{fmt}"
+            write(grid, src)
+            out = tmp_path / f"out-{fmt}.csv"
+            assert main(["differentiate", "--input", str(src), "--r", "1",
+                         "--n", "16", "--gamma", "1.5", "--output", str(out),
+                         "--eval-grid", "17"]) == 0
+            outputs.append((out.read_bytes(),
+                            Path(f"{out}.values.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\r\n") == 1 + 17 * 17
+        assert capsys.readouterr().err == ""
 
     def test_differentiate_overflow(self, tmp_path):
         # one error line naming the entry: no numpy warning, no traceback

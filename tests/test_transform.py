@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdiff2d import (CoeffFileError, CoeffGrid, NoiseSpec, WienerSpec,
-                        analyze, build_cross, differentiate_coeffs,
+                        analyze, build_cross, cosine_grid, differentiate_coeffs,
                         eval_orthonormal, grid_synthesize, l2_omega_norm,
                         lq_omega_norm, make_class_member, perturb,
                         read_coeff_csv, read_coeff_file, read_coeff_json,
                         run_single, synthesize, write_coeff_csv,
                         write_coeff_json)
+from chebdiff2d.transform import write_csv_table, write_value_table
 import reference
 from helpers import random_grid
 
@@ -41,6 +43,23 @@ class TestCoeffGrid:
             CoeffGrid([((0, 0), 1.0), ((1, 0), 2.0), ((0, 0), 0.0)])
         with pytest.raises(ValueError, match="entry 1: invalid index pair"):
             CoeffGrid([((0, 0), 1.0), ((1.5, 0), 2.0)])
+
+    @pytest.mark.parametrize("key, value, bounds, message", [
+        ((1.5, 2), 2.0, (), "entry 1: invalid index pair (1.5, 2.0)"),
+        ((math.nan, 2), 2.0, (), "entry 1: invalid index pair (nan, 2.0)"),
+        ((math.inf, 2), 2.0, (), "entry 1: invalid index pair (inf, 2.0)"),
+        ((-1, 2), 2.0, (), "entry 1: invalid index pair (-1, 2)"),
+        (("a", 2), 2.0, (), "entries must be (k, j, value) with numeric k "
+                            "and j"),
+        ((3, 2), 2.0, (2, 2), "entry 1: entry (3, 2) outside declared bounds "
+                              "(2, 2)"),
+        ((0, 0), 2.0, (), "entry 1: duplicate index pair (0, 0)"),
+        ((1, 2), math.inf, (), "entry 1: non-finite coefficient at (1, 2)"),
+    ], ids=["float-key", "nan-key", "inf-key", "negative-key",
+            "non-numeric-key", "out-of-bounds", "duplicate", "inf-value"])
+    def test_refusal_message_in_full(self, key, value, bounds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoeffGrid([((0, 0), 1.0), (key, value)], *bounds)
 
     def test_duplicate_error_names_first_repeat(self, rng):
         for _ in range(5):
@@ -326,6 +345,90 @@ def near_valid_csv(draw):
     return data
 
 
+# JSON numbers a coefficient may be: floats, small integers, integers past
+# int64, and integers just below the least one that rounds past the float
+# range, 2**1024 - 2**970.
+_FLOAT_CEILING = 2 ** 1024 - 2 ** 970
+_JSON_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6),
+    st.integers(2**63, 2**80).map(lambda v: -v if v % 2 else v),
+    st.integers(1, 2**60).map(lambda d: _FLOAT_CEILING - d),
+    st.sampled_from([-0.0, 5e-324, 1e22, -2.5e-7]))
+# What may stand where the README asks for an integer or a number.
+_JSON_NOT_INTEGER = st.sampled_from([1.0, 2.5, -0.0, True, False, "3", None,
+                                     [1], [], [1, 2, 3], {"k": 1}])
+_JSON_NOT_NUMBER = st.sampled_from([True, False, "3.5", None, [2.0], [], {}])
+# About one document in six has no fault.
+_JSON_FAULT = st.sampled_from([None] * 4 + [
+    "index-type", "value-type", "index-past-int64", "value-too-large",
+    "non-finite", "negative-index", "out-of-bounds", "repeated-pair",
+    "arity", "entry-not-a-list", "entry-of-lists", "bound-type",
+    "negative-bound", "table-too-large", "missing-field", "entries-type",
+    "repeated-key", "syntax", "bad-byte"])
+
+
+@st.composite
+def near_valid_json(draw):
+    """Bytes of a JSON coefficient file with at most one fault."""
+    fault = draw(_JSON_FAULT)
+    bounds = [draw(st.integers(0, 6)), draw(st.integers(0, 6))]
+    pairs = draw(st.lists(st.tuples(st.integers(0, bounds[0]),
+                                    st.integers(0, bounds[1])),
+                          unique=True, min_size=1, max_size=8))
+    entries = [[k, j, draw(_JSON_VALUE)] for k, j in pairs]
+    at = draw(st.integers(0, len(entries) - 1))
+    column = draw(st.integers(0, 1))
+    if fault == "index-type":
+        entries[at][column] = draw(_JSON_NOT_INTEGER)
+    elif fault == "value-type":
+        entries[at][2] = draw(_JSON_NOT_NUMBER)
+    elif fault == "index-past-int64":
+        entries[at][column] = draw(st.sampled_from([2**63, 10**30, -2**63 - 1,
+                                                    -2**64]))
+    elif fault == "value-too-large":
+        entries[at][2] = draw(st.sampled_from([1, -1])) * (
+            _FLOAT_CEILING + draw(st.integers(0, 2**60)))
+    elif fault == "non-finite":
+        entries[at][2] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "negative-index":
+        entries[at][column] = -draw(st.integers(1, 6))
+    elif fault == "out-of-bounds":
+        entries[at][column] = bounds[column] + draw(st.integers(1, 3))
+    elif fault == "repeated-pair":
+        later = draw(st.integers(at + 1, len(entries)))
+        entries.insert(later, entries[at][:2] + [draw(_JSON_VALUE)])
+    elif fault == "arity":
+        entries[at] = draw(st.sampled_from([[], entries[at][:1],
+                                            entries[at][:2], entries[at] + [1]]))
+    elif fault == "entry-not-a-list":
+        entries[at] = draw(st.sampled_from([1, "abc", None, {"k": 0}]))
+    elif fault == "entry-of-lists":
+        entries[at] = [[value] for value in entries[at]]
+    elif fault == "bound-type":
+        bounds[column] = draw(_JSON_NOT_INTEGER)
+    elif fault == "negative-bound":
+        bounds[column] = -draw(st.integers(1, 3))
+    elif fault == "table-too-large":
+        bounds[column] = draw(st.sampled_from([2**26, 2**63, 10**30]))
+    doc = {"max_k": bounds[0], "max_j": bounds[1], "entries": entries}
+    if fault == "missing-field":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "entries-type":
+        doc["entries"] = draw(st.sampled_from([{"0": 1}, 3, None, "[]"]))
+    text = json.dumps(doc)
+    if fault == "repeated-key":
+        key = draw(st.sampled_from(sorted(doc)))
+        text = text.replace("{", f'{{"{key}": {json.dumps(doc[key])}, ', 1)
+    elif fault == "syntax":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    data = text.encode()
+    if fault == "bad-byte":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
 class TestFileFormats:
     def test_csv_round_trip(self, rng, tmp_path):
         grid = random_grid(rng, 9, 7, fill=0.3)
@@ -448,6 +551,20 @@ class TestFileFormats:
             b"-1,6.123233995736766e-17,1.2993818399531685e-17\r\n"
             b"-1,-1,-0.21220515839470594\r\n")
 
+    def test_value_table_bytes_match_the_generic_writer(self, tmp_path, rng):
+        specials = [-0.0, 5e-324, 1e22, -2.5e-7]
+        for rows in range(2, 66):
+            for ts, taus in ((cosine_grid(rows), cosine_grid(rows)),
+                             (cosine_grid(rows), rng.uniform(-1, 1, 69 - rows))):
+                values = rng.normal(size=(ts.size, taus.size))
+                values.flat[rng.choice(values.size, 4, replace=False)] = specials
+                write_value_table(tmp_path / "fast.csv", ts, taus, values)
+                write_csv_table(tmp_path / "generic.csv", "t,tau,value",
+                                "%.17g,%.17g,%.17g", np.repeat(ts, taus.size),
+                                np.tile(taus, ts.size), values.ravel())
+                assert ((tmp_path / "fast.csv").read_bytes()
+                        == (tmp_path / "generic.csv").read_bytes())
+
     @pytest.mark.parametrize("text, line", [
         ("k,j,coeff\n0,0,0\n0,0,1.5\n", 3),
         ("k,j,coeff\n0,0,2\n\n1,1,1\n0,0,0\n", 5),
@@ -501,6 +618,23 @@ class TestFileFormats:
             assert named == ([] if refused.line is None else [refused.line])
         else:
             assert read_coeff_csv(path) == CoeffGrid.from_dense(table)
+
+    @settings(deadline=None, database=None, max_examples=400)
+    @given(data=st.data())
+    def test_json_reader_agrees_with_reference(self, tmp_path_factory, data):
+        raw = data.draw(near_valid_json())
+        path = tmp_path_factory.mktemp("reference") / "in.json"
+        path.write_bytes(raw)
+        try:
+            table = reference.read_json(raw)
+        except reference.Refused as refused:
+            with pytest.raises(CoeffFileError) as info:
+                read_coeff_json(path)
+            named = [int(i) for i in re.findall(r"\bentries\[(\d+)\]",
+                                                 str(info.value))]
+            assert named == ([] if refused.entry is None else [refused.entry])
+        else:
+            assert read_coeff_json(path) == CoeffGrid.from_dense(table)
 
     @pytest.mark.parametrize("doc, message", [
         ('{"max_k": 2, "max_j": 2, "entries": [[0, 0, 0], [0, 0, 1.5]]}',
