@@ -7,8 +7,8 @@ For the orthonormal system the derivative of a single basis polynomial is
 with zeta_0 = 1/sqrt(2) and zeta_l = 1 for l >= 1.  The degree-0 weight is
 sometimes quoted as sqrt(2); renormalizing the classical identity
 d/dt Tbar_k = 2k * sum (1/c_l) Tbar_l (c_0 = 2, c_l = 1) to the orthonormal
-scaling gives 1/sqrt(2), and the finite-difference oracle in the validation
-suite confirms that value to machine precision (see README).
+scaling gives 1/sqrt(2), and the recurrence oracle in the validation suite
+confirms that value to machine precision (see README).
 
 The sum is the backward recurrence b[l-1] = b[l+1] + 2l * a[l] over the
 rows (the recurrence of numpy.polynomial.chebyshev.chebder), after which

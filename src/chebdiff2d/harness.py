@@ -427,54 +427,39 @@ def run_single(coeff_input, n: int, gamma: float, r: int, output,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
+# derivative oracle
 
-_LD = np.longdouble
-_FD_STEP = 1e-5
-
-
-def _synthesize_longdouble(coeffs: CoeffGrid, ts: np.ndarray,
-                           taus: np.ndarray) -> np.ndarray:
-    """Extended-precision evaluation at paired points, independent of the
-    production (double/BLAS) synthesis path."""
-    inv_sqrt_pi = 1.0 / np.sqrt(_LD(np.pi))
-    sqrt_2_pi = np.sqrt(_LD(2.0) / _LD(np.pi))
-    kd = np.arange(coeffs.max_k + 1, dtype=_LD)
-    jd = np.arange(coeffs.max_j + 1, dtype=_LD)
-    bt = np.cos(np.outer(np.arccos(ts.astype(_LD)), kd)) * sqrt_2_pi
-    bt[:, 0] = inv_sqrt_pi
-    btau = np.cos(np.outer(np.arccos(taus.astype(_LD)), jd)) * sqrt_2_pi
-    btau[:, 0] = inv_sqrt_pi
-    dense = coeffs._dense.astype(_LD)
-    return np.einsum("pk,kj,pj->p", bt, dense, btau)
+def _recurrence_table(m: int, points, degree: int) -> np.ndarray:
+    """Table (i, k) of the m-th derivative of the orthonormal T_k at
+    points[i], k = 0..degree, from the differentiated three-term recurrence
+    T_{k+1}^(m) = 2t T_k^(m) + 2m T_k^(m-1) - T_{k-1}^(m) of the classical
+    polynomials, run for all orders up to m at once."""
+    points = np.asarray(points, dtype=float)
+    d = np.zeros((m + 1, points.size, degree + 2))
+    d[0, :, 0] = 1.0
+    d[0, :, 1] = points
+    d[1:2, :, 1] = 1.0
+    twice_order = 2.0 * np.arange(1, m + 1)[:, None]
+    for k in range(1, degree):
+        d[:, :, k + 1] = 2.0 * points * d[:, :, k] - d[:, :, k - 1]
+        d[1:, :, k + 1] += twice_order * d[:-1, :, k]
+    return d[m, :, :degree + 1] * np.sqrt(
+        np.where(np.arange(degree + 1) > 0, 2.0, 1.0) / math.pi)
 
 
-def fd_partial_t(coeffs: CoeffGrid, r: int, ts, taus) -> np.ndarray:
-    """Central-difference r-th partial derivative in t of the synthesized
-    surface at paired points (ts[i], taus[i]).
+def recurrence_partial_t(coeffs: CoeffGrid, r: int, ts, taus) -> np.ndarray:
+    """r-th partial derivative in t of the expansion at paired points
+    (ts[i], taus[i]), for any order r >= 0 and any points in [-1, 1].
 
-    Second-order stencils of step h = _FD_STEP, evaluated in extended
-    precision, keep the h**(-r) roundoff amplification below the comparison
-    tolerances for r <= 3.  Points must stay at least 2h inside [-1, 1].
+    An oracle for the coefficient derivative that shares no code with it or
+    with the cosine basis: the basis derivatives come from the three-term
+    recurrence in float64, and one einsum (no BLAS call) contracts them
+    with the coefficient table.
     """
-    if r not in (1, 2, 3):
-        raise ValueError("finite-difference oracle supports r in {1, 2, 3}")
-    ts = np.asarray(ts, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    if np.any(np.abs(ts) > 1.0 - 2.5 * _FD_STEP):
-        raise ValueError("probe points must stay at least 2h inside [-1, 1]")
-    hl = _LD(_FD_STEP)
-
-    def f(shift):
-        return _synthesize_longdouble(coeffs, (ts.astype(_LD) + shift), taus)
-
-    if r == 1:
-        vals = (f(hl) - f(-hl)) / (2 * hl)
-    elif r == 2:
-        vals = (f(hl) - 2 * f(_LD(0.0)) + f(-hl)) / (hl * hl)
-    else:
-        vals = (f(2 * hl) - 2 * f(hl) + 2 * f(-hl) - f(-2 * hl)) / (2 * hl**3)
-    return vals.astype(float)
+    if int(r) != r or r < 0:
+        raise ValueError("derivative order r must be an integer >= 0")
+    return np.einsum("pk,kj,pj->p", _recurrence_table(int(r), ts, coeffs.max_k),
+                     coeffs._dense, _recurrence_table(0, taus, coeffs.max_j))
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +482,16 @@ def _random_grid(rng: np.random.Generator, max_k: int, max_j: int) -> CoeffGrid:
     return CoeffGrid._wrap(rng.uniform(-1.0, 1.0, size=(max_k + 1, max_j + 1)))
 
 
-def _derivative_oracle_residual(zeta0: float) -> float:
-    """Worst relative deviation between the coefficient derivative (built
-    with the given degree-0 weight) and extended-precision finite
-    differences, over the two lowest-degree inputs."""
-    rng = np.random.default_rng(1729)
-    ts, taus = _probe_points(rng, 10)
-    worst = 0.0
-    for k in (1, 2):
-        grid = CoeffGrid([((k, 0), 1.0)])
-        deriv = differentiate_coeffs(grid, 1, zeta0=zeta0)
-        spectral = np.array([synthesize(deriv, t, u) for t, u in zip(ts, taus)])
-        fd = fd_partial_t(grid, 1, ts, taus)
-        scale = max(np.abs(fd).max(), 1e-30)
-        worst = max(worst, float(np.abs(spectral - fd).max() / scale))
-    return worst
+def _oracle_deviation(grid: CoeffGrid, r: int, ts, taus,
+                      zeta0: float = ZETA_0) -> float:
+    """Relative sup deviation, at paired probe points, of the pointwise
+    synthesized coefficient derivative (degree-0 weight ``zeta0``) from
+    :func:`recurrence_partial_t`."""
+    deriv = differentiate_coeffs(grid, r, zeta0=zeta0)
+    spectral = np.array([synthesize(deriv, t, u) for t, u in zip(ts, taus)])
+    oracle = recurrence_partial_t(grid, r, ts, taus)
+    return float(np.abs(spectral - oracle).max()
+                 / max(np.abs(oracle).max(), 1e-30))
 
 
 def _check_zeta0() -> CheckResult:
@@ -519,7 +499,10 @@ def _check_zeta0() -> CheckResult:
         "1/sqrt(2)": 1.0 / math.sqrt(2.0),
         "sqrt(2)": math.sqrt(2.0),
     }
-    residuals = {name: _derivative_oracle_residual(value)
+    # each weight's worst deviation over the two lowest-degree inputs
+    ts, taus = _probe_points(np.random.default_rng(1729), 10)
+    residuals = {name: max(_oracle_deviation(CoeffGrid([((k, 0), 1.0)]), 1,
+                                             ts, taus, value) for k in (1, 2))
                  for name, value in candidates.items()}
     chosen = min(residuals, key=residuals.get)
     ok = (math.isclose(candidates[chosen], ZETA_0)
@@ -630,13 +613,7 @@ def _check_derivative_oracle() -> CheckResult:
     for _ in range(10):
         grid = _random_grid(rng, 10, 10)
         for r in (1, 2, 3):
-            deriv = differentiate_coeffs(grid, r)
-            ts, taus = _probe_points(rng, 20)
-            spectral = np.array([synthesize(deriv, t, u)
-                                 for t, u in zip(ts, taus)])
-            fd = fd_partial_t(grid, r, ts, taus)
-            worst = max(worst, float(np.abs(spectral - fd).max()
-                                     / np.abs(spectral).max()))
+            worst = max(worst, _oracle_deviation(grid, r, *_probe_points(rng, 20)))
     return CheckResult("derivative-fd-oracle", worst <= 1e-5, worst,
                        "relative sup deviation, 10 grids x r in {1,2,3}")
 

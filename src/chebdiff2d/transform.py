@@ -91,14 +91,25 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
             pair = f"({ks[i].item()}, {js[i].item()})"
             raise ValueError(f"{where(i)}: {reason.format(pair)}")
 
-    values = np.asarray(values, dtype=float)
-    if not {ks.dtype.kind, js.dtype.kind} <= set("biuf") or (
-            values.shape != ks.shape):
+    if not {ks.dtype.kind, js.dtype.kind} <= set("biuf"):
+        raise ValueError("entries must be (k, j, value) with numeric k and j")
+    try:
+        values = np.asarray(values, dtype=float)
+    except (OverflowError, TypeError, ValueError):  # a Python object in values
+        for i, value in enumerate(values):
+            try:
+                float(value)
+            except OverflowError:
+                refuse(np.array([i]), "coefficient at {} is too large for a float")
+            except (TypeError, ValueError):
+                refuse(np.array([i]), "coefficient at {} is not a number")
+        raise
+    if values.shape != ks.shape:
         raise ValueError("entries must be (k, j, value) with numeric k and j")
     valid = (ks >= 0) & (js >= 0)
-    if ks.dtype.kind == "f" or js.dtype.kind == "f":
-        valid &= (np.isfinite(ks) & (np.floor(ks) == ks)
-                  & np.isfinite(js) & (np.floor(js) == js))
+    if {ks.dtype.kind, js.dtype.kind} & set("uf"):  # keys the int64 cast wraps
+        valid &= ((np.floor(ks) == ks) & (ks < 2.0 ** 63)
+                  & (np.floor(js) == js) & (js < 2.0 ** 63))
     refuse(np.flatnonzero(~valid), "invalid index pair {}")
     ks, js = ks.astype(np.int64, copy=False), js.astype(np.int64, copy=False)
     refuse(np.flatnonzero(~np.isfinite(values)), "non-finite coefficient at {}")
@@ -273,11 +284,15 @@ def write_csv_table(path, header: str, row: str, *columns) -> None:
     """Write a CSV table: the ``header`` line, then ``row % (c0[i], c1[i], ...)``
     for each i over the equal-length ``columns``.
 
-    Lines end in CRLF, as :mod:`csv` writes them.
+    Lines end in CRLF, as :mod:`csv` writes them, 2**16 rows at a time.
     """
-    lines = map(row.__mod__, zip(*(np.asarray(c).tolist() for c in columns)))
+    columns = [np.asarray(c) for c in columns]
+    row += "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(itertools.chain([header], lines)) + "\r\n")
+        fh.write(header + "\r\n")
+        for start in range(0, len(columns[0]), 2 ** 16):
+            fh.writelines(map(row.__mod__, zip(*(
+                c[start:start + 2 ** 16].tolist() for c in columns))))
 
 
 def write_value_table(path, ts, taus, values) -> None:
@@ -393,11 +408,8 @@ def read_coeff_json(path) -> CoeffGrid:
                              f"({entries[bad][0]}, {entries[bad][1]})") from None
     try:
         values = np.fromiter(map(column[2], entries), float, len(entries))
-    except OverflowError:  # an integer that float() rounds to 2**1024 or more
-        bad = next(i for i, (_, _, v) in enumerate(entries)
-                   if abs(v) >= 2 ** 1024 - 2 ** 970)
-        raise CoeffFileError(f"{path}: entries[{bad}]: coefficient at ({ks[bad]}, "
-                             f"{js[bad]}) is too large for a float") from None
+    except OverflowError:  # _entry_table names the integer float() overflows
+        values = list(map(column[2], entries))
     try:
         return CoeffGrid._wrap(_entry_table(ks, js, values, max_k, max_j,
                                             "entries[{}]".format))

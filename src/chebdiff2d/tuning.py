@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .hypercross import MAX_LEVEL, cardinality
+from .hypercross import MAX_LEVEL
 from .model import WienerSpec
 from .norms import MetricSpec
 
@@ -124,14 +124,6 @@ def theoretical_rate(spec: ProblemSpec) -> float:
     mu1 = spec.wiener.mu1
     inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
     return (mu1 - 2 * spec.r + _shift(spec)) / (mu1 - inv_p + 1.0 / spec.wiener.s)
-
-
-def expected_cardinality(delta: float, spec: ProblemSpec, gamma: float) -> int:
-    """Data budget of the method: cross cardinality at the chosen level."""
-    if not gamma_admissible(spec, gamma):
-        raise ValueError(f"gamma={gamma} outside admissible range "
-                         f"{gamma_range(spec)}")
-    return cardinality(choose_n(delta, spec), gamma, spec.r)
 
 
 def with_metric(spec: ProblemSpec, metric: MetricSpec) -> ProblemSpec:

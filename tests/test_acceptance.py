@@ -13,11 +13,11 @@ from chebdiff2d import (NOISE_MODES, NOISE_TOPWEIGHT, CoeffGrid,
                         ExperimentConfig, MetricSpec, NoiseSpec, ProblemSpec,
                         TestFunctionSpec, WienerSpec, analyze, basis_matrix,
                         build_cross, cardinality, cosine_grid,
-                        differentiate_coeffs, fd_partial_t,
-                        gauss_chebyshev_nodes, grid_synthesize, l2_omega_norm,
-                        lp_norm, lq_omega_norm, nikolskii_explicit_bound,
-                        perturb, run_convergence, sup_norm, synthesize,
-                        validate_suite)
+                        differentiate_coeffs, gauss_chebyshev_nodes,
+                        grid_synthesize, l2_omega_norm, lp_norm,
+                        lq_omega_norm, nikolskii_explicit_bound, perturb,
+                        recurrence_partial_t, run_convergence, sup_norm,
+                        synthesize, validate_suite)
 from helpers import random_grid
 
 DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
@@ -56,8 +56,8 @@ def test_criterion_1_derivative_operator_correctness():
             deriv = differentiate_coeffs(grid, r)
             spectral = np.array([synthesize(deriv, t, u)
                                  for t, u in zip(ts, taus)])
-            fd = fd_partial_t(grid, r, ts, taus)
-            rel = float(np.abs(spectral - fd).max() / np.abs(spectral).max())
+            oracle = recurrence_partial_t(grid, r, ts, taus)
+            rel = float(np.abs(spectral - oracle).max() / np.abs(spectral).max())
             worst_rel = max(worst_rel, rel)
 
     # analytic family: every t-derivative of exp(t)cos(pi tau/2) is itself;
@@ -74,7 +74,7 @@ def test_criterion_1_derivative_operator_correctness():
     elapsed = time.monotonic() - start
     ok = worst_rel <= 1e-5 and worst_analytic <= 1e-6 and elapsed < 30
     report("criterion 1 (derivative operator)", ok,
-           f"FD-oracle rel sup {worst_rel:.3e} (<=1e-5), analytic n=24 sup "
+           f"recurrence-oracle rel sup {worst_rel:.3e} (<=1e-5), analytic n=24 sup "
            f"{worst_analytic:.3e} (<=1e-6), {elapsed:.1f}s")
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebdiff2d import (ZETA_0, CoeffGrid, analyze, build_cross,
-                        differentiate_coeffs, fd_partial_t, grid_synthesize,
-                        sup_norm, synthesize, truncated_derivative)
+                        differentiate_coeffs, grid_synthesize,
+                        recurrence_partial_t, sup_norm, synthesize,
+                        truncated_derivative)
 from helpers import random_grid
 
 
@@ -120,17 +123,17 @@ def test_polynomial_derivative_is_exact():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_matches_finite_differences(rng, r):
-    # oracle: extended-precision central differencing of the synthesized
-    # surface at interior probe points
+    # oracle: the basis derivatives from the three-term recurrence, at
+    # interior probe points
     for _ in range(8):
         grid = random_grid(rng, 12, 12)
         deriv = differentiate_coeffs(grid, r)
         ts = rng.uniform(-0.9, 0.9, size=20)
         taus = rng.uniform(-1, 1, size=20)
         spectral = np.array([synthesize(deriv, t, u) for t, u in zip(ts, taus)])
-        fd = fd_partial_t(grid, r, ts, taus)
+        oracle = recurrence_partial_t(grid, r, ts, taus)
         scale = np.abs(spectral).max()
-        assert np.abs(spectral - fd).max() / scale <= 1e-5
+        assert np.abs(spectral - oracle).max() / scale <= 1e-5
 
 
 def test_single_entry_second_derivative_matches_fd(rng):
@@ -139,8 +142,8 @@ def test_single_entry_second_derivative_matches_fd(rng):
     ts = rng.uniform(-0.9, 0.9, size=20)
     taus = rng.uniform(-1, 1, size=20)
     spectral = np.array([synthesize(deriv, t, u) for t, u in zip(ts, taus)])
-    fd = fd_partial_t(grid, 2, ts, taus)
-    assert np.abs(spectral - fd).max() / np.abs(spectral).max() <= 1e-6
+    oracle = recurrence_partial_t(grid, 2, ts, taus)
+    assert np.abs(spectral - oracle).max() / np.abs(spectral).max() <= 1e-6
 
 
 def test_sparsity_pattern_by_probing():
@@ -204,6 +207,35 @@ class TestTruncatedDerivative:
         bumped = grid + CoeffGrid([((15, 15), 123.0)], 20, 20)
         assert truncated_derivative(grid, 7, 1.0, 1) == \
             truncated_derivative(bumped, 7, 1.0, 1)
+
+    @settings(deadline=None, database=None)
+    @given(data=st.data(), r=st.integers(1, 3), shape=st.tuples(
+        st.integers(1, 60), st.integers(1, 60)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_symmetries(self, data, r, shape, seed):
+        # exact in floating point: sign flips and scaling by 2**e commute
+        # with every rounding, the odd and even rows are summed apart, and
+        # entries outside the cross never enter
+        n = data.draw(st.integers(r, 80))
+        gamma = data.draw(st.floats(1.0, 3.0))
+        e = data.draw(st.integers(-30, 30))
+        gen = np.random.default_rng(seed)
+        a = gen.uniform(-1, 1, shape) * np.exp(gen.uniform(-30, 30, shape))
+
+        def method(table):
+            return truncated_derivative(CoeffGrid.from_dense(table), n, gamma,
+                                        r).to_dense()
+
+        out = method(a)
+        flip_k = (-1.0) ** np.arange(shape[0])[:, None]
+        flip_j = (-1.0) ** np.arange(shape[1])
+        assert np.array_equal(method(flip_k * a),
+                              (-1.0) ** r * flip_k[: out.shape[0]] * out)
+        assert np.array_equal(method(a * flip_j), out * flip_j)
+        assert np.array_equal(method(np.ldexp(a, e)), np.ldexp(out, e))
+        larger = build_cross(data.draw(st.integers(n, 2 * n)),
+                             data.draw(st.floats(1.0, gamma)), r)
+        assert np.array_equal(
+            method(CoeffGrid.from_dense(a).restrict_to(larger).to_dense()), out)
 
     def test_linearity(self, rng):
         a = random_grid(rng, 14, 14)

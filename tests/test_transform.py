@@ -55,8 +55,16 @@ class TestCoeffGrid:
                               "(2, 2)"),
         ((0, 0), 2.0, (), "entry 1: duplicate index pair (0, 0)"),
         ((1, 2), math.inf, (), "entry 1: non-finite coefficient at (1, 2)"),
+        ((1e30, 0), 2.0, (), "entry 1: invalid index pair (1e+30, 0.0)"),
+        ((2 ** 63, 0), 2.0, (), "entry 1: invalid index pair "
+                                "(9.223372036854776e+18, 0.0)"),
+        ((1, 2), 10 ** 400, (), "entry 1: coefficient at (1, 2) is too large "
+                                "for a float"),
+        ((1, 2), "x", (), "entry 1: coefficient at (1, 2) is not a number"),
     ], ids=["float-key", "nan-key", "inf-key", "negative-key",
-            "non-numeric-key", "out-of-bounds", "duplicate", "inf-value"])
+            "non-numeric-key", "out-of-bounds", "duplicate", "inf-value",
+            "huge-float-key", "int64-overflow-key", "huge-int-value",
+            "string-value"])
     def test_refusal_message_in_full(self, key, value, bounds, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CoeffGrid([((0, 0), 1.0), (key, value)], *bounds)

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from chebdiff2d import (MetricSpec, ProblemSpec, WienerSpec, cardinality,
-                        choose_n, expected_cardinality, gamma_admissible,
-                        gamma_range, theoretical_rate, validate_spec,
-                        with_metric)
+                        choose_n, gamma_admissible, gamma_range,
+                        theoretical_rate, validate_spec, with_metric)
 
 
 def make_spec(r=1, s=1.0, mu1=3.0, mu2=2.0, p=2.0, metric=None, constant=1.0):
@@ -170,17 +169,8 @@ class TestTheoreticalRate:
 
 
 class TestExpectedCardinality:
-    def test_composition(self):
-        spec = make_spec(mu1=3.0, mu2=4.0)  # gamma_max = 4.5/1.5 = 3
-        assert expected_cardinality(1e-3, spec, 2.0) == cardinality(7, 2.0, 1)
-
-    def test_gamma_must_be_admissible(self):
-        spec = make_spec(mu1=3.0, mu2=2.0)  # gamma_max = 2.5/1.5
-        with pytest.raises(ValueError):
-            expected_cardinality(1e-3, spec, 2.0)
-
     def test_budget_tracks_level(self):
-        spec = make_spec(mu1=3.0, mu2=4.0)
-        ratios = [expected_cardinality(d, spec, 2.0) / choose_n(d, spec)
+        spec = make_spec(mu1=3.0, mu2=4.0)  # gamma_max = 4.5/1.5 = 3
+        ratios = [cardinality(choose_n(d, spec), 2.0, 1) / choose_n(d, spec)
                   for d in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
         assert max(ratios) / min(ratios) < 4.0
