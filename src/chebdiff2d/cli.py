@@ -23,16 +23,21 @@ from .tuning import ProblemSpec, choose_n
 
 
 def _resolve_level(args) -> int:
+    given = {name: value for name in ("s", "mu1", "mu2", "p", "level_constant")
+             if (value := getattr(args, name)) is not None}
     if args.delta is None:
+        if given:
+            raise ValueError("only --delta takes --" + ", --".join(
+                name.replace("_", "-") for name in given))
         return args.n
-    missing = [name for name in ("mu1", "mu2", "p") if getattr(args, name) is None]
+    missing = [name for name in ("mu1", "mu2", "p") if name not in given]
     if missing:
         raise ValueError("--delta needs --" + ", --".join(missing))
     problem = ProblemSpec(
         r=args.r,
-        wiener=WienerSpec(s=args.s, mu1=args.mu1, mu2=args.mu2),
+        wiener=WienerSpec(s=given.get("s", 1.0), mu1=args.mu1, mu2=args.mu2),
         noise_p=args.p,
-        level_constant=args.level_constant,
+        level_constant=given.get("level_constant", 1.0),
     )
     n = choose_n(args.delta, problem)
     print(f"auto-chosen truncation level n = {n}")
@@ -131,16 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument("--n", type=int, help="truncation level")
     level.add_argument("--delta", type=float,
                        help="noise magnitude: the level rule chooses the level")
-    p.add_argument("--s", type=float, default=1.0,
-                   help="class aggregation index for --delta")
+    p.add_argument("--s", type=float, default=None,
+                   help="class aggregation index for --delta (default 1)")
     p.add_argument("--mu1", type=float, default=None,
                    help="first smoothness parameter for --delta")
     p.add_argument("--mu2", type=float, default=None,
                    help="second smoothness parameter for --delta")
     p.add_argument("--p", type=_noise_index, default=None,
                    help="noise norm index for --delta (number or 'inf')")
-    p.add_argument("--level-constant", type=float, default=1.0,
-                   help="multiplier in the level rule for --delta")
+    p.add_argument("--level-constant", type=float, default=None,
+                   help="multiplier in the level rule for --delta (default 1)")
     p.set_defaults(func=_cmd_differentiate)
 
     p = sub.add_parser("experiment", help="run a noise-level sweep")

@@ -65,11 +65,9 @@ class TestFunctionSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.kind not in TEST_FUNCTION_KINDS:
-            raise ValueError(f"unknown test function kind {self.kind!r}")
-        if self.kind == "named-analytic" and self.name not in ANALYTIC_FUNCTIONS:
-            raise ValueError(f"unknown analytic function {self.name!r}; "
-                             f"known: {sorted(ANALYTIC_FUNCTIONS)}")
+        _one_of("test function kind", TEST_FUNCTION_KINDS)(self.kind)
+        if self.kind == "named-analytic":
+            _one_of("analytic function", tuple(ANALYTIC_FUNCTIONS))(self.name)
 
     def build(self, wiener: WienerSpec) -> CoeffGrid:
         if self.kind == "class-member":
@@ -88,7 +86,7 @@ class ExperimentConfig:
     deltas: tuple[float, ...]
     gamma: float
     test_function: TestFunctionSpec
-    metrics: tuple[MetricSpec, ...]
+    metrics: tuple[MetricSpec, ...] = (MetricSpec("l2w"),)
     trials_per_delta: int = 10
     noise_mode: str = NOISE_UNIFORM
     noise_seed: int = 0
@@ -104,8 +102,7 @@ class ExperimentConfig:
                 raise ValueError("noise levels must lie in (0, 1)")
         if any(a <= b for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
+        _one_of("noise mode", NOISE_MODES)(self.noise_mode)
         if not self.metrics:
             raise ValueError("need at least one metric")
         # two metrics with one label would share that label's rows
@@ -123,7 +120,7 @@ def parse_p(value) -> float:
     return float(value)
 
 
-def _field(section: dict, key: str, convert, where: str = ""):
+def _field(section: dict, key: str, convert, where: str):
     """``convert(section[key])``.
 
     A missing key, or a value ``convert`` rejects with TypeError or
@@ -138,12 +135,16 @@ def _field(section: dict, key: str, convert, where: str = ""):
         raise ValueError(f"configuration field {where + key!r}: {exc}") from None
 
 
-def _optional(section: dict, where: str = "", **converters) -> dict:
-    """Each ``key=convert`` whose key ``section`` holds, read by
-    :func:`_field`.  An absent key is left out, so the dataclass field it
-    fills keeps its default."""
-    return {key: _field(section, key, convert, where)
-            for key, convert in converters.items() if key in section}
+def _section(section: dict, where: str, required: dict, optional: dict) -> dict:
+    """Every field of ``required`` and each one of ``optional`` present, read
+    by :func:`_field`; then any other key of ``section`` is a ValueError."""
+    fields = {key: _field(section, key, convert, where)
+              for key, convert in {**required, **optional}.items()
+              if key in required or key in section}
+    for key in section:
+        if key not in fields:
+            raise ValueError(f"configuration has unknown field {where + key!r}")
+    return fields
 
 
 def _object(value) -> dict:
@@ -176,7 +177,7 @@ def _one_of(what: str, options):
     """Converter for a string among ``options``; ``what`` names it in the
     message, as in "unknown noise mode 'x'"."""
     def parse(value) -> str:
-        if _text(value) not in options:
+        if value not in options:
             raise ValueError(f"unknown {what} {value!r} "
                              f"(expected {', '.join(options)})")
         return value
@@ -193,50 +194,39 @@ def _list_of(convert):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON configuration document.
-
-    Every field is checked as it is read: a missing or malformed one is a
-    ValueError that names it.
-    """
+    """Build an ExperimentConfig from the JSON configuration document, one
+    field table per object: a missing, malformed or unknown field is a
+    ValueError that names it.  A field left out keeps its default."""
     if not isinstance(doc, dict):
         raise ValueError("configuration must be a JSON object")
-    prob = _field(doc, "problem", _object)
-    wiener = WienerSpec(s=_field(prob, "s", _number, "problem."),
-                        mu1=_field(prob, "mu1", _number, "problem."),
-                        mu2=_field(prob, "mu2", _number, "problem."))
-    metrics = (_field(doc, "metrics", _list_of(lambda m: parse_metric(_text(m))))
-               if "metrics" in doc else (parse_metric("l2w"),))
-    problem = ProblemSpec(
-        r=_field(prob, "r", _integer, "problem."),
-        wiener=wiener,
-        noise_p=_field(prob, "p", parse_p, "problem."),
-        metric=metrics[0],
-        **_optional(prob, "problem.", level_constant=_number),
-    )
-    tf = _field(doc, "test_function", _object)
+    top = _section(doc, "", dict(problem=_object, test_function=_object,
+                                 deltas=_list_of(_number), gamma=_number),
+                   dict(metrics=_list_of(lambda m: parse_metric(_text(m))),
+                        noise=_object, trials_per_delta=_integer,
+                        output_path=lambda v: v if v is None else _text(v)))
+    prob = _section(top.pop("problem"), "problem.",
+                    dict(r=_integer, s=_number, mu1=_number, mu2=_number,
+                         p=parse_p), dict(level_constant=_number))
+    problem = ProblemSpec(  # **prob: r, and level_constant if given
+        wiener=WienerSpec(prob.pop("s"), prob.pop("mu1"), prob.pop("mu2")),
+        noise_p=prob.pop("p"), **prob,
+        metric=top.get("metrics", ExperimentConfig.metrics)[0])
+    tf = top.pop("test_function")
     kind = _field(tf, "kind", _one_of("test function kind", TEST_FUNCTION_KINDS),
                   "test_function.")
-    if kind == "class-member":
-        test_function = TestFunctionSpec(kind=kind, **_optional(
-            tf, "test_function.", seed=_integer, max_k=_integer,
-            max_j=_integer, epsilon=_number))
-    else:
-        test_function = _field(
-            tf, "id", lambda v: TestFunctionSpec(kind=kind, name=_text(v)),
-            "test_function.")
-    noise = _field(doc, "noise", _object) if "noise" in doc else {}
-    noise_fields = _optional(noise, "noise.", seed=_integer,
-                             mode=_one_of("noise mode", NOISE_MODES))
+    required, optional = {  # one field table per kind, besides "kind"
+        "class-member": ({}, dict(seed=_integer, max_k=_integer, max_j=_integer,
+                                  epsilon=_number)),
+        "named-analytic": (dict(id=_one_of("analytic function",
+                                           tuple(ANALYTIC_FUNCTIONS))), {}),
+    }[kind]
+    spec = _section(tf, "test_function.", dict(required, kind=_text), optional)
+    test_function = TestFunctionSpec(name=spec.pop("id", None), **spec)
+    noise = _section(top.pop("noise", {}), "noise.", {},
+                     dict(seed=_integer, mode=_one_of("noise mode", NOISE_MODES)))
     return ExperimentConfig(
-        problem=problem,
-        deltas=_field(doc, "deltas", _list_of(_number)),
-        gamma=_field(doc, "gamma", _number),
-        test_function=test_function,
-        metrics=metrics,
-        **_optional(doc, trials_per_delta=_integer,
-                    output_path=lambda v: v if v is None else _text(v)),
-        **{"noise_" + key: value for key, value in noise_fields.items()},
-    )
+        problem=problem, test_function=test_function, **top,
+        **{"noise_" + key: value for key, value in noise.items()})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -56,14 +56,14 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_json(path, error: type[ValueError]):
-    """The JSON document in ``path``.  Bad syntax, a repeated key or a byte
-    that is not UTF-8 raises ``error``, naming the path."""
+    """The JSON document in ``path``.  Bad syntax, a repeated key, a byte
+    not UTF-8 or too deep a nesting raises ``error``, naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except ValueError as exc:  # a repeated key, or a byte that is not UTF-8
+        except (ValueError, RecursionError) as exc:
             raise error(f"{path}: {exc}") from None
 
 

@@ -362,6 +362,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="missing required field"):
             config_from_dict({"deltas": [0.1]})
 
+    def test_readme_example(self):
+        # the documented example holds only fields the parser knows
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Experiment configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = config_from_dict(json.loads(block))
+        assert config.noise_mode == NOISE_TOPWEIGHT
+        assert config.test_function == TestFunctionSpec(
+            kind="class-member", seed=42, max_k=256, max_j=256, epsilon=0.01)
+        assert config.output_path == "results"
+
     def test_deltas_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
             small_config(deltas=(1e-3, 1e-2, 1e-4))
@@ -806,6 +817,82 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.update(trial_per_delta=3), "trial_per_delta"),
+        (lambda doc: doc["problem"].update(level_constnt=5),
+         "problem.level_constnt"),
+        (lambda doc: doc["test_function"].update(sead=3), "test_function.sead"),
+        (lambda doc: doc.update(noise={"mdoe": "single-coefficient"}),
+         "noise.mdoe"),
+        # a field of the other kind of test function
+        (lambda doc: doc.update(test_function={
+            "kind": "named-analytic", "id": "exp-cos", "max_k": 8}),
+         "test_function.max_k"),
+    ], ids=["top", "problem", "test-function", "noise", "other-kind"])
+    def test_experiment_unknown_field(self, tmp_path, capsys, edit, field):
+        doc = small_doc()
+        edit(doc)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: configuration has unknown field '{field}'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        # the top level is read before problem, test_function and noise
+        (small_doc(problem={"r": "x"}, gamma="y", extra=1),
+         "configuration field 'gamma': expected a number, got 'y'"),
+        (small_doc(problem={"r": "x"}, extra=1),
+         "configuration has unknown field 'extra'"),
+        (small_doc(test_function={"kind": "named-analytic", "id": "nope"}),
+         "configuration field 'test_function.id': unknown analytic function "
+         "'nope' (expected exp-cos, exp-cos-pi2)"),
+    ], ids=["top-first", "top-unknown-first", "analytic-id"])
+    def test_experiment_fault_order(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, code", [("differentiate", 2),
+                                               ("experiment", 1)])
+    def test_deeply_nested_json(self, tmp_path, capsys, command, code):
+        # too deep for the decoder: refused like bad syntax, naming the path
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        if command == "differentiate":
+            args = ["differentiate", "--input", str(path), "--r", "1",
+                    "--n", "4", "--gamma", "1.0",
+                    "--output", str(tmp_path / "out.csv")]
+        else:
+            args = ["experiment", "--config", str(path),
+                    "--output", str(tmp_path / "out")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_level_rule_flags_need_delta(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        write_coeff_csv(analyze(lambda t, u: t**2, 4, 0), src)
+        out = tmp_path / "out.csv"
+        assert main(["differentiate", "--input", str(src), "--r", "1",
+                     "--gamma", "1.5", "--output", str(out), "--n", "8",
+                     "--mu1", "3", "--p", "2", "--level-constant", "9"]) == 1
+        assert capsys.readouterr().err == (
+            "error: only --delta takes --mu1, --p, --level-constant\n")
+        assert not out.exists()
+        # under --delta, --s and --level-constant default to 1
+        for extra, n in (([], 7), (["--s", "1", "--level-constant", "2"], 14)):
+            assert main(["differentiate", "--input", str(src), "--r", "1",
+                         "--gamma", "1.5", "--output", str(out),
+                         "--delta", "1e-3", "--mu1", "3", "--mu2", "2",
+                         "--p", "2", *extra]) == 0
+            assert f"n = {n}\n" in capsys.readouterr().out
 
     def test_validate_json(self):
         proc = self.run_cli("validate", "--json")

@@ -76,6 +76,20 @@ gammas = st.one_of(st.sampled_from([1.0, 2.0, 1.5]),
 
 @settings(deadline=None, database=None)
 @given(data=st.data(), r=st.integers(1, 3), gamma=gammas)
+def test_mask_nests_in_n(data, r, gamma):
+    # the cross at level n lies inside the cross at any larger level, on
+    # every box
+    n = data.draw(st.integers(r, 300), label="n")
+    larger = data.draw(st.integers(n, 2 * n + 5), label="larger")
+    rows = data.draw(st.integers(0, 2 * larger + 2), label="rows")
+    cols = data.draw(st.integers(0, 2 * larger + 2), label="cols")
+    inner = build_cross(n, gamma, r).mask(rows, cols)
+    outer = build_cross(larger, gamma, r).mask(rows, cols)
+    assert not (inner & ~outer).any()
+
+
+@settings(deadline=None, database=None)
+@given(data=st.data(), r=st.integers(1, 3), gamma=gammas)
 def test_membership_matches_enumeration_fuzz(data, r, gamma):
     n = data.draw(st.integers(r, 300), label="n")
     cross = build_cross(n, gamma, r)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chebdiff2d import (MetricSpec, ProblemSpec, WienerSpec, cardinality,
                         choose_n, gamma_admissible, gamma_range,
@@ -174,3 +176,16 @@ class TestExpectedCardinality:
         ratios = [cardinality(choose_n(d, spec), 2.0, 1) / choose_n(d, spec)
                   for d in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
         assert max(ratios) / min(ratios) < 4.0
+
+
+@settings(deadline=None, database=None)
+@given(deltas=st.lists(st.floats(1e-12, 0.999), min_size=2, max_size=2),
+       r=st.integers(1, 3), s=st.floats(1.0, 8.0), mu1=st.floats(0.5, 12.0),
+       mu2=st.floats(0.5, 12.0), p=st.sampled_from([1.0, 2.0, 3.5, math.inf]),
+       constant=st.floats(0.01, 100.0))
+def test_choose_n_is_monotone_in_delta(deltas, r, s, mu1, mu2, p, constant):
+    # a smaller noise level never gives a smaller level
+    spec = make_spec(r=r, s=s, mu1=mu1, mu2=mu2, p=p, constant=constant)
+    assume(not validate_spec(spec))
+    small, large = sorted(deltas)
+    assert choose_n(small, spec) >= choose_n(large, spec)
