@@ -14,8 +14,11 @@ reports bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import reprlib
 from dataclasses import asdict, astuple, dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -114,7 +117,7 @@ class ExperimentConfig:
 
 
 def parse_p(value) -> float:
-    """Noise norm index from config/CLI: a number, or the string "inf"."""
+    """Noise norm index from the CLI's ``--p`` text: a number, or "inf"."""
     if value == "inf":
         return math.inf
     return float(value)
@@ -143,7 +146,7 @@ def _section(section: dict, where: str, required: dict, optional: dict) -> dict:
               if key in required or key in section}
     for key in section:
         if key not in fields:
-            raise ValueError(f"configuration has unknown field {where + key!r}")
+            raise ValueError(f"configuration has unknown field {_shown(where + key)}")
     return fields
 
 
@@ -159,9 +162,24 @@ def _text(value) -> str:
     return value
 
 
+def _shown(value) -> str:
+    """A refused value for a message, in a few dozen characters: a string
+    shortened by reprlib, any other value by the name of its type."""
+    return reprlib.repr(value) if isinstance(value, str) else type(value).__name__
+
+
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError(f"expected a number, got {_shown(value)}")
+    return float(value)
+
+
+def _noise_p(value) -> float:
+    """``problem.p``: a JSON number, or exactly the string "inf"."""
+    if value == "inf":
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number or 'inf', got {_shown(value)}")
     return float(value)
 
 
@@ -169,7 +187,7 @@ def _integer(value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"expected an integer, got {_shown(value)}")
     return value
 
 
@@ -178,7 +196,7 @@ def _one_of(what: str, options):
     message, as in "unknown noise mode 'x'"."""
     def parse(value) -> str:
         if value not in options:
-            raise ValueError(f"unknown {what} {value!r} "
+            raise ValueError(f"unknown {what} {_shown(value)} "
                              f"(expected {', '.join(options)})")
         return value
     return parse
@@ -206,7 +224,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                         output_path=lambda v: v if v is None else _text(v)))
     prob = _section(top.pop("problem"), "problem.",
                     dict(r=_integer, s=_number, mu1=_number, mu2=_number,
-                         p=parse_p), dict(level_constant=_number))
+                         p=_noise_p), dict(level_constant=_number))
     problem = ProblemSpec(  # **prob: r, and level_constant if given
         wiener=WienerSpec(prob.pop("s"), prob.pop("mu1"), prob.pop("mu2")),
         noise_p=prob.pop("p"), **prob,
@@ -266,10 +284,62 @@ def fit_rate(points) -> RateFit:
     resid = y - (intercept + slope * x)
     s2 = float(np.sum(resid**2)) / (n - 2)
     se = math.sqrt(s2 / sxx)
-    # imported here: import chebdiff2d, differentiate and validate skip scipy
-    from scipy.special import stdtrit
-    tq = float(stdtrit(n - 2, 0.975))  # Student-t 97.5 % quantile
+    tq = _t_quantile_975(n - 2)
     return RateFit(slope, intercept, slope - tq * se, slope + tq * se)
+
+
+def _atan(x: Decimal) -> Decimal:
+    """arctan(x) for x >= 0 in the current decimal context: halve the
+    angle by ``atan x = 2 atan(x / (1 + sqrt(1 + x^2)))`` until x <= 1/20,
+    then sum the Taylor series."""
+    halvings = 0
+    while x > Decimal("0.05"):
+        x /= 1 + (1 + x * x).sqrt()
+        halvings += 1
+    total, term, k = Decimal(0), x, 1
+    while total + term / k != total:
+        total += term / k
+        term *= -x * x
+        k += 2
+    return total * 2 ** halvings
+
+
+@functools.cache  # every rate fit of a sweep asks for the same nu
+def _t_quantile_975(nu: int) -> float:
+    """The 97.5 % quantile of Student's t with ``nu >= 1`` degrees of
+    freedom, correctly rounded.
+
+    Newton's method solves P(|T| <= t) = 0.95 in 60-digit decimals, with
+    the finite-sum distribution function of integer ``nu`` (Abramowitz and
+    Stegun 26.7.3 for odd ``nu``, 26.7.4 for even) and the density from
+    ``math.lgamma``.  The start, two terms of A&S 26.7.5, lies below the
+    root, where the concave distribution function keeps Newton's steps.
+    """
+    odd = nu % 2
+    log_density = (math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)
+                   - math.log(nu * math.pi) / 2)
+    z = 1.959963984540054  # normal 97.5 % quantile
+    t = z + (z**3 + z) / (4 * nu) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * nu**2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = 4 * _atan(Decimal(1))
+        t, step = Decimal(t), Decimal(1)
+        while abs(step) > t.scaleb(-45):
+            # with theta = atan(t / sqrt(nu)): sin(theta) (1 + cos^2/2 + ...)
+            # for even nu, (2/pi) (theta + sin cos (1 + 2 cos^2/3 + ...)) for odd
+            cos2 = nu / (nu + t * t)
+            term = t / (nu + t * t).sqrt() * (cos2.sqrt() if odd else 1)
+            inside = Decimal(0)
+            for k in range(1 + odd, nu, 2):
+                inside += term
+                term *= cos2 * k / (k + 1)
+            if odd:
+                inside = 2 * (_atan(t / Decimal(nu).sqrt()) + inside) / pi
+            density = math.exp(log_density
+                               - (nu + 1) / 2 * math.log1p(float(t) ** 2 / nu))
+            step = (inside - Decimal("0.95")) / Decimal(2 * density)
+            t -= step
+    return float(t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ CSV:   header line ``k,j,coeff``, one nonzero entry per line, coefficient
        printed with 17 significant digits (lossless round trip).  Readers
        accept fields quoted with ``"`` or padded with white space (spaces,
        tabs and other Unicode white space), and skip blank lines.
-JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``;
-       indices and bounds are JSON integers, values JSON numbers (not
-       strings, ``true`` or ``null``).
+JSON:  ``{"max_k": int, "max_j": int, "entries": [[k, j, value], ...]}``
+       and no other key; indices and bounds are JSON integers, values JSON
+       numbers (not strings, ``true`` or ``null``).
 Omitted index pairs are zero in both formats; a repeated pair, or a JSON
 key given twice in one object, is an error.
 The CSV reader validates whole arrays at once; the JSON reader checks the set of
@@ -75,6 +75,14 @@ def _check_table_size(max_k: int, max_j: int) -> None:
                          f"limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
 
 
+def _is_index(key) -> bool:
+    """Whether a key is an integral number in [0, 2^63), so that int64 holds it."""
+    try:
+        return float(key).is_integer() and 0 <= key < 2 ** 63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
     """Validate entries given as parallel k, j and value vectors and scatter
     them into a dense (max_k + 1) x (max_j + 1) table.
@@ -88,14 +96,20 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
         ``reason`` has a ``{}`` for its (k, j) pair."""
         if bad.size:
             i = int(bad.min())
-            pair = f"({ks[i].item()}, {js[i].item()})"
+            pair = f"({ks[i]}, {js[i]})"
             raise ValueError(f"{where(i)}: {reason.format(pair)}")
 
+    if "O" in (ks.dtype.kind, js.dtype.kind):  # a key numpy keeps as an object
+        refuse(np.flatnonzero([not (_is_index(k) and _is_index(j))
+                               for k, j in zip(ks, js)]), "invalid index pair {}")
+        ks, js = ks.astype(np.int64), js.astype(np.int64)
     if not {ks.dtype.kind, js.dtype.kind} <= set("biuf"):
         raise ValueError("entries must be (k, j, value) with numeric k and j")
     try:
-        values = np.asarray(values, dtype=float)
+        array = np.asarray(values, dtype=float)
     except (OverflowError, TypeError, ValueError):  # a Python object in values
+        array = None
+    if array is None or array.shape != ks.shape:
         for i, value in enumerate(values):
             try:
                 float(value)
@@ -103,9 +117,8 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
                 refuse(np.array([i]), "coefficient at {} is too large for a float")
             except (TypeError, ValueError):
                 refuse(np.array([i]), "coefficient at {} is not a number")
-        raise
-    if values.shape != ks.shape:
-        raise ValueError("entries must be (k, j, value) with numeric k and j")
+        raise ValueError("entries must be (k, j, value) with numeric values")
+    values = array
     valid = (ks >= 0) & (js >= 0)
     if {ks.dtype.kind, js.dtype.kind} & set("uf"):  # keys the int64 cast wraps
         valid &= ((np.floor(ks) == ks) & (ks < 2.0 ** 63)
@@ -381,6 +394,9 @@ def read_coeff_json(path) -> CoeffGrid:
     except (KeyError, TypeError):
         raise CoeffFileError(f"{path}: expected an object with max_k, max_j "
                              f"and entries") from None
+    for key in doc:
+        if key not in ("max_k", "max_j", "entries"):
+            raise CoeffFileError(f"{path}: unknown key {key!r}")
     for name, bound in (("max_k", max_k), ("max_j", max_j)):
         if type(bound) is not int:  # bool is an int subclass, and is refused
             raise CoeffFileError(f"{path}: {name} must be an integer")

@@ -118,9 +118,9 @@ def read_json(data: bytes) -> np.ndarray:
     # `{"max_k": ..., "max_j": ..., "entries": [[k, j, value], ...]}`
     if not isinstance(doc, dict):
         raise Refused()
-    for field in ("max_k", "max_j", "entries"):
-        if field not in doc:
-            raise Refused()
+    # "holds the keys `max_k`, `max_j` and `entries`, and no other key"
+    if sorted(doc) != ["entries", "max_j", "max_k"]:
+        raise Refused()
     max_k, max_j, entries = doc["max_k"], doc["max_j"], doc["entries"]
     # "`max_k`, `max_j` ... are JSON integers ... at least 0"
     for bound in (max_k, max_j):

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         validate_suite, with_metric,
                         write_coeff_csv, write_coeff_json)
 from chebdiff2d.cli import main
+from chebdiff2d.harness import _t_quantile_975
 from helpers import random_grid
 
 # child interpreters import the chebdiff2d this one imported, installed or not
@@ -140,7 +142,7 @@ GOLDEN_REPORT = {
          "cardinality": 36},
     ], "fitted_slope": 0.5058781374641637,
         "intercept": -0.33917394074708396,
-        "slope_ci": [-0.6618162121568922, 1.6735724870852196],
+        "slope_ci": [-0.6618162121568931, 1.6735724870852204],
         "theoretical_slope": 0.2857142857142857},
     "lqw:4": {"metric": "lqw:4", "rows": [
         {"delta": 0.01, "mean_error": 0.056584283265614425,
@@ -154,7 +156,7 @@ GOLDEN_REPORT = {
          "cardinality": 36},
     ], "fitted_slope": 0.5844464355037327,
         "intercept": -0.24168023668803418,
-        "slope_ci": [0.00015972605131853168, 1.1687331449561467],
+        "slope_ci": [0.0001597260513180876, 1.168733144956147],
         "theoretical_slope": 0.35714285714285715},
 }
 GOLDEN_TRIALS = (
@@ -208,39 +210,61 @@ class TestFitRate:
         fit = fit_rate(points)
         assert fit.ci_low <= slope_true <= fit.ci_high
 
-    def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats alone takes most of a second to import
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, chebdiff2d; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=CHILD_ENV)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_scipy_loads_only_to_fit_rates(self, tmp_path):
-        # differentiate and validate run on numpy alone; fit_rate still
-        # imports scipy.special, for the Student-t quantile
+    def test_no_code_path_loads_scipy(self, tmp_path):
+        # the package runs on numpy alone: the import, differentiate,
+        # validate, a rate fit and an experiment load no scipy module
         src = tmp_path / "in.csv"
         write_coeff_csv(analyze(lambda t, u: t**2 * u, 4, 4), src)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG))
         child = """if True:
             import contextlib, io, json, sys
+            def scipy_modules():
+                return [m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy.")]
             import chebdiff2d
             from chebdiff2d import cli
+            loaded = [scipy_modules()]
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [cli.main(["validate", "--json"]),
                          cli.main(["differentiate", "--input", sys.argv[1],
                                    "--r", "1", "--n", "4", "--gamma", "1.0",
                                    "--output", sys.argv[2]])]
-            loaded = [m for m in sys.modules
-                      if m == "scipy" or m.startswith("scipy.")]
-            chebdiff2d.fit_rate([(1e-1, 1.0), (1e-2, 0.2), (1e-3, 0.03)])
-            print(json.dumps([codes, loaded, "scipy.special" in sys.modules]))
+                loaded.append(scipy_modules())
+                chebdiff2d.fit_rate([(1e-1, 1.0), (1e-2, 0.2), (1e-3, 0.03)])
+                codes.append(cli.main(["experiment", "--config", sys.argv[3],
+                                       "--output", sys.argv[4]]))
+            loaded.append(scipy_modules())
+            print(json.dumps([codes, loaded]))
             """
         proc = subprocess.run(
-            [sys.executable, "-c", child, str(src), str(tmp_path / "out.csv")],
+            [sys.executable, "-c", child, str(src), str(tmp_path / "out.csv"),
+             str(config), str(tmp_path / "experiment")],
             capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0, 0], [], True]
+        assert json.loads(proc.stdout) == [[0, 0, 0], [[], [], []]]
+
+    def test_t_quantile_is_correctly_rounded(self):
+        # the root of I_x(nu/2, 1/2) / 2 = 0.025, x = nu / (nu + t^2), that
+        # is P(T > t) = 0.025, in 50-digit mpmath
+        half = mpmath.mpf(1) / 2
+        with mpmath.workdps(50):
+            for nu in [*range(1, 61), 100, 1000]:
+                got = _t_quantile_975(nu)
+                root = mpmath.findroot(
+                    lambda t: mpmath.betainc(nu * half, half, 0,
+                                             nu / (nu + t * t),
+                                             regularized=True) / 2
+                    - mpmath.mpf("0.025"), mpmath.mpf(got))
+                assert got == float(root), nu
+
+    def test_t_quantile_two_degrees_of_freedom(self):
+        # nu = 2: P(|T| <= t) = t / sqrt(2 + t^2) = 0.95 at t^2 = 722/39.
+        # t lies in [4, 8), where the float spacing is 2^-50: m is the
+        # floor of t 2^50, and t rounds up when (m + 1/2)^2 < t^2 2^100.
+        m = math.isqrt(722 * 2**100 // 39)
+        m += (2 * m + 1) ** 2 * 39 < 4 * 722 * 2**100
+        assert _t_quantile_975(2) == math.ldexp(m, -50)
 
 
 class TestRunConvergence:
@@ -804,6 +828,10 @@ class TestCli:
         # json.dumps never repeats a key, so this edit returns the text
         (lambda doc: json.dumps(doc)[:-1] + ', "gamma": 1.2}',
          "config.json: duplicate key 'gamma'"),
+        # p is a JSON number or exactly "inf"
+        *[(lambda doc, p=p: doc["problem"].update(p=p),
+           "configuration field 'problem.p': expected a number or 'inf'")
+          for p in ("2", " 2 ", "Infinity", True)],
     ])
     def test_experiment_malformed_config(self, tmp_path, capsys, edit, field):
         # in process: an exception escaping main() is what prints a traceback
@@ -817,6 +845,19 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, field", [
+        (small_doc(gamma=list(range(100_000))), "'gamma'"),
+        (small_doc(trials_per_delta=json.loads("[" * 900 + "]" * 900)),
+         "'trials_per_delta'"),
+        (small_doc(deltas=[{"x" * 100_000: 1}]), "'deltas'"),
+        (small_doc(noise={"mode": "x" * 100_000}), "'noise.mode'"),
+    ], ids=["long-array", "deep-array", "long-key", "long-string"])
+    def test_config_error_message_is_bounded(self, doc, field):
+        with pytest.raises(ValueError) as info:
+            config_from_dict(doc)
+        message = str(info.value)
+        assert field in message and len(message) < 200, message
 
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc.update(trial_per_delta=3), "trial_per_delta"),

@@ -43,6 +43,12 @@ class TestCoeffGrid:
             CoeffGrid([((0, 0), 1.0), ((1, 0), 2.0), ((0, 0), 0.0)])
         with pytest.raises(ValueError, match="entry 1: invalid index pair"):
             CoeffGrid([((0, 0), 1.0), ((1.5, 0), 2.0)])
+        # alone, the list value makes a 1 x 1 array of values
+        with pytest.raises(ValueError, match=r"^entry 0: coefficient at \(0, 0\) "
+                                             r"is not a number$"):
+            CoeffGrid([((0, 0), [1.0])])
+        with pytest.raises(ValueError, match="^entry 0: invalid index pair"):
+            CoeffGrid([((2 ** 64, 0), 1.0)])
 
     @pytest.mark.parametrize("key, value, bounds, message", [
         ((1.5, 2), 2.0, (), "entry 1: invalid index pair (1.5, 2.0)"),
@@ -61,10 +67,14 @@ class TestCoeffGrid:
         ((1, 2), 10 ** 400, (), "entry 1: coefficient at (1, 2) is too large "
                                 "for a float"),
         ((1, 2), "x", (), "entry 1: coefficient at (1, 2) is not a number"),
+        # numpy keeps a key past uint64 as a Python int in an object array
+        ((2 ** 64, 0), 2.0, (), "entry 1: invalid index pair "
+                                "(18446744073709551616, 0)"),
+        ((1, 2), [2.0], (), "entry 1: coefficient at (1, 2) is not a number"),
     ], ids=["float-key", "nan-key", "inf-key", "negative-key",
             "non-numeric-key", "out-of-bounds", "duplicate", "inf-value",
             "huge-float-key", "int64-overflow-key", "huge-int-value",
-            "string-value"])
+            "string-value", "object-key", "list-value"])
     def test_refusal_message_in_full(self, key, value, bounds, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CoeffGrid([((0, 0), 1.0), (key, value)], *bounds)
@@ -372,8 +382,8 @@ _JSON_FAULT = st.sampled_from([None] * 4 + [
     "index-type", "value-type", "index-past-int64", "value-too-large",
     "non-finite", "negative-index", "out-of-bounds", "repeated-pair",
     "arity", "entry-not-a-list", "entry-of-lists", "bound-type",
-    "negative-bound", "table-too-large", "missing-field", "entries-type",
-    "repeated-key", "syntax", "bad-byte"])
+    "negative-bound", "table-too-large", "missing-field", "unknown-key",
+    "entries-type", "repeated-key", "syntax", "bad-byte"])
 
 
 @st.composite
@@ -422,6 +432,9 @@ def near_valid_json(draw):
     doc = {"max_k": bounds[0], "max_j": bounds[1], "entries": entries}
     if fault == "missing-field":
         del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "unknown-key":
+        doc[draw(st.sampled_from(["entires", "MAX_K", "", "values"]))] = (
+            draw(st.sampled_from([[[0, 0, 1]], 0, None])))
     elif fault == "entries-type":
         doc["entries"] = draw(st.sampled_from([{"0": 1}, 3, None, "[]"]))
     text = json.dumps(doc)
@@ -662,6 +675,8 @@ class TestFileFormats:
         ('{"max_k": 2, "max_j": 0, "entries": [[1, 0]]}', "triples"),
         ('{"max_k": 2, "max_j": 0, "entries": {"0": 1}}', "triples"),
         ('{"max_k": 2, "entries": []}', "expected an object"),
+        ('{"max_k": 0, "max_j": 0, "entries": [], "entires": [[0, 0, 1]]}',
+         "^[^:]*bad.json: unknown key 'entires'$"),
         ('[1, 2]', "expected an object"),
         ('{"max_k": 2,\n "max_j": }', "line 2"),
         ('{"max_k": 1, "max_k": 3, "max_j": 0, "entries": [[3, 0, 1.0]]}',
@@ -688,7 +703,7 @@ class TestFileFormats:
     ], ids=["duplicate-after-zero", "fractional-index", "float-index",
             "bool-index", "fractional-bound", "bool-bound", "negative-index",
             "out-of-bounds", "pair-entry", "entries-object", "missing-field",
-            "not-an-object", "syntax-error", "repeated-key", "string-value",
+            "unknown-key", "not-an-object", "syntax-error", "repeated-key", "string-value",
             "bool-value", "null-value", "list-value", "oversized-index",
             "oversized-negative-index", "oversized-value",
             "least-oversized-value"])
