@@ -210,8 +210,20 @@ class TestFitRate:
         fit = fit_rate(points)
         assert fit.ci_low <= slope_true <= fit.ci_high
 
-    def test_no_code_path_loads_scipy(self, tmp_path):
-        # the package runs on numpy alone: the import, differentiate,
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone takes most of a second to import; the package
+        # imports no scipy module at all
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, chebdiff2d; print(json.dumps("
+             "[m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
+            capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_scipy_loads_only_to_fit_rates(self, tmp_path):
+        # fit_rate was the last user of scipy (scipy.special, for the
+        # Student-t quantile) and now computes it itself: differentiate,
         # validate, a rate fit and an experiment load no scipy module
         src = tmp_path / "in.csv"
         write_coeff_csv(analyze(lambda t, u: t**2 * u, 4, 4), src)
