@@ -44,10 +44,10 @@ def _clamped(t: float) -> float:
 def eval_orthonormal(k: int, t: float) -> float:
     """Evaluate the orthonormal Chebyshev polynomial of degree k at t.
 
-    Raises ValueError for k < 0 or |t| > 1 beyond the clamp tolerance.
+    Raises ValueError unless k is integral and k >= 0, or for |t| > 1 + CLAMP_TOL.
     """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    if not 0 <= k < math.inf or k % 1:
+        raise ValueError("degree k must be a nonnegative integer")
     return peak_value(k) * math.cos(k * math.acos(_clamped(t)))
 
 
@@ -57,8 +57,8 @@ def basis_matrix(max_degree: int, points) -> np.ndarray:
     Covers degrees 0..max_degree.  Points may overshoot the interval by the
     clamp tolerance and are clamped like in :func:`eval_orthonormal`.
     """
-    if max_degree < 0:
-        raise ValueError("degree must be nonnegative")
+    if not 0 <= max_degree < math.inf or max_degree % 1:
+        raise ValueError("max_degree must be a nonnegative integer")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
@@ -78,8 +78,8 @@ def gauss_chebyshev_nodes(n_nodes: int) -> np.ndarray:
     Every weight is pi/N; the rule integrates (1 - t^2)^(-1/2) * P(t)
     exactly for polynomials P of degree up to 2N - 1.
     """
-    if n_nodes < 1:
-        raise ValueError("rule needs at least one node")
+    if not 1 <= n_nodes < math.inf or n_nodes % 1:
+        raise ValueError("n_nodes must be an integer >= 1")
     i = np.arange(1, n_nodes + 1)
     nodes = np.cos((2 * i - 1) * math.pi / (2 * n_nodes))
     nodes.setflags(write=False)

@@ -18,7 +18,7 @@ import sys
 from . import harness
 from .hypercross import build_cross, cardinality
 from .model import WienerSpec
-from .transform import CoeffFileError
+from .transform import CoeffFileError, _shown
 from .tuning import ProblemSpec, choose_n
 
 
@@ -47,10 +47,10 @@ def _resolve_level(args) -> int:
 def _noise_index(text: str) -> float:
     """``--p``: a number or ``inf``; a refusal is a usage error."""
     try:
-        return harness.parse_p(text)
+        return float(text)  # "inf" included
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a number or 'inf', got {text!r}") from None
+            f"expected a number or 'inf', got {_shown(text)}") from None
 
 
 def _cmd_differentiate(args) -> int:

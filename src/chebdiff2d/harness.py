@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import reprlib
 from dataclasses import asdict, astuple, dataclass
 from decimal import Decimal, localcontext
 
@@ -32,11 +31,12 @@ from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
 from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
-from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _load_json, analyze,
-                        grid_synthesize, read_coeff_file, synthesize,
-                        write_coeff_csv, write_csv_table, write_value_table)
-from .tuning import (ProblemSpec, choose_n, gamma_admissible, gamma_range,
-                     theoretical_rate, validate_spec, with_metric)
+from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _load_json, _one_of,
+                        _shown, analyze, grid_synthesize, read_coeff_file,
+                        synthesize, write_coeff_csv, write_csv_table,
+                        write_value_table)
+from .tuning import (ProblemSpec, choose_n, gamma_range, theoretical_rate,
+                     with_metric)
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -116,13 +116,6 @@ class ExperimentConfig:
                                  f"{label!r} is given twice")
 
 
-def parse_p(value) -> float:
-    """Noise norm index from the CLI's ``--p`` text: a number, or "inf"."""
-    if value == "inf":
-        return math.inf
-    return float(value)
-
-
 def _field(section: dict, key: str, convert, where: str):
     """``convert(section[key])``.
 
@@ -162,12 +155,6 @@ def _text(value) -> str:
     return value
 
 
-def _shown(value) -> str:
-    """A refused value for a message, in a few dozen characters: a string
-    shortened by reprlib, any other value by the name of its type."""
-    return reprlib.repr(value) if isinstance(value, str) else type(value).__name__
-
-
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {_shown(value)}")
@@ -189,17 +176,6 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {_shown(value)}")
     return value
-
-
-def _one_of(what: str, options):
-    """Converter for a string among ``options``; ``what`` names it in the
-    message, as in "unknown noise mode 'x'"."""
-    def parse(value) -> str:
-        if value not in options:
-            raise ValueError(f"unknown {what} {_shown(value)} "
-                             f"(expected {', '.join(options)})")
-        return value
-    return parse
 
 
 def _list_of(convert):
@@ -385,15 +361,10 @@ class ExperimentResult:
 
 def _check_config(config: ExperimentConfig) -> None:
     for metric in config.metrics:
-        spec = with_metric(config.problem, metric)
-        violations = validate_spec(spec)
-        if violations:
-            raise ValueError(f"inadmissible spec for metric {metric.label}: "
-                             + "; ".join(violations))
-        if not gamma_admissible(spec, config.gamma):
-            rng = gamma_range(spec)
+        low, high = gamma_range(with_metric(config.problem, metric))
+        if not low <= config.gamma < high:
             raise ValueError(f"gamma={config.gamma} outside admissible range "
-                             f"[{rng[0]}, {rng[1]}) for metric {metric.label}")
+                             f"[{low}, {high}) for metric {metric.label}")
 
 
 def run_convergence(config: ExperimentConfig) -> ExperimentResult:

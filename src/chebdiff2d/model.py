@@ -21,7 +21,7 @@ import numpy as np
 
 from .hypercross import CrossIndexSet
 from .norms import _exact_sum
-from .transform import CoeffGrid, _check_table_size
+from .transform import CoeffGrid, _check_table_size, _one_of
 
 NOISE_UNIFORM = "uniform-random"
 NOISE_TOPWEIGHT = "adversarial-topweight"
@@ -100,8 +100,7 @@ class NoiseSpec:
             raise ValueError("p must be >= 1 (math.inf allowed)")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+        _one_of("noise mode", NOISE_MODES)(self.mode)
 
 
 def lp_norm(values, p: float) -> float:
@@ -143,11 +142,9 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     exactly 1.  The default margin epsilon = 0.01 places the member near
     the unit-ball boundary.  Same seed, same grid, bit for bit.
     """
-    if max_k < 0 or max_j < 0:
-        raise ValueError("degree bounds must be nonnegative")
+    _check_table_size(max_k, max_j)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _check_table_size(max_k, max_j)
     ks, js = np.arange(max_k + 1)[:, None], np.arange(max_j + 1)
     values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
               * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)

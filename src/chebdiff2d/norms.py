@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_matrix, gauss_chebyshev_nodes
-from .transform import MAX_TABLE_ENTRIES, CoeffGrid
+from .transform import MAX_TABLE_ENTRIES, CoeffGrid, _one_of, _shown
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,14 @@ class MetricSpec:
     eval_grid: int = 257
 
     def __post_init__(self):
-        if self.kind not in ("l2w", "lqw", "sup"):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
+        _one_of("metric kind", ("l2w", "lqw", "sup"))(self.kind)
         if self.kind == "lqw":
             if self.q is None or not self.q >= 2:
                 raise ValueError("Lq metric requires q >= 2")
         elif self.q is not None:
             raise ValueError(f"metric {self.kind!r} takes no q parameter")
-        if self.eval_grid < 2:
-            raise ValueError("eval_grid must be at least 2")
+        if not 2 <= self.eval_grid < math.inf or self.eval_grid % 1:
+            raise ValueError("eval_grid must be an integer >= 2")
 
     @property
     def label(self) -> str:
@@ -58,8 +57,12 @@ def parse_metric(text: str) -> MetricSpec:
     if text in ("l2w", "sup"):
         return MetricSpec(text)
     if text.startswith("lqw:"):
-        return MetricSpec("lqw", q=float(text[4:]))
-    raise ValueError(f"unknown metric {text!r} (expected l2w, lqw:<q>, sup)")
+        try:
+            q = float(text[4:])
+        except ValueError:  # float() would echo the whole suffix
+            raise ValueError(f"metric {_shown(text)}: q is not a number") from None
+        return MetricSpec("lqw", q=q)
+    raise ValueError(f"unknown metric {_shown(text)} (expected l2w, lqw:<q>, sup)")
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -131,8 +134,8 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     max_deg = max(coeffs.max_k, coeffs.max_j)
     if quad_n is None:
         quad_n = _lq_nodes(q, max_deg)
-    if quad_n < max_deg + 1:
-        raise ValueError("quad_n must be at least max degree + 1")
+    if not max_deg + 1 <= quad_n < math.inf or quad_n % 1:
+        raise ValueError("quad_n must be an integer >= max degree + 1")
     values = _tensor_values(coeffs, "gauss", quad_n)
     np.abs(values, out=values)
     values **= q
@@ -150,8 +153,8 @@ def _lq_nodes(q: float, max_deg: int) -> int:
 
 def cosine_grid(points_per_dim: int) -> np.ndarray:
     """Endpoint-including evaluation nodes cos(i*pi/(M-1)), i = 0..M-1."""
-    if points_per_dim < 2:
-        raise ValueError("need at least 2 points per dimension")
+    if not 2 <= points_per_dim < math.inf or points_per_dim % 1:
+        raise ValueError("points_per_dim must be an integer of at least 2 points")
     return np.cos(np.arange(points_per_dim) * math.pi / (points_per_dim - 1))
 
 

@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import operator
+import reprlib
 
 import numpy as np
 
@@ -44,13 +45,37 @@ class CoeffFileError(ValueError):
     """Malformed coefficient file; the message names the line or entry."""
 
 
+def _shown(value) -> str:
+    """A refused value for a message, in a few dozen characters: a string
+    shortened by reprlib to about 30 characters and an integer to 40, a
+    float as Python writes it, any other value by the name of its type."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+    elif not isinstance(value, str):
+        return type(value).__name__
+    return reprlib.repr(value)
+
+
+def _one_of(what: str, options):
+    """Converter for a string among ``options``; ``what`` names it in the
+    message, as in "unknown noise mode 'x'"."""
+    def parse(value) -> str:
+        if value not in options:
+            raise ValueError(f"unknown {what} {_shown(value)} "
+                             f"(expected {', '.join(options)})")
+        return value
+    return parse
+
+
 def _unique_keys(pairs) -> dict:
     """``object_pairs_hook`` for :func:`json.load`: an object that gives a
     key twice is a ValueError naming the key."""
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_shown(key)}")
         doc[key] = value
     return doc
 
@@ -68,11 +93,13 @@ def _load_json(path, error: type[ValueError]):
 
 
 def _check_table_size(max_k: int, max_j: int) -> None:
-    """Refuse a (max_k + 1) x (max_j + 1) table above MAX_TABLE_ENTRIES."""
+    """Refuse bounds not integral and >= 0, or a table above MAX_TABLE_ENTRIES."""
+    if not all(0 <= bound < math.inf and bound % 1 == 0 for bound in (max_k, max_j)):
+        raise ValueError("degree bounds max_k and max_j must be nonnegative integers")
     rows, cols = int(max_k) + 1, int(max_j) + 1
     if rows * cols > MAX_TABLE_ENTRIES:
-        raise ValueError(f"a {rows} x {cols} coefficient table exceeds the "
-                         f"limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+        raise ValueError(f"a {_shown(rows)} x {_shown(cols)} coefficient table "
+                         f"exceeds the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
 
 
 def _is_index(key) -> bool:
@@ -80,6 +107,14 @@ def _is_index(key) -> bool:
     try:
         return float(key).is_integer() and 0 <= key < 2 ** 63
     except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _is_pair(key) -> bool:
+    """Whether numpy reads a key as a vector of two scalars."""
+    try:
+        return np.shape(key) == (2,)
+    except ValueError:  # a ragged sequence
         return False
 
 
@@ -96,7 +131,7 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
         ``reason`` has a ``{}`` for its (k, j) pair."""
         if bad.size:
             i = int(bad.min())
-            pair = f"({ks[i]}, {js[i]})"
+            pair = f"({_shown(ks[i])}, {_shown(js[i])})"
             raise ValueError(f"{where(i)}: {reason.format(pair)}")
 
     if "O" in (ks.dtype.kind, js.dtype.kind):  # a key numpy keeps as an object
@@ -128,11 +163,9 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
     refuse(np.flatnonzero(~np.isfinite(values)), "non-finite coefficient at {}")
     max_k = int(ks.max(initial=0)) if max_k is None else max_k
     max_j = int(js.max(initial=0)) if max_j is None else max_j
-    if max_k < 0 or max_j < 0:
-        raise ValueError("degree bounds must be nonnegative")
+    _check_table_size(max_k, max_j)
     refuse(np.flatnonzero((ks > max_k) | (js > max_j)),
            f"entry {{}} outside declared bounds ({max_k}, {max_j})")
-    _check_table_size(max_k, max_j)
     dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
     cells = np.ravel_multi_index((ks, js), dense.shape)
     # a stable sort keeps equal cells in entry order, so every entry after
@@ -157,7 +190,11 @@ class CoeffGrid:
         """
         pairs = list(entries.items() if isinstance(entries, dict) else entries)
         keys, values = zip(*pairs) if pairs else ((), ())
-        keys = np.array(keys).reshape(len(pairs), 2)
+        try:
+            keys = np.array(keys).reshape(len(pairs), 2)
+        except ValueError:  # numpy's message names no entry
+            i = next(i for i, key in enumerate(keys) if not _is_pair(key))
+            raise ValueError(f"entry {i}: the key is not a (k, j) pair") from None
         dense = _entry_table(keys[:, 0], keys[:, 1], values, max_k, max_j,
                              "entry {}".format)
         dense.setflags(write=False)
@@ -196,10 +233,10 @@ class CoeffGrid:
 
     def get(self, k: int, j: int) -> float:
         """Coefficient at (k, j); indices outside the stored set are zero."""
-        if k < 0 or j < 0:
-            raise ValueError("indices must be nonnegative")
+        if not (0 <= k < math.inf and 0 <= j < math.inf) or k % 1 or j % 1:
+            raise ValueError("indices k and j must be nonnegative integers")
         if k <= self.max_k and j <= self.max_j:
-            return float(self._dense[k, j])
+            return float(self._dense[int(k), int(j)])
         return 0.0
 
     def items(self):
@@ -259,8 +296,7 @@ def analyze(f, max_k: int, max_j: int) -> CoeffGrid:
     computed coefficients exact (to roundoff) whenever f is a polynomial of
     coordinate degrees at most ``3 * max(max_k, max_j) + 1``.
     """
-    if max_k < 0 or max_j < 0:
-        raise ValueError("degree bounds must be nonnegative")
+    _check_table_size(max_k, max_j)
     ts = gauss_chebyshev_nodes(2 * max(max_k, max_j) + 1)
     samples = np.array([[float(f(t, u)) for u in ts] for t in ts])
     bk = basis_matrix(max_k, ts)
@@ -396,7 +432,7 @@ def read_coeff_json(path) -> CoeffGrid:
                              f"and entries") from None
     for key in doc:
         if key not in ("max_k", "max_j", "entries"):
-            raise CoeffFileError(f"{path}: unknown key {key!r}")
+            raise CoeffFileError(f"{path}: unknown key {_shown(key)}")
     for name, bound in (("max_k", max_k), ("max_j", max_j)):
         if type(bound) is not int:  # bool is an int subclass, and is refused
             raise CoeffFileError(f"{path}: {name} must be an integer")
@@ -414,18 +450,10 @@ def read_coeff_json(path) -> CoeffGrid:
         raise CoeffFileError(f"{path}: entries[{bad}]: k and j must be "
                              f"integers and the value a number")
     try:
-        ks = np.fromiter(map(column[0], entries), np.int64, len(entries))
-        js = np.fromiter(map(column[1], entries), np.int64, len(entries))
-    except OverflowError:  # an index outside int64 is never in bounds
-        int64 = range(-2 ** 63, 2 ** 63)
-        bad = next(i for i, (k, j, _) in enumerate(entries)
-                   if k not in int64 or j not in int64)
-        raise CoeffFileError(f"{path}: entries[{bad}]: invalid index pair "
-                             f"({entries[bad][0]}, {entries[bad][1]})") from None
-    try:
-        values = np.fromiter(map(column[2], entries), float, len(entries))
-    except OverflowError:  # _entry_table names the integer float() overflows
-        values = list(map(column[2], entries))
+        ks, js, values = (np.fromiter(map(c, entries), dtype, len(entries))
+                          for c, dtype in zip(column, (np.int64, np.int64, float)))
+    except OverflowError:  # _entry_table names the entry int64 or float cannot hold
+        ks, js, values = (np.array(list(map(c, entries)), dtype=object) for c in column)
     try:
         return CoeffGrid._wrap(_entry_table(ks, js, values, max_k, max_j,
                                             "entries[{}]".format))

@@ -80,9 +80,9 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
 
 
 def _require_valid(spec: ProblemSpec) -> None:
-    violations = validate_spec(spec)
-    if violations:
-        raise ValueError("inadmissible problem spec: " + "; ".join(violations))
+    if violations := validate_spec(spec):
+        raise ValueError(f"inadmissible spec for metric {spec.metric.label}: "
+                         + "; ".join(violations))
 
 
 def choose_n(delta: float, spec: ProblemSpec) -> int:

@@ -1,6 +1,7 @@
 """Random command lines and configuration documents, run through the CLI in
 process: each returns or exits with 0, 1 or 2, and no other exception (nor,
-with warnings as errors, any warning) escapes ``main``.
+with warnings as errors, any warning) escapes ``main``.  Standard error
+stays short, even where a drawn value is a string of 10 000 characters.
 
 The inputs are tiny and the number pools small, so that no drawn command
 allocates or runs for long.
@@ -20,6 +21,7 @@ from chebdiff2d import analyze, write_coeff_csv, write_coeff_json
 from chebdiff2d.cli import main
 
 DEEP = "[" * 100000 + "]" * 100000  # too deep for the JSON decoder
+LONG = "x" * 10_000  # a refused value that a message must not quote whole
 
 CONFIG = {
     "problem": {"r": 1, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2},
@@ -89,6 +91,8 @@ def values(flag):
     """A value of the kind ``flag`` takes (None: no value), or any value."""
     if flag in ("--count", "--json"):
         fitting = (None,)
+    elif flag == "--p":  # argparse itself quotes a refused int or float whole
+        fitting = NUMBERS + (LONG,)
     else:
         fitting = PATHS if flag in ("--input", "--config", "--output") else NUMBERS
     return st.sampled_from(fitting) | st.sampled_from((None,) + PATHS + NUMBERS)
@@ -121,18 +125,18 @@ def command_lines(draw):
 def test_command_lines_exit_cleanly(workdir, argv):
     code, err = run(workdir, argv)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 500
 
 
 KEYS = ("problem", "test_function", "noise", "deltas", "gamma", "metrics",
         "trials_per_delta", "output_path", "r", "s", "mu1", "mu2", "p",
         "level_constant", "kind", "seed", "max_k", "max_j", "epsilon", "id",
-        "mode", "sead", "")
+        "mode", "sead", "", LONG)
 SCALARS = st.sampled_from([
     None, True, False, -1, 0, 1, 2, 3, 7, 40, 0.5, 1.5, 1e-3, 1e-300, 1e308,
     10**400, math.inf, -math.inf, math.nan, "", "x", "inf", "l2w", "sup",
     "lqw:4", "lqw:x", "uniform-random", "single-coefficient", "class-member",
-    "named-analytic", "exp-cos", "<deep>"])
+    "named-analytic", "exp-cos", "<deep>", LONG, "lqw:" + LONG])
 JSON_VALUES = st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3), max_leaves=6)
@@ -164,4 +168,4 @@ def test_configuration_documents_exit_cleanly(workdir, text):
     code, err = run(workdir, ["experiment", "--config", "config.json",
                               "--output", "out"], config=text)
     assert code in (0, 1)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 500

@@ -290,6 +290,15 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             parse_metric("linf")
 
+    @pytest.mark.parametrize("text, message", [
+        ("lqw:1", r"Lq metric requires q >= 2"),
+        ("lqw:abc", r"metric 'lqw:abc': q is not a number"),
+        ("linf", r"unknown metric 'linf' \(expected l2w, lqw:<q>, sup\)"),
+    ], ids=["small-q", "non-numeric-q", "unknown"])
+    def test_parse_refusal(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_metric(text)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MetricSpec("lqw")  # missing q

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -8,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdiff2d import (CoeffFileError, CoeffGrid, NoiseSpec, WienerSpec,
-                        analyze, build_cross, cosine_grid, differentiate_coeffs,
-                        eval_orthonormal, grid_synthesize, l2_omega_norm,
-                        lq_omega_norm, make_class_member, perturb,
-                        read_coeff_csv, read_coeff_file, read_coeff_json,
-                        run_single, synthesize, write_coeff_csv,
-                        write_coeff_json)
+from chebdiff2d import (CoeffFileError, CoeffGrid, MetricSpec, NoiseSpec,
+                        WienerSpec, analyze, basis_matrix, build_cross,
+                        cosine_grid, differentiate_coeffs, eval_orthonormal,
+                        gauss_chebyshev_nodes, grid_synthesize, l2_omega_norm,
+                        load_config, lq_omega_norm, make_class_member,
+                        parse_metric, perturb, read_coeff_csv, read_coeff_file,
+                        read_coeff_json, run_single, synthesize,
+                        write_coeff_csv, write_coeff_json)
+from chebdiff2d.cli import main
 from chebdiff2d.transform import write_csv_table, write_value_table
 import reference
 from helpers import random_grid
@@ -71,13 +75,24 @@ class TestCoeffGrid:
         ((2 ** 64, 0), 2.0, (), "entry 1: invalid index pair "
                                 "(18446744073709551616, 0)"),
         ((1, 2), [2.0], (), "entry 1: coefficient at (1, 2) is not a number"),
+        ((1, 2, 3), 2.0, (), "entry 1: the key is not a (k, j) pair"),
+        (5, 2.0, (), "entry 1: the key is not a (k, j) pair"),
+        ((1, (2, 3)), 2.0, (), "entry 1: the key is not a (k, j) pair"),
     ], ids=["float-key", "nan-key", "inf-key", "negative-key",
             "non-numeric-key", "out-of-bounds", "duplicate", "inf-value",
             "huge-float-key", "int64-overflow-key", "huge-int-value",
-            "string-value", "object-key", "list-value"])
+            "string-value", "object-key", "list-value", "triple-key",
+            "scalar-key", "nested-key"])
     def test_refusal_message_in_full(self, key, value, bounds, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CoeffGrid([((0, 0), 1.0), (key, value)], *bounds)
+
+    @pytest.mark.parametrize("key", [(1, 2, 3), 5], ids=["triple", "scalar"])
+    def test_only_key_not_a_pair(self, key):
+        # every key alike, so numpy builds an array and fails to reshape it
+        with pytest.raises(ValueError,
+                           match=r"^entry 0: the key is not a \(k, j\) pair$"):
+            CoeffGrid([(key, 1.0)])
 
     def test_duplicate_error_names_first_repeat(self, rng):
         for _ in range(5):
@@ -700,13 +715,16 @@ class TestFileFormats:
         ('{"max_k": 2, "max_j": 2, "entries": [[2, 0, -%d]]}'
          % (2**1024 - 2**970),
          r"entries\[0\]: coefficient at \(2, 0\) is too large for a float$"),
+        # the first offending entry, although a later index overflows int64
+        ('{"max_k": 2, "max_j": 2, "entries": [[-1, 0, 1.0], [%d, 0, 1.0]]}'
+         % 2**64, r"entries\[0\]: invalid index pair \(-1, 0\)$"),
     ], ids=["duplicate-after-zero", "fractional-index", "float-index",
             "bool-index", "fractional-bound", "bool-bound", "negative-index",
             "out-of-bounds", "pair-entry", "entries-object", "missing-field",
             "unknown-key", "not-an-object", "syntax-error", "repeated-key", "string-value",
             "bool-value", "null-value", "list-value", "oversized-index",
             "oversized-negative-index", "oversized-value",
-            "least-oversized-value"])
+            "least-oversized-value", "negative-before-oversized-index"])
     def test_json_reader_rejects(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(doc)
@@ -723,3 +741,85 @@ class TestFileFormats:
         path.write_text('{"max_k": 0, "max_j": 0, "entries": [[0, 0, %d]]}'
                         % (2**1024 - 2**970 - 1))
         assert read_coeff_json(path) == CoeffGrid({(0, 0): np.finfo(float).max})
+
+
+LONG = "x" * 100_000
+HUGE = 10 ** 400
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+def _differentiate_p(tmp_path, p):
+    """Run ``differentiate`` with ``--p p``, and raise the last line of its
+    standard error, the usage error, as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        main(["differentiate", "--input", str(tmp_path / "in.csv"), "--r", "1",
+              "--gamma", "1.5", "--delta", "1e-3", "--mu1", "3", "--mu2", "2",
+              "--p", p, "--output", str(tmp_path / "out.csv")])
+    raise ValueError(err.getvalue().splitlines()[-1])
+
+
+@pytest.mark.parametrize("refuse, named", [
+    (lambda tmp: read_coeff_json(_written(tmp / "in.json", json.dumps(
+        {"max_k": 0, "max_j": 0, "entries": [], LONG: 1}))), ": unknown key 'xxx"),
+    (lambda tmp: read_coeff_json(_written(tmp / "in.json", '{"%s": 1, "%s": 2}'
+                                          % (LONG, LONG))), ": duplicate key 'xxx"),
+    (lambda tmp: load_config(_written(tmp / "config.json", '{"%s": 1, "%s": 2}'
+                                      % (LONG, LONG))), ": duplicate key 'xxx"),
+    (lambda tmp: parse_metric(LONG), "unknown metric 'xxx"),
+    (lambda tmp: parse_metric("lqw:" + LONG), "metric 'lqw:xxx"),
+    (lambda tmp: NoiseSpec(p=2.0, delta=0.1, mode=LONG), "unknown noise mode 'xxx"),
+    (lambda tmp: MetricSpec(kind=LONG), "unknown metric kind 'xxx"),
+    (lambda tmp: _differentiate_p(tmp, LONG),
+     "argument --p: expected a number or 'inf', got 'xxx"),
+    (lambda tmp: CoeffGrid([((HUGE, 0), 1.0)]),
+     "entry 0: invalid index pair (1000"),
+    (lambda tmp: read_coeff_json(_written(tmp / "in.json",
+        '{"max_k": 2, "max_j": 2, "entries": [[0, %d, 1.0]]}' % HUGE)),
+     ": entries[0]: invalid index pair (0, 1000"),
+    (lambda tmp: read_coeff_json(_written(tmp / "in.json",
+        '{"max_k": %d, "max_j": 2, "entries": []}' % HUGE)),
+     ": a 1000"),
+], ids=["json-unknown-key", "json-duplicate-key", "config-duplicate-key",
+        "metric-name", "lqw-suffix", "noise-mode", "metric-kind", "cli-p",
+        "grid-index", "json-index", "json-max-k"])
+def test_refused_value_is_shown_shortened(tmp_path, refuse, named):
+    with pytest.raises(ValueError) as info:
+        refuse(tmp_path)
+    message = str(info.value)
+    assert named in message and len(message) < 200, message
+
+
+#: A call per function that takes a size, and the argument its refusal names.
+SIZED = {
+    "cosine_grid": (cosine_grid, "points_per_dim"),
+    "gauss_chebyshev_nodes": (gauss_chebyshev_nodes, "n_nodes"),
+    "basis_matrix": (lambda m: basis_matrix(m, [0.3]), "max_degree"),
+    "eval_orthonormal": (lambda m: eval_orthonormal(m, 0.3), "degree k"),
+    "analyze": (lambda m: analyze(lambda t, u: t * u, m, 2), "max_k"),
+    "make_class_member": (lambda m: make_class_member(
+        WienerSpec(s=1.0, mu1=3.0, mu2=2.0), m, 2, 0), "max_k"),
+    "CoeffGrid": (lambda m: CoeffGrid([], m, 0), "max_k"),
+    "CoeffGrid.get": (lambda m: CoeffGrid.from_dense(np.eye(4)).get(m, m),
+                      "k and j"),
+    "MetricSpec": (lambda m: MetricSpec("sup", eval_grid=m), "eval_grid"),
+    "lq_omega_norm": (lambda m: lq_omega_norm(CoeffGrid.from_dense(np.eye(3)),
+                                              4.0, m), "quad_n"),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_size_must_be_integral(name):
+    call, argument = SIZED[name]
+    exact, integral = call(3), call(3.0)
+    if isinstance(exact, CoeffGrid):
+        assert integral == exact
+    else:
+        assert np.array_equal(integral, exact)
+    for size in (3.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=argument):
+            call(size)
