@@ -28,34 +28,11 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def peak_value(k: int) -> float:
-    """Maximum of |T_k| over [-1, 1], attained at t = 1."""
-    return _INV_SQRT_PI if k == 0 else _SQRT_2_OVER_PI
-
-
-def _clamped(t: float) -> float:
-    if -1.0 <= t <= 1.0:
-        return t
-    if abs(t) <= 1.0 + CLAMP_TOL:
-        return 1.0 if t > 0 else -1.0
-    raise ValueError(f"point {t!r} lies outside [-1, 1]")
-
-
-def eval_orthonormal(k: int, t: float) -> float:
-    """Evaluate the orthonormal Chebyshev polynomial of degree k at t.
-
-    Raises ValueError unless k is integral and k >= 0, or for |t| > 1 + CLAMP_TOL.
-    """
-    if not 0 <= k < math.inf or k % 1:
-        raise ValueError("degree k must be a nonnegative integer")
-    return peak_value(k) * math.cos(k * math.acos(_clamped(t)))
-
-
 def basis_matrix(max_degree: int, points) -> np.ndarray:
     """Matrix of basis values with entry (i, k) = T_k(points[i]).
 
     Covers degrees 0..max_degree.  Points may overshoot the interval by the
-    clamp tolerance and are clamped like in :func:`eval_orthonormal`.
+    clamp tolerance and are clamped.
     """
     if not 0 <= max_degree < math.inf or max_degree % 1:
         raise ValueError("max_degree must be a nonnegative integer")

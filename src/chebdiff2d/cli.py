@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 from . import harness
@@ -44,13 +45,16 @@ def _resolve_level(args) -> int:
     return n
 
 
-def _noise_index(text: str) -> float:
-    """``--p``: a number or ``inf``; a refusal is a usage error."""
-    try:
-        return float(text)  # "inf" included
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or 'inf', got {_shown(text)}") from None
+def _short(message: str) -> str:
+    """``message`` with each quoted span or word of over 100 characters cut
+    by ``_shown``: argparse and OSError quote a command-line value whole."""
+    return re.sub(r"""'[^']{99,}'|"[^"]{99,}"|\S{101,}""",
+                  lambda match: _shown(match[0].strip("'\"")), message)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        super().error(_short(message))
 
 
 def _cmd_differentiate(args) -> int:
@@ -118,7 +122,7 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebdiff2d",
         description="Stable differentiation of noisy bivariate data through "
                     "truncated Chebyshev expansions on hyperbolic crosses.")
@@ -142,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first smoothness parameter for --delta")
     p.add_argument("--mu2", type=float, default=None,
                    help="second smoothness parameter for --delta")
-    p.add_argument("--p", type=_noise_index, default=None,
+    p.add_argument("--p", type=float, default=None,
                    help="noise norm index for --delta (number or 'inf')")
     p.add_argument("--level-constant", type=float, default=None,
                    help="multiplier in the level rule for --delta (default 1)")
@@ -173,12 +177,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CoeffFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {_short(str(exc))}", file=sys.stderr)
+        return 2 if isinstance(exc, (CoeffFileError, OSError)) else 1
 
 
 if __name__ == "__main__":

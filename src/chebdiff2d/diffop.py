@@ -45,7 +45,7 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     perturbs it to demonstrate oracle sensitivity); production code uses
     the default.
     """
-    if int(r) != r or r < 1:
+    if not 1 <= r < math.inf or r % 1:
         raise ValueError("derivative order r must be an integer >= 1")
     values = coeffs._dense  # only read: each step writes a fresh table
     rows, cols = values.shape

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .basis import (basis_matrix, eval_orthonormal, gauss_chebyshev_nodes,
-                    peak_value)
+from .basis import basis_matrix, gauss_chebyshev_nodes
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
@@ -35,8 +34,7 @@ from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _load_json, _one_of,
                         _shown, analyze, grid_synthesize, read_coeff_file,
                         synthesize, write_coeff_csv, write_csv_table,
                         write_value_table)
-from .tuning import (ProblemSpec, choose_n, gamma_range, theoretical_rate,
-                     with_metric)
+from .tuning import ProblemSpec, choose_n, gamma_range, theoretical_rate
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -83,6 +81,11 @@ class TestFunctionSpec:
 # ---------------------------------------------------------------------------
 # configuration
 
+#: Most trial records (deltas x trials x metrics) a sweep keeps: about
+#: 0.5 GB at 0.5 KB a record.
+MAX_TRIAL_RECORDS = 2 ** 20
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec
@@ -114,6 +117,10 @@ class ExperimentConfig:
             if label in labels[:i]:
                 raise ValueError(f"configuration field 'metrics': metric "
                                  f"{label!r} is given twice")
+        records = len(self.deltas) * self.trials_per_delta * len(labels)
+        if records > MAX_TRIAL_RECORDS:
+            raise ValueError(f"deltas x trials_per_delta x metrics = {_shown(records)} "
+                             f"exceeds MAX_TRIAL_RECORDS = {MAX_TRIAL_RECORDS}")
 
 
 def _field(section: dict, key: str, convert, where: str):
@@ -361,7 +368,7 @@ class ExperimentResult:
 
 def _check_config(config: ExperimentConfig) -> None:
     for metric in config.metrics:
-        low, high = gamma_range(with_metric(config.problem, metric))
+        low, high = gamma_range(replace(config.problem, metric=metric))
         if not low <= config.gamma < high:
             raise ValueError(f"gamma={config.gamma} outside admissible range "
                              f"[{low}, {high}) for metric {metric.label}")
@@ -413,7 +420,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
             fitted_slope=fit.slope,
             intercept=fit.intercept,
             slope_ci=(fit.ci_low, fit.ci_high),
-            theoretical_slope=theoretical_rate(with_metric(problem, metric)),
+            theoretical_slope=theoretical_rate(replace(problem, metric=metric)),
         )
     return ExperimentResult(reports=reports, trials=tuple(trials))
 
@@ -487,7 +494,7 @@ def recurrence_partial_t(coeffs: CoeffGrid, r: int, ts, taus) -> np.ndarray:
     recurrence in float64, and one einsum (no BLAS call) contracts them
     with the coefficient table.
     """
-    if int(r) != r or r < 0:
+    if not 0 <= r < math.inf or r % 1:
         raise ValueError("derivative order r must be an integer >= 0")
     return np.einsum("pk,kj,pj->p", _recurrence_table(int(r), ts, coeffs.max_k),
                      coeffs._dense, _recurrence_table(0, taus, coeffs.max_j))
@@ -576,11 +583,9 @@ def _check_quadrature() -> CheckResult:
 
 def _check_peak_bound() -> CheckResult:
     rng = np.random.default_rng(11)
-    worst = -math.inf
-    for _ in range(10_000):
-        k = int(rng.integers(0, 60))
-        t = float(rng.uniform(-1, 1))
-        worst = max(worst, abs(eval_orthonormal(k, t)) - peak_value(k))
+    ks, ts = rng.integers(0, 60, 10_000), rng.uniform(-1, 1, 10_000)
+    values = basis_matrix(59, ts)[np.arange(10_000), ks]
+    worst = float(np.max(np.abs(values) - basis_matrix(59, [1.0])[0, ks]))
     return CheckResult("basis-peak-bound", worst <= 1e-14, worst,
                        "max(|T_k(t)| - T_k(1)) over 10^4 samples")
 
@@ -705,7 +710,7 @@ def _check_lq_bound_constant() -> CheckResult:
 def _check_rate_formulas() -> CheckResult:
     wiener = WienerSpec(s=1.0, mu1=3.0, mu2=2.0)
     l2 = ProblemSpec(r=1, wiener=wiener, noise_p=2.0, metric=MetricSpec("l2w"))
-    lq2 = with_metric(l2, MetricSpec("lqw", q=2.0))
+    lq2 = replace(l2, metric=MetricSpec("lqw", q=2.0))
     same_rate = math.isclose(theoretical_rate(l2), theoretical_rate(lq2))
     same_gamma = math.isclose(gamma_range(l2)[1], gamma_range(lq2)[1])
     member = make_class_member(wiener, 32, 32, seed=5)

@@ -39,16 +39,16 @@ def _column_bounds(n: int, gamma: float, r: int) -> np.ndarray:
 class CrossIndexSet:
     """Enumerable hyperbolic cross with parameters (n, gamma, r).
 
-    Immutable after construction; iteration and membership tests are
-    read-only and safe to use concurrently.
+    Immutable after construction; iteration and :meth:`mask` are read-only
+    and safe to use concurrently.
     """
 
     __slots__ = ("n", "gamma", "r", "_columns")
 
     def __init__(self, n: int, gamma: float, r: int):
-        if int(r) != r or r < 1:
+        if not 1 <= r < math.inf or r % 1:
             raise ValueError("derivative order r must be an integer >= 1")
-        if int(n) != n or n < r:
+        if not r <= n < math.inf or n % 1:
             raise ValueError(f"level n must be an integer >= r (got n={n}, r={r})")
         if n > MAX_LEVEL:
             raise ValueError(f"level n={n} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
@@ -59,12 +59,6 @@ class CrossIndexSet:
         self.r = int(r)
         self._columns = _column_bounds(self.n, self.gamma, self.r)
         self._columns.flags.writeable = False
-
-    def j_max(self, k: int) -> int:
-        """Largest admitted j for column k (j = 0 is always admitted)."""
-        if not self.r <= k <= self.n:
-            raise ValueError(f"k={k} outside [{self.r}, {self.n}]")
-        return int(self._columns[k - self.r])
 
     @property
     def j_bound(self) -> int:
@@ -78,13 +72,6 @@ class CrossIndexSet:
         tops = self._columns[: max(rows - self.r, 0)]
         table[self.r: self.r + len(tops)] = np.arange(cols) <= tops[:, None]
         return table
-
-    def __contains__(self, index) -> bool:
-        k, j = index
-        if k != int(k) or j != int(j):
-            return False
-        k, j = int(k), int(j)
-        return self.r <= k <= self.n and 0 <= j <= self._columns[k - self.r]
 
     def __iter__(self):
         for k, top in enumerate(self._columns.tolist(), start=self.r):

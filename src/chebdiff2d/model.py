@@ -51,13 +51,13 @@ def _keyed_hash(seed: int, ks, js) -> np.ndarray:
     return _mix64(_mix64(_mix64(ks * _GOLD) ^ s) ^ js * _MIX2)
 
 
-def keyed_signs(seed: int, ks, js) -> np.ndarray:
+def _keyed_signs(seed: int, ks, js) -> np.ndarray:
     """Deterministic +-1 array keyed by (seed, k, j)."""
     h = _keyed_hash(seed, ks, js)
     return np.where((h & _U64(1)).astype(bool), 1.0, -1.0)
 
 
-def keyed_uniform(seed: int, ks, js) -> np.ndarray:
+def _keyed_uniform(seed: int, ks, js) -> np.ndarray:
     """Deterministic uniforms in [0, 1) keyed by (seed, k, j)."""
     h = _keyed_hash(seed, ks, js)
     return (h >> _U64(11)).astype(np.float64) * 2.0 ** -53
@@ -148,7 +148,7 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     ks, js = np.arange(max_k + 1)[:, None], np.arange(max_j + 1)
     values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
               * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)
-              * keyed_signs(seed, ks, js))
+              * _keyed_signs(seed, ks, js))
     values /= _class_norm(values, spec)
     return CoeffGrid._wrap(values)
 
@@ -177,7 +177,7 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
             raise ValueError(f"adversarial-topweight noise underflows for "
                              f"r = {support.r}, n = {support.n}")
     else:
-        raw = 2.0 * keyed_uniform(noise.seed, ks, js) - 1.0
+        raw = 2.0 * _keyed_uniform(noise.seed, ks, js) - 1.0
         if not np.any(raw):
             raw[0] = 1.0
     table = np.zeros((max_k + 1, max_j + 1))

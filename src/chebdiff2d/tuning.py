@@ -10,7 +10,7 @@ the cross shape parameter gamma depend on the output metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .hypercross import MAX_LEVEL
 from .model import WienerSpec
@@ -33,7 +33,7 @@ class ProblemSpec:
     level_constant: float = 1.0
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 1:
+        if not 1 <= self.r < math.inf or self.r % 1:
             raise ValueError("derivative order r must be an integer >= 1")
         if not self.noise_p >= 1:
             raise ValueError("noise_p must be >= 1 (math.inf allowed)")
@@ -113,11 +113,6 @@ def gamma_range(spec: ProblemSpec) -> tuple[float, float]:
     return (1.0, (spec.wiener.mu2 + a) / (spec.wiener.mu1 - 2 * spec.r + a))
 
 
-def gamma_admissible(spec: ProblemSpec, gamma: float) -> bool:
-    low, high = gamma_range(spec)
-    return low <= gamma < high
-
-
 def theoretical_rate(spec: ProblemSpec) -> float:
     """Predicted exponent of delta in the accuracy bound for this metric."""
     _require_valid(spec)
@@ -125,7 +120,3 @@ def theoretical_rate(spec: ProblemSpec) -> float:
     inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
     return (mu1 - 2 * spec.r + _shift(spec)) / (mu1 - inv_p + 1.0 / spec.wiener.s)
 
-
-def with_metric(spec: ProblemSpec, metric: MetricSpec) -> ProblemSpec:
-    """Copy of the problem parameters targeting a different output metric."""
-    return replace(spec, metric=metric)

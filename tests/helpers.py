@@ -2,6 +2,9 @@
 
 import math
 
+import numpy as np
+from numpy.polynomial.chebyshev import chebvander
+
 from chebdiff2d import CoeffGrid
 
 
@@ -21,3 +24,11 @@ def exact_weighted_monomial_integrals(max_degree):
     for m in range(2, max_degree + 1):
         out.append(out[m - 2] * (m - 1) / m if m % 2 == 0 else 0.0)
     return out
+
+
+def orthonormal_oracle(max_degree, points):
+    """Orthonormal basis values T_k(points[i]) for k = 0..max_degree, from
+    numpy's three-term-recurrence Chebyshev Vandermonde matrix."""
+    scale = np.full(max_degree + 1, math.sqrt(2 / math.pi))
+    scale[0] = 1 / math.sqrt(math.pi)
+    return chebvander(np.asarray(points, dtype=float), max_degree) * scale

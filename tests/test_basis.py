@@ -3,36 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from chebdiff2d import (basis_matrix, eval_orthonormal, gauss_chebyshev_nodes,
-                        peak_value)
-from helpers import exact_weighted_monomial_integrals
+from chebdiff2d import basis_matrix, gauss_chebyshev_nodes
+from helpers import exact_weighted_monomial_integrals, orthonormal_oracle
+
+
+def value(k, t):
+    """T_k(t) through basis_matrix."""
+    return float(basis_matrix(k, [t])[0, k])
 
 
 def test_degree_zero_is_constant():
-    assert eval_orthonormal(0, 0.3) == pytest.approx(1 / math.sqrt(math.pi), abs=1e-15)
-    assert eval_orthonormal(0, -1.0) == eval_orthonormal(0, 0.99)
+    column = basis_matrix(0, [0.3, -1.0, 0.99])[:, 0]
+    assert column[0] == pytest.approx(1 / math.sqrt(math.pi), abs=1e-15)
+    assert column[1] == column[2]
 
 
 def test_peak_at_right_endpoint():
-    assert eval_orthonormal(5, 1.0) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-15)
+    assert value(5, 1.0) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-15)
 
 
 def test_exact_angle_value():
     # arccos(0.5) = pi/3, cos(3 * pi/3) = -1
-    assert eval_orthonormal(3, 0.5) == pytest.approx(-math.sqrt(2 / math.pi), abs=1e-14)
+    assert value(3, 0.5) == pytest.approx(-math.sqrt(2 / math.pi), abs=1e-14)
 
 
 def test_clamping_and_domain_error():
-    assert eval_orthonormal(4, 1.0 + 5e-15) == eval_orthonormal(4, 1.0)
+    assert np.array_equal(basis_matrix(4, [1.0 + 5e-15]), basis_matrix(4, [1.0]))
     with pytest.raises(ValueError):
-        eval_orthonormal(4, 1.0 + 1e-12)
+        basis_matrix(4, [1.0 + 1e-12])
     with pytest.raises(ValueError):
-        eval_orthonormal(-1, 0.0)
+        basis_matrix(-1, [0.0])
 
 
 def test_tensor_values():
     def tensor(k, j, t, tau):
-        return eval_orthonormal(k, t) * eval_orthonormal(j, tau)
+        return value(k, t) * value(j, tau)
 
     assert tensor(0, 0, 0.2, -0.7) == pytest.approx(1 / math.pi, abs=1e-15)
     assert tensor(1, 1, 1.0, 1.0) == pytest.approx(2 / math.pi, abs=1e-15)
@@ -90,15 +95,12 @@ def test_discrete_orthonormality():
 
 
 def test_peak_bound_fuzz(rng):
-    for _ in range(10_000):
-        k = int(rng.integers(0, 80))
-        t = float(rng.uniform(-1, 1))
-        assert abs(eval_orthonormal(k, t)) <= peak_value(k) + 1e-14
+    ks, ts = rng.integers(0, 80, 10_000), rng.uniform(-1, 1, 10_000)
+    values = basis_matrix(79, ts)[np.arange(10_000), ks]
+    peaks = basis_matrix(79, [1.0])[0, ks]
+    assert np.all(np.abs(values) <= peaks + 1e-14)
 
 
 def test_basis_matrix_matches_pointwise(rng):
     pts = rng.uniform(-1, 1, size=40)
-    b = basis_matrix(10, pts)
-    for i, t in enumerate(pts):
-        for k in range(11):
-            assert b[i, k] == pytest.approx(eval_orthonormal(k, t), abs=1e-14)
+    assert np.abs(basis_matrix(10, pts) - orthonormal_oracle(10, pts)).max() <= 1e-14

@@ -91,11 +91,10 @@ def values(flag):
     """A value of the kind ``flag`` takes (None: no value), or any value."""
     if flag in ("--count", "--json"):
         fitting = (None,)
-    elif flag == "--p":  # argparse itself quotes a refused int or float whole
-        fitting = NUMBERS + (LONG,)
     else:
         fitting = PATHS if flag in ("--input", "--config", "--output") else NUMBERS
-    return st.sampled_from(fitting) | st.sampled_from((None,) + PATHS + NUMBERS)
+    return (st.sampled_from(fitting + (LONG,))
+            | st.sampled_from((None, LONG) + PATHS + NUMBERS))
 
 
 @st.composite
@@ -122,6 +121,12 @@ def command_lines(draw):
 @example(argv=["experiment", "--config", "deep.json", "--output", "out"])
 @example(argv=["differentiate", "--input", "deep.json", "--r", "1",
                "--gamma", "1.5", "--n", "4", "--output", "out.csv"])
+@example(argv=["differentiate", "--input", LONG, "--r", "1",
+               "--gamma", "1.5", "--n", "4", "--output", "out.csv"])
+@example(argv=["differentiate", "--input", "in.csv", "--r", LONG,
+               "--gamma", "1.5", "--n", "4", "--output", "out.csv"])
+@example(argv=["cross", "--n", "6", "--gamma", "1.5", "--r", "1",
+               "--count", LONG])
 def test_command_lines_exit_cleanly(workdir, argv):
     code, err = run(workdir, argv)
     assert code in (0, 1, 2)
@@ -165,7 +170,9 @@ def documents(draw):
 @example(text=DEEP)
 @example(text=json.dumps(dict(CONFIG, gamma=json.loads("[" * 900 + "]" * 900))))
 def test_configuration_documents_exit_cleanly(workdir, text):
+    # "sweep" is a directory name no drawn command line writes to: a drawn
+    # "differentiate --output out" may have left a file named "out"
     code, err = run(workdir, ["experiment", "--config", "config.json",
-                              "--output", "out"], config=text)
+                              "--output", "sweep"], config=text)
     assert code in (0, 1)
     assert "Traceback" not in err and len(err) < 500

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         perturb, read_coeff_csv, recurrence_partial_t,
                         run_convergence, run_single, synthesize,
                         theoretical_rate, truncated_derivative,
-                        validate_suite, with_metric,
+                        validate_suite,
                         write_coeff_csv, write_coeff_json)
 from chebdiff2d.cli import main
 from chebdiff2d.harness import _t_quantile_975
@@ -92,7 +93,7 @@ def every_trial_computed(config):
         reports[metric.label] = RateReport(
             metric.label, tuple(rows[metric.label]), fit.slope, fit.intercept,
             (fit.ci_low, fit.ci_high),
-            theoretical_rate(with_metric(problem, metric)))
+            theoretical_rate(replace(problem, metric=metric)))
     return tuple(trials), reports
 
 
@@ -423,8 +424,10 @@ class TestConfigParsing:
         (dict(metrics=()), r"need at least one metric"),
         (dict(metrics=(MetricSpec("l2w"), MetricSpec("sup"), MetricSpec("l2w"))),
          r"metric 'l2w' is given twice"),
+        (dict(trials_per_delta=2**20), r"^deltas x trials_per_delta x metrics = "
+         r"3145728 exceeds MAX_TRIAL_RECORDS = 1048576$"),
     ], ids=["trials-0", "no-deltas", "delta-0", "delta-1", "delta-2",
-            "noise-mode", "no-metrics", "repeated-metric"])
+            "noise-mode", "no-metrics", "repeated-metric", "trial-records"])
     def test_config_checks(self, overrides, message):
         # the checks a config built in code, not parsed, goes through
         with pytest.raises(ValueError, match=message):
@@ -737,13 +740,25 @@ class TestCli:
                  "argument --delta: not allowed with argument --n"),
                 (differentiate + ["--delta", "1e-3", "--mu1", "3", "--mu2",
                                   "2", "--p", "abc"],
-                 "argument --p: expected a number or 'inf', got 'abc'")):
+                 "argument --p: invalid float value: 'abc'")):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert message in err
             assert "Traceback" not in err and "parse_p" not in err
+
+    @pytest.mark.parametrize("trials", [2**18, 10**400], ids=["over", "400-digits"])
+    def test_experiment_trial_budget_exit_code(self, tmp_path, capsys, trials):
+        # 3 deltas x trials x 2 metrics records, refused before any work
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(small_doc(trials_per_delta=trials,
+                                                 metrics=["l2w", "sup"])))
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "deltas x trials_per_delta x metrics = " in err and len(err) < 200
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_invalid_config_exit_code(self, tmp_path):
         config = {

@@ -99,15 +99,16 @@ def test_membership_matches_enumeration_fuzz(data, r, gamma):
     tops = {}
     for k, j in expected:
         tops[k] = max(tops.get(k, 0), j)
-    columns = range(r, n + 1)
-    assert [cross.j_max(k) for k in columns] == [tops[k] for k in columns]
+    columns = cross.mask(n + 1, cross.j_bound + 1)[r:].sum(axis=1) - 1
+    assert columns.tolist() == [tops[k] for k in range(r, n + 1)]
     assert cross.j_bound == max(tops.values())
     # spot membership probes, including out-of-range indices
     probes = data.draw(st.lists(st.tuples(st.integers(0, n + 3),
                                           st.integers(0, n + 3)), max_size=30),
                        label="probes")
-    for index in probes:
-        assert (index in cross) == (index in expected)
+    table = cross.mask(n + 4, n + 4)
+    for k, j in probes:
+        assert table[k, j] == ((k, j) in expected)
     # the membership table on boxes smaller than the cross, equal to it,
     # larger than it, and with no row from r on
     height, width = n + 1, cross.j_bound + 1
@@ -123,12 +124,15 @@ def test_membership_matches_enumeration_fuzz(data, r, gamma):
         table = cross.mask(rows, cols)
         assert table.dtype == bool and table.flags.writeable
         assert np.array_equal(table, want)
-    # column bounds of a large cross at sampled columns
+    # column bounds of a large cross at sampled columns, each read from a
+    # mask just large enough to hold its column (the full mask of a
+    # gamma = 1 cross at this level would hold about 2^34 entries)
     big = build_cross(2**17, gamma, r)
     ks = data.draw(st.lists(st.integers(r, 2**17), min_size=1, max_size=10),
                    label="ks")
     for k in ks:
-        assert big.j_max(k) == scalar_j_max(2**17, gamma, k)
+        top = scalar_j_max(2**17, gamma, k)
+        assert np.array_equal(big.mask(k + 1, top + 2)[k], np.arange(top + 2) <= top)
 
 
 def test_monotone_in_level_and_shape(rng):
@@ -179,5 +183,6 @@ def test_cardinality_growth_bracket(gamma, normalizer):
 
 def test_j_bound_attained_at_first_column():
     cross = build_cross(50, 1.5, 2)
-    assert cross.j_bound == cross.j_max(2)
+    column = cross.mask(3, cross.j_bound + 2)[2]
+    assert column[cross.j_bound] and not column[cross.j_bound + 1]
     assert all(j <= cross.j_bound for _, j in cross)

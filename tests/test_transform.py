@@ -11,17 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdiff2d import (CoeffFileError, CoeffGrid, MetricSpec, NoiseSpec,
-                        WienerSpec, analyze, basis_matrix, build_cross,
-                        cosine_grid, differentiate_coeffs, eval_orthonormal,
+                        ProblemSpec, WienerSpec, analyze, basis_matrix,
+                        build_cross, cosine_grid, differentiate_coeffs,
                         gauss_chebyshev_nodes, grid_synthesize, l2_omega_norm,
                         load_config, lq_omega_norm, make_class_member,
                         parse_metric, perturb, read_coeff_csv, read_coeff_file,
-                        read_coeff_json, run_single, synthesize,
-                        write_coeff_csv, write_coeff_json)
+                        read_coeff_json, recurrence_partial_t, run_single,
+                        synthesize, write_coeff_csv, write_coeff_json)
 from chebdiff2d.cli import main
 from chebdiff2d.transform import write_csv_table, write_value_table
 import reference
-from helpers import random_grid
+from helpers import orthonormal_oracle, random_grid
 
 
 class TestCoeffGrid:
@@ -216,7 +216,8 @@ class TestAnalyze:
         assert max(others, default=0.0) <= 1e-12
 
     def test_basis_member_is_orthonormal(self):
-        grid = analyze(lambda t, u: eval_orthonormal(2, t) * eval_orthonormal(5, u), 6, 6)
+        grid = analyze(lambda t, u: (orthonormal_oracle(2, [t])[0, 2]
+                                     * orthonormal_oracle(5, [u])[0, 5]), 6, 6)
         assert grid.get(2, 5) == pytest.approx(1.0, abs=1e-12)
         others = [abs(v) for (k, j), v in grid.items() if (k, j) != (2, 5)]
         assert max(others, default=0.0) <= 1e-12
@@ -265,13 +266,14 @@ class TestSynthesize:
         assert synthesize(grid, 1.0 + 5e-15, 1.0) == synthesize(grid, 1.0, 1.0)
 
     def test_matches_per_entry_formula(self, rng):
-        # math.cos/math.acos round differently from np.cos/np.arccos, so the
-        # per-entry sum agrees to roundoff of the terms, not bit for bit
+        # the oracle's three-term recurrence rounds differently from the
+        # cosine form, so the per-entry sum agrees to roundoff of the terms,
+        # not bit for bit
         grid = random_grid(rng, 17, 17, fill=0.7)
         points = [*rng.uniform(-1, 1, size=(40, 2)), (1.0, -1.0), (0.0, 1.0)]
         for t, u in points:
-            terms = [value * eval_orthonormal(k, t) * eval_orthonormal(j, u)
-                     for (k, j), value in grid.items()]
+            at_t, at_u = orthonormal_oracle(17, [t])[0], orthonormal_oracle(17, [u])[0]
+            terms = [value * at_t[k] * at_u[j] for (k, j), value in grid.items()]
             scale = math.fsum(abs(term) for term in terms)
             assert abs(synthesize(grid, t, u) - math.fsum(terms)) <= 1e-14 * scale
 
@@ -775,7 +777,7 @@ def _differentiate_p(tmp_path, p):
     (lambda tmp: NoiseSpec(p=2.0, delta=0.1, mode=LONG), "unknown noise mode 'xxx"),
     (lambda tmp: MetricSpec(kind=LONG), "unknown metric kind 'xxx"),
     (lambda tmp: _differentiate_p(tmp, LONG),
-     "argument --p: expected a number or 'inf', got 'xxx"),
+     "argument --p: invalid float value: 'xxx"),
     (lambda tmp: CoeffGrid([((HUGE, 0), 1.0)]),
      "entry 0: invalid index pair (1000"),
     (lambda tmp: read_coeff_json(_written(tmp / "in.json",
@@ -794,12 +796,12 @@ def test_refused_value_is_shown_shortened(tmp_path, refuse, named):
     assert named in message and len(message) < 200, message
 
 
-#: A call per function that takes a size, and the argument its refusal names.
+#: A call per function that takes a size, a level or an order, and the
+#: argument its refusal names.
 SIZED = {
     "cosine_grid": (cosine_grid, "points_per_dim"),
     "gauss_chebyshev_nodes": (gauss_chebyshev_nodes, "n_nodes"),
     "basis_matrix": (lambda m: basis_matrix(m, [0.3]), "max_degree"),
-    "eval_orthonormal": (lambda m: eval_orthonormal(m, 0.3), "degree k"),
     "analyze": (lambda m: analyze(lambda t, u: t * u, m, 2), "max_k"),
     "make_class_member": (lambda m: make_class_member(
         WienerSpec(s=1.0, mu1=3.0, mu2=2.0), m, 2, 0), "max_k"),
@@ -809,6 +811,16 @@ SIZED = {
     "MetricSpec": (lambda m: MetricSpec("sup", eval_grid=m), "eval_grid"),
     "lq_omega_norm": (lambda m: lq_omega_norm(CoeffGrid.from_dense(np.eye(3)),
                                               4.0, m), "quad_n"),
+    "CrossIndexSet.n": (lambda m: build_cross(m, 1.5, 1).mask(5, 5), "level n"),
+    "CrossIndexSet.r": (lambda m: build_cross(4, 1.5, m).mask(5, 5),
+                        "derivative order r"),
+    "ProblemSpec.r": (lambda m: ProblemSpec(
+        r=m, wiener=WienerSpec(s=1.0, mu1=3.0, mu2=2.0), noise_p=2.0),
+        "derivative order r"),
+    "differentiate_coeffs": (lambda m: differentiate_coeffs(
+        CoeffGrid.from_dense(np.eye(5)), m), "derivative order r"),
+    "recurrence_partial_t": (lambda m: recurrence_partial_t(
+        CoeffGrid.from_dense(np.eye(5)), m, [0.3], [0.2]), "derivative order r"),
 }
 
 
@@ -823,3 +835,4 @@ def test_size_must_be_integral(name):
     for size in (3.5, math.nan, math.inf):
         with pytest.raises(ValueError, match=argument):
             call(size)
+

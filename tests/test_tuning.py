@@ -1,12 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebdiff2d import (MetricSpec, ProblemSpec, WienerSpec, cardinality,
-                        choose_n, gamma_admissible, gamma_range,
-                        theoretical_rate, validate_spec, with_metric)
+                        choose_n, gamma_range, theoretical_rate, validate_spec)
 
 
 def make_spec(r=1, s=1.0, mu1=3.0, mu2=2.0, p=2.0, metric=None, constant=1.0):
@@ -113,15 +113,16 @@ class TestGammaRange:
 
     def test_lq_at_two_matches_l2(self):
         base = make_spec(s=1.5, mu1=3.2, mu2=2.7)
-        lq2 = with_metric(base, MetricSpec("lqw", q=2.0))
+        lq2 = replace(base, metric=MetricSpec("lqw", q=2.0))
         assert gamma_range(base)[1] == pytest.approx(gamma_range(lq2)[1], rel=1e-14)
 
     def test_admissibility_predicate(self):
         spec = make_spec(r=1, s=2.0, mu1=3.0, mu2=4.0)
-        assert gamma_admissible(spec, 1.0)
-        assert gamma_admissible(spec, 3.9)
-        assert not gamma_admissible(spec, 4.0)
-        assert not gamma_admissible(spec, 0.9)
+        low, high = gamma_range(spec)
+        assert low <= 1.0 < high
+        assert low <= 3.9 < high
+        assert not low <= 4.0 < high
+        assert not low <= 0.9 < high
 
     def test_nontrivial_iff_mu2_exceeds_shifted_mu1(self, rng=None):
         import numpy as np
@@ -147,7 +148,7 @@ class TestTheoreticalRate:
 
     def test_lq_at_two_matches_l2(self):
         base = make_spec(s=1.5, mu1=3.2, mu2=2.7, p=5.0)
-        lq2 = with_metric(base, MetricSpec("lqw", q=2.0))
+        lq2 = replace(base, metric=MetricSpec("lqw", q=2.0))
         assert theoretical_rate(base) == pytest.approx(theoretical_rate(lq2),
                                                        rel=1e-14)
 
