@@ -21,7 +21,6 @@ from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
 from .transform import (CoeffFileError, CoeffGrid, analyze, grid_synthesize,
                         read_coeff_csv, read_coeff_file, read_coeff_json,
                         synthesize, write_coeff_csv, write_coeff_json)
-from .tuning import (ProblemSpec, choose_n, gamma_range, theoretical_rate,
-                     validate_spec)
+from .tuning import ProblemSpec, choose_n, gamma_range, theoretical_rate
 
 __version__ = "0.1.0"

@@ -41,14 +41,17 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     Returns the grid b with synthesize(b) = d^r/dt^r synthesize(coeffs),
     exact (up to roundoff) for any polynomial input.  The output degree
     bound in k drops by r (floored at zero); the second variable is
-    untouched.  ``zeta0`` is exposed for diagnostics (the validation suite
-    perturbs it to demonstrate oracle sensitivity); production code uses
-    the default.
+    untouched; for r > max_k the result is one row of +0.0, returned
+    without running the recurrence.  ``zeta0`` is exposed for diagnostics
+    (the validation suite perturbs it to demonstrate oracle sensitivity);
+    production code uses the default.
     """
     if not 1 <= r < math.inf or r % 1:
         raise ValueError("derivative order r must be an integer >= 1")
     values = coeffs._dense  # only read: each step writes a fresh table
     rows, cols = values.shape
+    if r >= rows:  # every degree is below r: the derivative is zero
+        return CoeffGrid._wrap(np.zeros((1, cols)))
     weights = 2.0 * np.arange(rows)[:, None]
     for _ in range(int(r)):
         # terms[l] = 2l * a[l], then at least two zero rows.  Over the row
@@ -62,8 +65,7 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
             np.cumsum(pairs, axis=0, out=pairs)
         values = terms[1:rows + 1]
         values[0] *= zeta0
-    out_k = max(0, coeffs.max_k - int(r))
-    return CoeffGrid._wrap(values[: out_k + 1])
+    return CoeffGrid._wrap(values[: rows - int(r)])
 
 
 def truncated_derivative(coeffs_delta: CoeffGrid, n: int, gamma: float, r: int) -> CoeffGrid:

@@ -114,8 +114,9 @@ def lp_norm(values, p: float) -> float:
     return peak * float(np.sum((arr / peak) ** p)) ** (1.0 / p)
 
 
-def _class_norm(dense: np.ndarray, spec: WienerSpec) -> float:
-    """Class norm of the dense table whose entry [k, j] is a[k, j]."""
+def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:
+    """Class norm (sum_k,j max(1,k)^(s*mu1) max(1,j)^(s*mu2) |a|^s)^(1/s)."""
+    dense = coeffs._dense
     uk = np.maximum(1, np.arange(dense.shape[0], dtype=float))
     uj = np.maximum(1, np.arange(dense.shape[1], dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,11 +127,6 @@ def _class_norm(dense: np.ndarray, spec: WienerSpec) -> float:
         raise ValueError(f"the class norm overflows for s = {spec.s}, "
                          f"mu1 = {spec.mu1}, mu2 = {spec.mu2}")
     return norm
-
-
-def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:
-    """Class norm (sum_k,j max(1,k)^(s*mu1) max(1,j)^(s*mu2) |a|^s)^(1/s)."""
-    return _class_norm(coeffs._dense, spec)
 
 
 def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
@@ -149,7 +145,8 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
               * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)
               * _keyed_signs(seed, ks, js))
-    values /= _class_norm(values, spec)
+    # the grid adopts a read-only view; values itself stays writable
+    values /= wiener_norm(CoeffGrid._wrap(values.view()), spec)
     return CoeffGrid._wrap(values)
 
 

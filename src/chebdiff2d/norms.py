@@ -39,6 +39,9 @@ class MetricSpec:
         if self.kind == "lqw":
             if self.q is None or not self.q >= 2:
                 raise ValueError("Lq metric requires q >= 2")
+            if self.q == math.inf:
+                raise ValueError("Lq metric requires a finite q; "
+                                 "use 'sup' for q = inf")
         elif self.q is not None:
             raise ValueError(f"metric {self.kind!r} takes no q parameter")
         if not 2 <= self.eval_grid < math.inf or self.eval_grid % 1:
@@ -127,10 +130,12 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     each variable, so the default q * (max degree) / 2 + 1 nodes per
     dimension are exact; the default is capped at 4 * (max degree) + 1, the
     exact size for q = 8.  Every other q takes the cap: the integrand is not
-    a polynomial and the result is an approximation.
+    a polynomial and the result is an approximation.  Where the powers
+    |f|^q make the sum 0 or inf, it is taken over |f| / max |f| instead and
+    the root scaled back; every other result keeps its bits.
     """
-    if not q >= 1:
-        raise ValueError("q must be >= 1")
+    if not 1 <= q < math.inf:
+        raise ValueError("q must be finite and >= 1; use sup_norm for q = inf")
     max_deg = max(coeffs.max_k, coeffs.max_j)
     if quad_n is None:
         quad_n = _lq_nodes(q, max_deg)
@@ -138,9 +143,16 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
         raise ValueError("quad_n must be an integer >= max degree + 1")
     values = _tensor_values(coeffs, "gauss", quad_n)
     np.abs(values, out=values)
-    values **= q
+    with np.errstate(over="ignore"):  # a power, or the sum, may overflow
+        values **= q
+        total = np.sum(values)
     w = math.pi / quad_n
-    return float((w * w * np.sum(values)) ** (1.0 / q))
+    if total in (0.0, math.inf):  # again, over |f| / max |f|
+        values = np.abs(_tensor_values(coeffs, "gauss", quad_n))
+        peak = float(values.max())
+        if 0.0 < peak < math.inf:
+            return peak * float((w * w * np.sum((values / peak) ** q)) ** (1.0 / q))
+    return float((w * w * total) ** (1.0 / q))
 
 
 def _lq_nodes(q: float, max_deg: int) -> int:

@@ -231,20 +231,6 @@ class CoeffGrid:
     def nnz(self) -> int:
         return int(np.count_nonzero(self._dense))
 
-    def get(self, k: int, j: int) -> float:
-        """Coefficient at (k, j); indices outside the stored set are zero."""
-        if not (0 <= k < math.inf and 0 <= j < math.inf) or k % 1 or j % 1:
-            raise ValueError("indices k and j must be nonnegative integers")
-        if k <= self.max_k and j <= self.max_j:
-            return float(self._dense[int(k), int(j)])
-        return 0.0
-
-    def items(self):
-        """Yield ((k, j), value) over nonzero entries, ascending (k, j)."""
-        ks, js = np.nonzero(self._dense)  # row-major, already lexicographic
-        for k, j in zip(ks, js):
-            yield (int(k), int(j)), float(self._dense[k, j])
-
     def to_dense(self) -> np.ndarray:
         """Writable dense copy of shape (max_k + 1, max_j + 1)."""
         return self._dense.copy()
@@ -270,12 +256,6 @@ class CoeffGrid:
 
     def __sub__(self, other):
         return self._binary(other, np.subtract)
-
-    def __mul__(self, alpha):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return CoeffGrid._wrap(float(alpha) * self._dense)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, CoeffGrid):

@@ -57,30 +57,18 @@ def _shift(spec: ProblemSpec) -> float:
     return _RULES[spec.metric.kind][0](1.0 / spec.wiener.s, spec.metric.q)
 
 
-def _checks(spec: ProblemSpec) -> list[tuple[str, float, float]]:
+def _require_valid(spec: ProblemSpec) -> None:
+    """Refuse a spec that violates a metric-specific smoothness inequality;
+    the message names each violated inequality and its required bound."""
     _, mu1_bound, mu2_bound, coupled = _RULES[spec.metric.kind]
     mu1, mu2, a = spec.wiener.mu1, spec.wiener.mu2, _shift(spec)
     checks = [(f"mu1 > {mu1_bound}", mu1, 2 * spec.r - a)]
     if coupled:
         checks.append(("mu2 > mu1 - 2r", mu2, mu1 - 2 * spec.r))
-    return checks + [(f"mu2 > {mu2_bound}", mu2, -a)]
-
-
-def validate_spec(spec: ProblemSpec) -> list[str]:
-    """Check the metric-specific smoothness inequalities.
-
-    Returns an empty list when the parameters are admissible, otherwise one
-    message per violated inequality, naming it and the required bound.
-    """
-    return [
-        f"{name} violated (need > {bound:.6g}, got {value:.6g})"
-        for name, value, bound in _checks(spec)
-        if not value > bound
-    ]
-
-
-def _require_valid(spec: ProblemSpec) -> None:
-    if violations := validate_spec(spec):
+    checks.append((f"mu2 > {mu2_bound}", mu2, -a))
+    violations = [f"{name} violated (need > {bound:.6g}, got {value:.6g})"
+                  for name, value, bound in checks if not value > bound]
+    if violations:
         raise ValueError(f"inadmissible spec for metric {spec.metric.label}: "
                          + "; ".join(violations))
 

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from chebdiff2d import basis_matrix, gauss_chebyshev_nodes
+from chebdiff2d import basis_matrix, cosine_grid, gauss_chebyshev_nodes
 from helpers import exact_weighted_monomial_integrals, orthonormal_oracle
 
 
@@ -104,3 +105,51 @@ def test_peak_bound_fuzz(rng):
 def test_basis_matrix_matches_pointwise(rng):
     pts = rng.uniform(-1, 1, size=40)
     assert np.abs(basis_matrix(10, pts) - orthonormal_oracle(10, pts)).max() <= 1e-14
+
+
+# The node sets at which sup_norm (257 cosine points) and lq_omega_norm
+# (257 Gauss nodes for q = 2, 513 for q = 4) evaluate degree 256, with
+# the worst deviation from mpmath measured with numpy 2.4 on an AVX-512
+# machine; each test allows twice that.
+@pytest.mark.parametrize("nodes, size, measured", [
+    (gauss_chebyshev_nodes, 257, 7.9e-14),
+    (cosine_grid, 257, 8.4e-14),
+], ids=["gauss-257", "cosine-257"])
+def test_basis_matrix_against_mpmath_at_float_nodes(nodes, size, measured):
+    # the three-term recurrence in 30 digits at the float64 nodes
+    # themselves: the error is basis_matrix's own
+    points = nodes(size)
+    with mpmath.workdps(30):
+        s0, s1 = 1 / mpmath.sqrt(mpmath.pi), mpmath.sqrt(2 / mpmath.pi)
+        rows = []
+        for x in map(mpmath.mpf, points.tolist()):
+            row = [mpmath.mpf(1), x]
+            for _ in range(255):
+                row.append(2 * x * row[-1] - row[-2])
+            rows.append([float(s0)] + [float(s1 * v) for v in row[1:]])
+    got = basis_matrix(256, points)
+    assert np.abs(got - np.array(rows)).max() <= 2 * measured
+
+
+@pytest.mark.parametrize("nodes, size, angles, measured", [
+    # node i is cos(a_i * pi / d) for the integers a_i and d given
+    (gauss_chebyshev_nodes, 257, lambda n: (2 * np.arange(n) + 1, 2 * n),
+     1.1e-12),
+    (gauss_chebyshev_nodes, 513, lambda n: (2 * np.arange(n) + 1, 2 * n),
+     1.9e-12),
+    (cosine_grid, 257, lambda n: (np.arange(n), n - 1), 4.1e-13),
+], ids=["gauss-257", "gauss-513", "cosine-257"])
+def test_basis_matrix_against_mpmath_at_exact_nodes(nodes, size, angles,
+                                                    measured):
+    # T_k at the exact node i is cos(k * a_i * pi / d), one of 2d values
+    # taken in mpmath.  The error adds the rounding of the float64 nodes,
+    # amplified by |T_k'| up to k**2 near t = +-1
+    a, d = angles(size)
+    with mpmath.workdps(30):
+        s0, s1 = 1 / mpmath.sqrt(mpmath.pi), mpmath.sqrt(2 / mpmath.pi)
+        table = np.array([float(s1 * mpmath.cos(m * mpmath.pi / d))
+                          for m in range(2 * d)])
+    exact = table[np.outer(a, np.arange(257)) % (2 * d)]
+    exact[:, 0] = float(s0)
+    got = basis_matrix(256, nodes(size))
+    assert np.abs(got - exact).max() <= 2 * measured

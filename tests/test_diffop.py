@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,27 @@ def test_degree_bound_drops_by_order(rng):
     assert differentiate_coeffs(grid, 2).max_j == 4
 
 
+@pytest.mark.parametrize("shape", [(9, 9), (1, 4), (2, 3), (17, 5)])
+def test_order_above_degree_gives_the_bytes_of_the_loop(rng, shape):
+    # past max_k the recurrence yields one row of +0.0, signed zeros never
+    values = rng.uniform(-1.0, 1.0, size=shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    grid = CoeffGrid.from_dense(values)
+    for r in range(shape[0], shape[0] + 5):
+        got = differentiate_coeffs(grid, r).to_dense()
+        loop = _row_recurrence(values, r, ZETA_0)[:1]
+        assert got.tobytes() == loop.tobytes()
+        assert got.tobytes() == np.zeros((1, shape[1])).tobytes()
+
+
+def test_order_above_degree_takes_no_steps():
+    grid = CoeffGrid.from_dense(np.eye(9))
+    start = time.perf_counter()
+    deriv = differentiate_coeffs(grid, 10 ** 6)
+    assert time.perf_counter() - start < 1.0
+    assert deriv == CoeffGrid.from_dense(np.zeros((1, 9)))
+
+
 def test_polynomial_derivative_is_exact():
     # f = t^3 * tau^2, exact derivative 3 t^2 tau^2
     grid = analyze(lambda t, u: t**3 * u**2, 5, 5)
@@ -151,7 +173,7 @@ def test_sparsity_pattern_by_probing():
     for k in range(max_k + 1):
         probe = CoeffGrid([((k, 1), 1.0)], max_k, 2)
         deriv = differentiate_coeffs(probe, 1)
-        hit = {l for (l, j), _ in deriv.items()}
+        hit = set(np.nonzero(deriv.to_dense())[0].tolist())
         expected = {l for l in range(k) if (k + l) % 2 == 1}
         assert hit == expected
 
@@ -160,9 +182,11 @@ def test_linearity(rng):
     a = random_grid(rng, 8, 8)
     b = random_grid(rng, 8, 8)
     alpha, beta = 1.7, -0.3
-    lhs = differentiate_coeffs(alpha * a + beta * b, 2)
-    rhs = alpha * differentiate_coeffs(a, 2) + beta * differentiate_coeffs(b, 2)
-    assert np.abs(lhs.to_dense() - rhs.to_dense()).max() <= 1e-12
+    combo = CoeffGrid.from_dense(alpha * a.to_dense() + beta * b.to_dense())
+    lhs = differentiate_coeffs(combo, 2).to_dense()
+    rhs = (alpha * differentiate_coeffs(a, 2).to_dense()
+           + beta * differentiate_coeffs(b, 2).to_dense())
+    assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 class TestTruncatedDerivative:
@@ -241,7 +265,8 @@ class TestTruncatedDerivative:
         a = random_grid(rng, 14, 14)
         b = random_grid(rng, 14, 14)
         alpha, beta = -0.8, 2.2
-        lhs = truncated_derivative(alpha * a + beta * b, 6, 1.3, 1)
-        rhs = (alpha * truncated_derivative(a, 6, 1.3, 1)
-               + beta * truncated_derivative(b, 6, 1.3, 1))
-        assert np.abs(lhs.to_dense() - rhs.to_dense()).max() <= 1e-12
+        combo = CoeffGrid.from_dense(alpha * a.to_dense() + beta * b.to_dense())
+        lhs = truncated_derivative(combo, 6, 1.3, 1).to_dense()
+        rhs = (alpha * truncated_derivative(a, 6, 1.3, 1).to_dense()
+               + beta * truncated_derivative(b, 6, 1.3, 1).to_dense())
+        assert np.abs(lhs - rhs).max() <= 1e-12

@@ -847,6 +847,8 @@ class TestCli:
          "configuration field 'noise.mode'"),
         (lambda doc: doc.update(metrics=["lqw:4", "lqw:4.0"]),
          "configuration field 'metrics': metric 'lqw:4' is given twice"),
+        (lambda doc: doc.update(metrics=["l2w", "lqw:inf"]),
+         "Lq metric requires a finite q; use 'sup' for q = inf"),
         (lambda doc: doc["problem"].update(s=math.inf),
          "s must be >= 1 and finite"),
         (lambda doc: doc["problem"].update(mu1=200.0, mu2=199.0)

@@ -33,7 +33,8 @@ class TestWienerNorm:
         spec = WienerSpec(s=1.5, mu1=2.0, mu2=1.0)
         grid = random_grid(rng, 6, 6, fill=0.5)
         for alpha in (-2.5, 0.3):
-            assert wiener_norm(alpha * grid, spec) == pytest.approx(
+            scaled = CoeffGrid.from_dense(alpha * grid.to_dense())
+            assert wiener_norm(scaled, spec) == pytest.approx(
                 abs(alpha) * wiener_norm(grid, spec), rel=1e-12)
 
     def test_monotone_in_smoothness(self, rng):
@@ -147,8 +148,8 @@ class TestPerturb:
         grid = random_grid(rng, 10, 10, fill=0.3)
         cross = build_cross(10, 1.0, 1)
         noise = NoiseSpec(p=math.inf, delta=0.05, mode=NOISE_UNIFORM, seed=4)
-        noisy = perturb(grid, noise, cross)
-        xi = [noisy.get(k, j) - grid.get(k, j) for k, j in cross]
+        diff = (perturb(grid, noise, cross) - grid).to_dense()
+        xi = diff[cross.mask(*diff.shape)]
         assert max(abs(v) for v in xi) == pytest.approx(0.05, abs=1e-15)
         assert all(abs(v) <= 0.05 + 1e-15 for v in xi)
 
@@ -156,8 +157,8 @@ class TestPerturb:
         grid = CoeffGrid([], 4, 4)
         cross = build_cross(4, 1.0, 1)  # 12 indices
         noise = NoiseSpec(p=2.0, delta=0.25, mode=NOISE_UNIFORM, seed=19)
-        noisy = perturb(grid, noise, cross)
-        xi = [noisy.get(k, j) for k, j in cross]
+        noisy = perturb(grid, noise, cross).to_dense()
+        xi = noisy[cross.mask(*noisy.shape)]
         assert lp_norm(xi, 2.0) == pytest.approx(0.25, abs=1e-12)
 
     @settings(deadline=None, database=None, max_examples=300)
@@ -188,33 +189,31 @@ class TestPerturb:
             cross = build_cross(int(rng.integers(2, 14)), float(rng.uniform(1, 2.5)), 1)
             delta = float(rng.uniform(0.01, 0.9))
             noise = NoiseSpec(p=p, delta=delta, mode=mode, seed=trial)
-            noisy = perturb(grid, noise, cross)
-            xi = [noisy.get(k, j) - grid.get(k, j) for k, j in cross]
-            assert abs(lp_norm(xi, p) - delta) <= 1e-12
+            diff = (perturb(grid, noise, cross) - grid).to_dense()
+            support = cross.mask(*diff.shape)
+            assert abs(lp_norm(diff[support], p) - delta) <= 1e-12
             # noise lives only on the support
-            diff = noisy - grid
-            support = cross.mask(13, 13)
-            assert all(support[key] for key, _ in diff.items())
+            assert not diff[~support].any()
 
     @pytest.mark.parametrize("n, gamma, r", [(9, 1.5, 2), (12, 1.0, 1), (7, 2.7, 3)])
     def test_single_coefficient_targets_top_amplification(self, n, gamma, r):
         grid = CoeffGrid([], 12, 12)
         cross = build_cross(n, gamma, r)
         noise = NoiseSpec(p=5.0, delta=0.125, mode=NOISE_SINGLE, seed=0)
-        noisy = perturb(grid, noise, cross)
-        entries = dict(noisy.items())
+        noisy = perturb(grid, noise, cross).to_dense()
         # amplification k**(2r-1) peaks at k = n; first j there is 0
-        assert entries == {(n, 0): pytest.approx(0.125)}
+        assert np.argwhere(noisy).tolist() == [[n, 0]]
+        assert noisy[n, 0] == pytest.approx(0.125)
 
     def test_topweight_profile(self):
         grid = CoeffGrid([], 6, 6)
         cross = build_cross(3, 1.0, 1)
         noise = NoiseSpec(p=math.inf, delta=0.5, mode=NOISE_TOPWEIGHT, seed=0)
-        noisy = perturb(grid, noise, cross)
+        noisy = perturb(grid, noise, cross).to_dense()
         # magnitudes proportional to k**(2r-1) = k, peak scaled to delta
-        assert noisy.get(3, 0) == pytest.approx(0.5)
-        assert noisy.get(1, 0) == pytest.approx(0.5 / 3)
-        assert noisy.get(2, 0) == pytest.approx(1.0 / 3)
+        assert noisy[3, 0] == pytest.approx(0.5)
+        assert noisy[1, 0] == pytest.approx(0.5 / 3)
+        assert noisy[2, 0] == pytest.approx(1.0 / 3)
 
     @pytest.mark.parametrize("r", range(1, 6))
     def test_topweight_keeps_the_bytes_of_the_plain_power(self, r):

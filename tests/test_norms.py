@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,25 @@ class TestLq:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             lq_omega_norm(CoeffGrid([((0, 0), 1.0)]), 0.5)
+        with pytest.raises(ValueError, match="use sup_norm for q = inf$"):
+            lq_omega_norm(CoeffGrid([((0, 0), 1.0)]), math.inf)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["overflow", "underflow"])
+    def test_large_q_stays_finite_and_nonzero(self, rng, scale):
+        # |f|**600 overflows where |f| > 3.3, and every power underflows
+        # where |f| < 0.3; the sum is then taken over |f| / max |f|
+        grid = CoeffGrid.from_dense(scale * rng.uniform(-1.0, 1.0, (9, 9)))
+        quad_n = 4 * 8 + 1
+        nodes = gauss_chebyshev_nodes(quad_n)
+        values = np.abs(grid_synthesize(grid, nodes, nodes)).ravel().tolist()
+        with mpmath.workdps(30):
+            exact = (mpmath.fsum(mpmath.mpf(v) ** 600 for v in values)
+                     * (mpmath.pi / quad_n) ** 2) ** (mpmath.mpf(1) / 600)
+        got = lq_omega_norm(grid, 600.0)
+        assert got == pytest.approx(float(exact), rel=1e-14)
+        # the scale is exact, so it keeps the bits under powers of two
+        shifted = CoeffGrid.from_dense(np.ldexp(grid.to_dense(), 40))
+        assert lq_omega_norm(shifted, 600.0) == math.ldexp(got, 40)
 
     @pytest.mark.parametrize("q", [2.0, 4.0, 6.0, 8.0])
     def test_default_size_is_exact_for_even_q(self, rng, q):
@@ -292,9 +312,10 @@ class TestMetricSpec:
 
     @pytest.mark.parametrize("text, message", [
         ("lqw:1", r"Lq metric requires q >= 2"),
+        ("lqw:inf", r"Lq metric requires a finite q; use 'sup' for q = inf"),
         ("lqw:abc", r"metric 'lqw:abc': q is not a number"),
         ("linf", r"unknown metric 'linf' \(expected l2w, lqw:<q>, sup\)"),
-    ], ids=["small-q", "non-numeric-q", "unknown"])
+    ], ids=["small-q", "infinite-q", "non-numeric-q", "unknown"])
     def test_parse_refusal(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_metric(text)

@@ -27,9 +27,9 @@ from helpers import orthonormal_oracle, random_grid
 class TestCoeffGrid:
     def test_absent_indices_are_zero(self):
         grid = CoeffGrid([((2, 3), 1.5)], 5, 5)
-        assert grid.get(2, 3) == 1.5
-        assert grid.get(0, 0) == 0.0
-        assert grid.get(9, 9) == 0.0
+        expected = np.zeros((6, 6))
+        expected[2, 3] = 1.5
+        assert np.array_equal(grid.to_dense(), expected)
         assert grid.nnz == 1
 
     def test_rejects_nan_and_bad_indices(self):
@@ -111,13 +111,12 @@ class TestCoeffGrid:
         assert CoeffGrid(pairs, 8, 4) == CoeffGrid.from_dense(expected)
         assert CoeffGrid([]) == CoeffGrid({}) == CoeffGrid()
 
-    def test_items_lexicographic(self, rng):
-        grid = random_grid(rng, 6, 6, fill=0.4)
-        keys = [key for key, _ in grid.items()]
-        assert keys == sorted(keys)
-        dense = random_grid(rng, 6, 6, fill=1.0)
-        keys = [key for key, _ in dense.items()]
-        assert keys == sorted(keys)
+    def test_written_entries_lexicographic(self, rng, tmp_path):
+        for fill in (0.4, 1.0):
+            write_coeff_csv(random_grid(rng, 6, 6, fill=fill), tmp_path / "g.csv")
+            rows = (tmp_path / "g.csv").read_text().splitlines()[1:]
+            keys = [tuple(map(int, row.split(",")[:2])) for row in rows]
+            assert keys == sorted(keys) and len(keys) == len(set(keys))
 
     def test_dense_and_sparse_agree(self, rng):
         values = rng.uniform(-1, 1, size=(7, 5))
@@ -134,23 +133,18 @@ class TestCoeffGrid:
         b = random_grid(rng, 6, 3)
         total = a + b
         assert total.max_k == 6 and total.max_j == 6
-        for k in range(7):
-            for j in range(7):
-                assert total.get(k, j) == pytest.approx(a.get(k, j) + b.get(k, j))
+        padded_a, padded_b = np.zeros((7, 7)), np.zeros((7, 7))
+        padded_a[:5, :7], padded_b[:7, :4] = a.to_dense(), b.to_dense()
+        assert np.array_equal(total.to_dense(), padded_a + padded_b)
         diff = total - b
         assert np.allclose(diff.to_dense()[:5, :7], a.to_dense(), atol=1e-15)
-        doubled = 2.0 * a
-        assert doubled.get(1, 1) == pytest.approx(2 * a.get(1, 1))
 
     @pytest.mark.parametrize("op, where", [
         (lambda g: g + g, "(1, 2)"),
-        (lambda g: g - (-1.0 * g), "(1, 2)"),
+        (lambda g: g - CoeffGrid([((1, 2), -1e308)]), "(1, 2)"),
         (lambda g: CoeffGrid([((4, 0), 1.0)]) + g + g, "(1, 2)"),  # padded
-        (lambda g: 3.0 * g, "(1, 2)"),
-        (lambda g: g * 3.0, "(1, 2)"),
-        (lambda g: g * math.inf, "(0, 0)"),  # inf * 0 is nan
         (lambda g: CoeffGrid.from_dense([[0.0, 1.0], [math.nan, 2.0]]), "(1, 0)"),
-    ], ids=["add", "sub", "add-padded", "rmul", "mul", "mul-inf", "from-dense"])
+    ], ids=["add", "sub", "add-padded", "from-dense"])
     def test_overflow_is_refused_naming_the_entry(self, op, where):
         # nor a RuntimeWarning: pyproject.toml turns warnings into errors
         grid = CoeffGrid([((1, 2), 1e308)], 2, 3)
@@ -162,21 +156,20 @@ class TestCoeffGrid:
         source = np.arange(6.0).reshape(2, 3)
         grid = CoeffGrid.from_dense(source)
         source[0, 1] = 7.0
-        assert grid.get(0, 1) == 1.0
+        assert grid.to_dense()[0, 1] == 1.0
         assert source.flags.writeable
         assert CoeffGrid.from_dense(source.T)._dense.flags.c_contiguous
 
     @pytest.mark.parametrize("make", [
         lambda g: g + g,
         lambda g: g - g,
-        lambda g: 2.0 * g,
         lambda g: g.restrict_to(build_cross(4, 1.5, 1)),
         lambda g: differentiate_coeffs(g, 2),
         lambda g: perturb(g, NoiseSpec(p=2.0, delta=0.1), build_cross(8, 1.5, 1)),
         lambda g: analyze(lambda t, u: t * u, 3, 2),
         lambda g: make_class_member(WienerSpec(1.0, 3.0, 2.0), 5, 4, seed=1),
         lambda g: CoeffGrid.from_dense(g.to_dense()),
-    ], ids=["add", "sub", "mul", "restrict_to", "differentiate_coeffs",
+    ], ids=["add", "sub", "restrict_to", "differentiate_coeffs",
             "perturb", "analyze", "make_class_member", "from_dense"])
     def test_results_are_read_only(self, rng, make):
         grid = make(random_grid(rng, 5, 4))
@@ -187,7 +180,7 @@ class TestCoeffGrid:
         grid = CoeffGrid([((1, 0), 1.0), ((2, 5), 2.0), ((4, 1), 3.0)], 8, 8)
         kept = grid.restrict_to(build_cross(4, 1.0, 1))  # (2, 5) lies outside
         assert kept.nnz == 2
-        assert kept.get(2, 5) == 0.0
+        assert kept.to_dense()[2, 5] == 0.0
         assert kept.max_k == 8 and kept.max_j == 8
 
     @pytest.mark.parametrize("box, n, gamma, r", [
@@ -210,23 +203,24 @@ class TestCoeffGrid:
 
 class TestAnalyze:
     def test_constant_function(self):
-        grid = analyze(lambda t, u: 1.0, 2, 2)
-        assert grid.get(0, 0) == pytest.approx(math.pi, abs=1e-12)
-        others = [abs(v) for (k, j), v in grid.items() if (k, j) != (0, 0)]
-        assert max(others, default=0.0) <= 1e-12
+        dense = analyze(lambda t, u: 1.0, 2, 2).to_dense()
+        assert dense[0, 0] == pytest.approx(math.pi, abs=1e-12)
+        dense[0, 0] = 0.0
+        assert np.abs(dense).max() <= 1e-12
 
     def test_basis_member_is_orthonormal(self):
         grid = analyze(lambda t, u: (orthonormal_oracle(2, [t])[0, 2]
                                      * orthonormal_oracle(5, [u])[0, 5]), 6, 6)
-        assert grid.get(2, 5) == pytest.approx(1.0, abs=1e-12)
-        others = [abs(v) for (k, j), v in grid.items() if (k, j) != (2, 5)]
-        assert max(others, default=0.0) <= 1e-12
+        dense = grid.to_dense()
+        assert dense[2, 5] == pytest.approx(1.0, abs=1e-12)
+        dense[2, 5] = 0.0
+        assert np.abs(dense).max() <= 1e-12
 
     def test_linear_function(self):
-        grid = analyze(lambda t, u: t, 2, 2)
-        assert grid.get(1, 0) == pytest.approx(math.pi / math.sqrt(2), abs=1e-12)
-        others = [abs(v) for (k, j), v in grid.items() if (k, j) != (1, 0)]
-        assert max(others, default=0.0) <= 1e-12
+        dense = analyze(lambda t, u: t, 2, 2).to_dense()
+        assert dense[1, 0] == pytest.approx(math.pi / math.sqrt(2), abs=1e-12)
+        dense[1, 0] = 0.0
+        assert np.abs(dense).max() <= 1e-12
 
     def test_evaluation_errors_propagate(self):
         def broken(t, u):
@@ -240,8 +234,9 @@ class TestAnalyze:
         g = lambda t, u: t * u + 0.25
         alpha, beta = rng.uniform(-2, 2, size=2)
         combo = analyze(lambda t, u: alpha * f(t, u) + beta * g(t, u), 5, 5)
-        parts = alpha * analyze(f, 5, 5) + beta * analyze(g, 5, 5)
-        assert np.abs(combo.to_dense() - parts.to_dense()).max() <= 1e-12
+        parts = (alpha * analyze(f, 5, 5).to_dense()
+                 + beta * analyze(g, 5, 5).to_dense())
+        assert np.abs(combo.to_dense() - parts).max() <= 1e-12
 
 
 class TestSynthesize:
@@ -273,7 +268,9 @@ class TestSynthesize:
         points = [*rng.uniform(-1, 1, size=(40, 2)), (1.0, -1.0), (0.0, 1.0)]
         for t, u in points:
             at_t, at_u = orthonormal_oracle(17, [t])[0], orthonormal_oracle(17, [u])[0]
-            terms = [value * at_t[k] * at_u[j] for (k, j), value in grid.items()]
+            ks, js = np.nonzero(grid.to_dense())
+            terms = [value * at_t[k] * at_u[j]
+                     for k, j, value in zip(ks, js, grid.to_dense()[ks, js])]
             scale = math.fsum(abs(term) for term in terms)
             assert abs(synthesize(grid, t, u) - math.fsum(terms)) <= 1e-14 * scale
 
@@ -806,8 +803,6 @@ SIZED = {
     "make_class_member": (lambda m: make_class_member(
         WienerSpec(s=1.0, mu1=3.0, mu2=2.0), m, 2, 0), "max_k"),
     "CoeffGrid": (lambda m: CoeffGrid([], m, 0), "max_k"),
-    "CoeffGrid.get": (lambda m: CoeffGrid.from_dense(np.eye(4)).get(m, m),
-                      "k and j"),
     "MetricSpec": (lambda m: MetricSpec("sup", eval_grid=m), "eval_grid"),
     "lq_omega_norm": (lambda m: lq_omega_norm(CoeffGrid.from_dense(np.eye(3)),
                                               4.0, m), "quad_n"),

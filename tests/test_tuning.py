@@ -1,12 +1,13 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from chebdiff2d import (MetricSpec, ProblemSpec, WienerSpec, cardinality,
-                        choose_n, gamma_range, theoretical_rate, validate_spec)
+                        choose_n, gamma_range, theoretical_rate)
 
 
 def make_spec(r=1, s=1.0, mu1=3.0, mu2=2.0, p=2.0, metric=None, constant=1.0):
@@ -17,28 +18,29 @@ def make_spec(r=1, s=1.0, mu1=3.0, mu2=2.0, p=2.0, metric=None, constant=1.0):
 
 class TestValidateSpec:
     def test_admissible_l2(self):
-        assert validate_spec(make_spec(mu1=3.0, mu2=2.0)) == []
+        assert gamma_range(make_spec(mu1=3.0, mu2=2.0))[1] > 1.0
 
     def test_l2_smoothness_violation(self):
-        violations = validate_spec(make_spec(mu1=1.4, mu2=2.0))
-        assert len(violations) == 1
-        assert "mu1 > 2r - 1/s + 1/2" in violations[0]
-        assert "1.5" in violations[0]
+        with pytest.raises(ValueError, match=re.escape(
+                "metric l2w: mu1 > 2r - 1/s + 1/2 violated (need > 1.5, "
+                "got 1.4)") + "$"):
+            gamma_range(make_spec(mu1=1.4, mu2=2.0))
 
     def test_uniform_metric_violation(self):
         spec = make_spec(mu1=1.9, mu2=3.0, metric=MetricSpec("sup"))
-        violations = validate_spec(spec)
-        assert any("mu1 > 2r - 1/s + 1" in v for v in violations)
+        with pytest.raises(ValueError, match=re.escape("mu1 > 2r - 1/s + 1 ")):
+            gamma_range(spec)
 
     def test_second_parameter_condition(self):
-        violations = validate_spec(make_spec(mu1=4.0, mu2=1.5))
-        assert any("mu2 > mu1 - 2r" in v for v in violations)
+        with pytest.raises(ValueError, match=re.escape("mu2 > mu1 - 2r ")):
+            gamma_range(make_spec(mu1=4.0, mu2=1.5))
 
     def test_lq_conditions(self):
         metric = MetricSpec("lqw", q=4.0)
-        assert validate_spec(make_spec(mu1=3.0, mu2=2.0, metric=metric)) == []
-        bad = validate_spec(make_spec(mu1=1.7, mu2=2.0, metric=metric))
-        assert any("mu1 > 2r - 1/s - 1/q + 1" in v for v in bad)
+        assert gamma_range(make_spec(mu1=3.0, mu2=2.0, metric=metric))[0] == 1.0
+        with pytest.raises(ValueError,
+                           match=re.escape("mu1 > 2r - 1/s - 1/q + 1 ")):
+            gamma_range(make_spec(mu1=1.7, mu2=2.0, metric=metric))
 
     @pytest.mark.parametrize("metric, mu1, expected", [
         (MetricSpec("l2w"), 2.2, [
@@ -56,7 +58,12 @@ class TestValidateSpec:
     ], ids=["l2w", "sup", "lqw"])
     def test_full_message_list(self, metric, mu1, expected):
         spec = make_spec(s=4.0, mu1=mu1, mu2=0.1, metric=metric)
-        assert validate_spec(spec) == expected
+        # choose_n and theoretical_rate refuse with the same message
+        for call in (gamma_range, lambda x: choose_n(0.1, x), theoretical_rate):
+            with pytest.raises(ValueError) as info:
+                call(spec)
+            assert str(info.value) == (f"inadmissible spec for metric "
+                                       f"{metric.label}: " + "; ".join(expected))
 
 
 class TestChooseN:
@@ -132,10 +139,11 @@ class TestGammaRange:
             s = float(gen.uniform(1, 3))
             mu1 = 2 * r - 1 / s + 0.5 + float(gen.uniform(0.05, 3))
             mu2 = float(gen.uniform(max(0.5 - 1 / s, 0) + 0.05, mu1 + 2))
-            spec = make_spec(r=r, s=s, mu1=mu1, mu2=mu2)
-            if validate_spec(spec):
+            try:
+                high = gamma_range(make_spec(r=r, s=s, mu1=mu1, mu2=mu2))[1]
+            except ValueError:  # inadmissible
                 continue
-            assert (gamma_range(spec)[1] > 1.0) == (mu2 > mu1 - 2 * r)
+            assert (high > 1.0) == (mu2 > mu1 - 2 * r)
 
 
 class TestTheoreticalRate:
@@ -165,9 +173,11 @@ class TestTheoreticalRate:
             p = float(gen.choice([1.0, 2.0, 5.0, math.inf]))
             metric = metrics[int(gen.integers(0, 3))]
             spec = make_spec(r=r, s=s, mu1=mu1, mu2=mu2, p=p, metric=metric)
-            if validate_spec(spec):
+            try:
+                rate = theoretical_rate(spec)
+            except ValueError:  # inadmissible
                 continue
-            assert theoretical_rate(spec) > 0
+            assert rate > 0
             count += 1
 
 
@@ -187,6 +197,9 @@ class TestExpectedCardinality:
 def test_choose_n_is_monotone_in_delta(deltas, r, s, mu1, mu2, p, constant):
     # a smaller noise level never gives a smaller level
     spec = make_spec(r=r, s=s, mu1=mu1, mu2=mu2, p=p, constant=constant)
-    assume(not validate_spec(spec))
     small, large = sorted(deltas)
-    assert choose_n(small, spec) >= choose_n(large, spec)
+    try:
+        assert choose_n(small, spec) >= choose_n(large, spec)
+    except ValueError as exc:  # an inadmissible spec
+        assert str(exc).startswith("inadmissible spec")
+        reject()
