@@ -77,7 +77,8 @@ def _cmd_experiment(args) -> int:
     report_path = os.path.join(out_dir, "report.json")
     harness.write_trials_csv(result.trials, trials_path)
     with open(report_path, "w") as fh:
-        json.dump(harness.report_json_dict(result), fh, indent=2)
+        json.dump({label: dataclasses.asdict(report)
+                   for label, report in result.reports.items()}, fh, indent=2)
         fh.write("\n")
 
     for label, report in result.reports.items():

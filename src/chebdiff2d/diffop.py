@@ -57,15 +57,16 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
         # terms[l] = 2l * a[l], then at least two zero rows.  Over the row
         # pairs (2i, 2i + 1) from the top, one in-place cumsum runs down the
         # even and the odd rows apart, each from a zero row, and leaves
-        # terms[l] = b[l-1] = b[l+1] + 2l * a[l]
+        # terms[l] = b[l-1] = b[l+1] + 2l * a[l]; the degree drops by one
         terms = np.zeros((2 * ((rows + 1) // 2 + 1), cols))
         with np.errstate(over="ignore", invalid="ignore"):  # _wrap refuses
-            np.multiply(weights, values, out=terms[:rows])
+            np.multiply(weights[:rows], values, out=terms[:rows])
             pairs = terms.reshape(-1, 2, cols)[::-1]
             np.cumsum(pairs, axis=0, out=pairs)
-        values = terms[1:rows + 1]
+        values = terms[1:rows]
         values[0] *= zeta0
-    return CoeffGrid._wrap(values[: rows - int(r)])
+        rows -= 1
+    return CoeffGrid._wrap(values)
 
 
 def truncated_derivative(coeffs_delta: CoeffGrid, n: int, gamma: float, r: int) -> CoeffGrid:

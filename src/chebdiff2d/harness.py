@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -248,9 +248,10 @@ class RateFit:
 def fit_rate(points) -> RateFit:
     """Ordinary least squares of log(error) against log(delta).
 
-    Needs at least three points with positive delta and error; the 95%
-    confidence interval comes from the standard regression formulas (it
-    degenerates to the point estimate when the fit is exact).
+    Needs at least three points with positive delta and error, at two
+    distinct noise levels or more; the 95% confidence interval comes from
+    the standard regression formulas (it degenerates to the point estimate
+    when the fit is exact).
     """
     pts = list(points)
     if len(pts) < 3:
@@ -258,6 +259,8 @@ def fit_rate(points) -> RateFit:
     if any(d <= 0 or e <= 0 for d, e in pts):
         raise ValueError("rate fitting needs positive noise levels and errors")
     x = np.log([d for d, _ in pts])
+    if x.min() == x.max():
+        raise ValueError("rate fitting needs at least 2 distinct noise levels")
     y = np.log([e for _, e in pts])
     n = len(pts)
     xm, ym = x.mean(), y.mean()
@@ -366,63 +369,55 @@ class ExperimentResult:
     trials: tuple[TrialRecord, ...]
 
 
-def _check_config(config: ExperimentConfig) -> None:
-    for metric in config.metrics:
-        low, high = gamma_range(replace(config.problem, metric=metric))
-        if not low <= config.gamma < high:
-            raise ValueError(f"gamma={config.gamma} outside admissible range "
-                             f"[{low}, {high}) for metric {metric.label}")
-
-
 def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     """Run the noise-level sweep and fit one rate per requested metric."""
-    _check_config(config)
-    problem = config.problem
+    problem, gamma, metrics = config.problem, config.gamma, config.metrics
+    for metric in metrics:
+        low, high = gamma_range(replace(problem, metric=metric))
+        if not low <= gamma < high:
+            raise ValueError(f"gamma={gamma} outside admissible range "
+                             f"[{low}, {high}) for metric {metric.label}")
     # building a cross checks its level, so every level is checked first
-    crosses = [build_cross(choose_n(delta, problem), config.gamma, problem.r)
-               for delta in config.deltas]
+    levels = [(delta, build_cross(choose_n(delta, problem), gamma, problem.r))
+              for delta in config.deltas]
     true_grid = config.test_function.build(problem.wiener)
     reference = differentiate_coeffs(true_grid, problem.r)
 
-    # a seed-independent mode gives every trial at a level the same noise,
-    # so trial 0 is computed and the later trials repeat its values
-    seeded = config.noise_mode not in SEED_INDEPENDENT_MODES
-    trials: list[TrialRecord] = []
-    per_metric_rows: dict[str, list[RateRow]] = {m.label: [] for m in config.metrics}
-    for delta, cross in zip(config.deltas, crosses):
-        n, card = cross.n, len(cross)
-        errors: dict[str, list[float]] = {m.label: [] for m in config.metrics}
-        for trial in range(config.trials_per_delta):
-            if trial == 0 or seeded:
-                noise = NoiseSpec(p=problem.noise_p, delta=delta,
-                                  mode=config.noise_mode,
-                                  seed=config.noise_seed + trial)
-                perturbed = perturb(true_grid, noise, cross)
-                approx = truncated_derivative(perturbed, n, config.gamma, problem.r)
-                err_grid = approx - reference
-                values = [evaluate_metric(err_grid, m) for m in config.metrics]
-            for metric, value in zip(config.metrics, values):
-                errors[metric.label].append(value)
-                trials.append(TrialRecord(delta, trial, metric.label, n,
-                                          config.gamma, card, value))
-        for metric in config.metrics:
-            vals = np.array(errors[metric.label])
-            per_metric_rows[metric.label].append(
-                RateRow(delta, float(vals.mean()), float(vals.std()), n, card))
+    # errors[level, trial, metric]; a seed-independent mode gives every trial
+    # at a level the same noise, so trial 0 is computed and the rest copy it
+    errors = np.empty((len(levels), config.trials_per_delta, len(metrics)))
+    computed = (1 if config.noise_mode in SEED_INDEPENDENT_MODES
+                else config.trials_per_delta)
+    for (delta, cross), block in zip(levels, errors):
+        for trial in range(computed):
+            noise = NoiseSpec(p=problem.noise_p, delta=delta, mode=config.noise_mode,
+                              seed=config.noise_seed + trial)
+            perturbed = perturb(true_grid, noise, cross)
+            err_grid = (truncated_derivative(perturbed, cross.n, gamma, problem.r)
+                        - reference)
+            block[trial] = [evaluate_metric(err_grid, m) for m in metrics]
+        block[computed:] = block[0]
 
+    trials = tuple(TrialRecord(delta, trial, metric.label, cross.n, gamma,
+                               len(cross), error)
+                   for (delta, cross), block in zip(levels, errors.tolist())
+                   for trial, row in enumerate(block)
+                   for metric, error in zip(metrics, row))
     reports: dict[str, RateReport] = {}
-    for metric in config.metrics:
-        rows = per_metric_rows[metric.label]
+    for i, metric in enumerate(metrics):
+        rows = tuple(RateRow(delta, float(column.mean()), float(column.std()),
+                             cross.n, len(cross))
+                     for (delta, cross), column in zip(levels, errors[:, :, i]))
         fit = fit_rate([(row.delta, row.mean_error) for row in rows])
         reports[metric.label] = RateReport(
             metric=metric.label,
-            rows=tuple(rows),
+            rows=rows,
             fitted_slope=fit.slope,
             intercept=fit.intercept,
             slope_ci=(fit.ci_low, fit.ci_high),
             theoretical_slope=theoretical_rate(replace(problem, metric=metric)),
         )
-    return ExperimentResult(reports=reports, trials=tuple(trials))
+    return ExperimentResult(reports=reports, trials=trials)
 
 
 def write_trials_csv(trials, path) -> None:
@@ -430,10 +425,6 @@ def write_trials_csv(trials, path) -> None:
     write_csv_table(path, "delta,trial,metric,n,gamma,cardinality,error",
                     "%.17g,%d,%s,%d,%.17g,%d,%.17g",
                     *zip(*map(astuple, trials)))
-
-
-def report_json_dict(result: ExperimentResult) -> dict:
-    return {label: asdict(report) for label, report in result.reports.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ class NoiseSpec:
 
 def lp_norm(values, p: float) -> float:
     """l_p norm with overflow-safe scaling; p = math.inf gives the sup."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1 (math.inf allowed)")
     arr = np.abs(np.asarray(values, dtype=float)).ravel()
     if arr.size == 0:
         return 0.0

@@ -92,13 +92,13 @@ def _load_json(path, error: type[ValueError]):
             raise error(f"{path}: {exc}") from None
 
 
-def _check_table_size(max_k: int, max_j: int) -> None:
+def _check_table_size(max_k: int, max_j: int, what="coefficient table") -> None:
     """Refuse bounds not integral and >= 0, or a table above MAX_TABLE_ENTRIES."""
     if not all(0 <= bound < math.inf and bound % 1 == 0 for bound in (max_k, max_j)):
         raise ValueError("degree bounds max_k and max_j must be nonnegative integers")
     rows, cols = int(max_k) + 1, int(max_j) + 1
     if rows * cols > MAX_TABLE_ENTRIES:
-        raise ValueError(f"a {_shown(rows)} x {_shown(cols)} coefficient table "
+        raise ValueError(f"a {_shown(rows)} x {_shown(cols)} {what} "
                          f"exceeds the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
 
 
@@ -274,10 +274,13 @@ def analyze(f, max_k: int, max_j: int) -> CoeffGrid:
     ``f`` is called pointwise as ``f(t, tau)`` on the tensor grid of
     ``2 * max(max_k, max_j) + 1`` nodes per dimension, which makes the
     computed coefficients exact (to roundoff) whenever f is a polynomial of
-    coordinate degrees at most ``3 * max(max_k, max_j) + 1``.
+    coordinate degrees at most ``3 * max(max_k, max_j) + 1``.  A sample
+    grid above MAX_TABLE_ENTRIES points is refused before f is called.
     """
     _check_table_size(max_k, max_j)
-    ts = gauss_chebyshev_nodes(2 * max(max_k, max_j) + 1)
+    nodes = 2 * int(max(max_k, max_j)) + 1
+    _check_table_size(nodes - 1, nodes - 1, "sample grid")
+    ts = gauss_chebyshev_nodes(nodes)
     samples = np.array([[float(f(t, u)) for u in ts] for t in ts])
     bk = basis_matrix(max_k, ts)
     bj = basis_matrix(max_j, ts)

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,40 @@ def test_recurrence_matches_dense_table(rng, r, zeta0):
         expected = expected[: max(0, max_k - r) + 1]
         scale = max(np.abs(expected).max(), 1e-300)
         assert np.abs(got - expected).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (9, 4), (16, 1), (33, 5)])
+def test_order_r_gives_the_bytes_of_r_first_order_steps(rng, shape):
+    values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.uniform(-5, 11, shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    grid = CoeffGrid.from_dense(values)
+    steps = grid
+    for r in range(1, shape[0] + 3):
+        steps = differentiate_coeffs(steps, 1)
+        got = differentiate_coeffs(grid, r).to_dense()
+        assert got.tobytes() == steps.to_dense().tobytes()
+
+
+# The worst deviation from mpmath on the rng fixture's 513 x 3 table,
+# relative to the largest exact entry, measured with numpy 2.4; each test
+# allows twice that.  No BLAS call is involved.
+@pytest.mark.parametrize("r, measured", [(1, 7.8e-16), (2, 6.1e-16)])
+def test_recurrence_against_mpmath_at_degree_512(rng, r, measured):
+    values = rng.uniform(-1.0, 1.0, size=(513, 3))
+    with mpmath.workdps(30):
+        # the backward recurrence b[l-1] = b[l+1] + 2l a[l] in 30 digits,
+        # with zeta0 = 1/sqrt(2) taken in mpmath too
+        zeta0 = 1 / mpmath.sqrt(2)
+        a = [list(map(mpmath.mpf, row)) for row in values.tolist()]
+        for _ in range(r):
+            b = [[mpmath.mpf(0)] * 3 for _ in range(len(a) + 1)]
+            for l in range(len(a) - 1, 0, -1):
+                b[l - 1] = [x + 2 * l * y for x, y in zip(b[l + 1], a[l])]
+            a = [[zeta0 * x for x in b[0]]] + b[1:len(a) - 1]
+        exact = np.array([[float(x) for x in row] for row in a])
+    got = differentiate_coeffs(CoeffGrid.from_dense(values), r).to_dense()
+    assert got.shape == exact.shape == (513 - r, 3)
+    assert np.abs(got - exact).max() <= 2 * measured * np.abs(exact).max()
 
 
 def test_constant_has_zero_derivative():

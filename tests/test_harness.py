@@ -199,6 +199,12 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(0.1, 1.0), (0.01, 0.5)])
 
+    def test_one_noise_level_rejected(self):
+        # a zero spread of log(delta) would divide by zero
+        with pytest.raises(ValueError, match="^rate fitting needs at least 2 "
+                                             "distinct noise levels$"):
+            fit_rate([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             fit_rate([(0.1, 1.0), (0.01, 0.0), (0.001, 0.1)])

@@ -264,6 +264,14 @@ class TestPerturb:
             NoiseSpec(p=2.0, delta=0.1, mode="gaussian")
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan, -math.inf])
+def test_lp_norm_refuses_p_below_1(p):
+    # p = 0.5 would give the quasi-norm 5.83 of [1, 2], and nan a nan
+    for values in ([1.0, 2.0], []):
+        with pytest.raises(ValueError, match=r"^p must be >= 1 \(math.inf allowed\)$"):
+            lp_norm(values, p)
+
+
 def test_lp_norm_overflow_safe():
     big = [1e200, 1e200]
     assert lp_norm(big, 2.0) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-12)

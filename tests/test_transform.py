@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,15 @@ class TestAnalyze:
         with pytest.raises(RuntimeError, match="sensor offline"):
             analyze(broken, 2, 2)
 
+    @pytest.mark.parametrize("max_k, max_j, grid", [
+        (4096, 0, 8193), (0, 4096, 8193), (8191, 8191, 16383), (2**20, 0, 2097153)])
+    def test_sample_grid_above_the_limit_is_refused_first(self, max_k, max_j, grid):
+        calls = []
+        with pytest.raises(ValueError, match=rf"^a {grid} x {grid} sample grid "
+                           r"exceeds the limit MAX_TABLE_ENTRIES = 67108864$"):
+            analyze(lambda t, u: calls.append((t, u)) or 0.0, max_k, max_j)
+        assert calls == []
+
     def test_linearity(self, rng):
         f = lambda t, u: t**3 - 0.5 * u**2
         g = lambda t, u: t * u + 0.25
@@ -307,6 +317,37 @@ class TestGridSynthesize:
                 for m, u in enumerate(taus):
                     assert values[i, m] == pytest.approx(
                         synthesize(grid, t, u), abs=1e-12)
+
+    def test_degree_512_against_mpmath_at_cosine_nodes(self, rng):
+        # the worst deviation from mpmath on the rng fixture's 513 x 3 table,
+        # relative to the largest exact value, measured with numpy 2.4 on an
+        # AVX-512 machine; the test allows twice that
+        measured = 4.8e-14
+        values = rng.uniform(-1.0, 1.0, size=(513, 3))
+        ts, taus = cosine_grid(257), np.array([-0.83, 0.1, 0.6])
+        with mpmath.workdps(30):
+            def chebyshev(x, degree):
+                # classical T_0..T_degree at the float64 point x itself, by
+                # the three-term recurrence: the error is grid_synthesize's
+                x = mpmath.mpf(x)
+                row, twice = [mpmath.mpf(1), x], 2 * x
+                for _ in range(degree - 1):
+                    row.append(twice * row[-1] - row[-2])
+                return row
+
+            scale = [1 / mpmath.sqrt(mpmath.pi)] + [mpmath.sqrt(2 / mpmath.pi)] * 512
+            columns = [[s * mpmath.mpf(v) for s, v in zip(scale, column)]
+                       for column in values.T.tolist()]
+            rows_tau = [[s * v for s, v in zip(scale, chebyshev(u, 2))]
+                        for u in taus.tolist()]
+            exact = []
+            for t in ts.tolist():
+                row_t = chebyshev(t, 512)
+                sums = [mpmath.fdot(column, row_t) for column in columns]
+                exact.append([float(mpmath.fdot(sums, row)) for row in rows_tau])
+        exact = np.array(exact)
+        got = grid_synthesize(CoeffGrid.from_dense(values), ts, taus)
+        assert np.abs(got - exact).max() <= 2 * measured * np.abs(exact).max()
 
 
 # White space the README allows around a field, and in a blank line.
