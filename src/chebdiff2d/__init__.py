@@ -9,8 +9,8 @@ from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .harness import (ANALYTIC_FUNCTIONS, CheckResult, ExperimentConfig,
                       ExperimentResult, RateFit, RateReport, RateRow,
                       TestFunctionSpec, TrialRecord, config_from_dict,
-                      fit_rate, load_config, recurrence_partial_t,
-                      run_convergence, run_single, validate_suite)
+                      fit_rate, recurrence_partial_t, run_convergence,
+                      validate_suite)
 from .hypercross import CrossIndexSet, build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                     SEED_INDEPENDENT_MODES, NoiseSpec, WienerSpec, lp_norm,

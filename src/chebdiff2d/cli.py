@@ -1,4 +1,5 @@
-"""Command-line harness.
+"""Command-line harness: argument parsing, every file a command reads or
+writes, and the exit codes.
 
 Subcommands: ``differentiate`` (single coefficient file -> derivative
 coefficients), ``experiment`` (noise-level sweep from a JSON config),
@@ -17,9 +18,13 @@ import re
 import sys
 
 from . import harness
+from .diffop import truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import WienerSpec
-from .transform import CoeffFileError, _shown
+from .norms import cosine_grid
+from .transform import (MAX_TABLE_ENTRIES, CoeffFileError, _load_json, _shown,
+                        grid_synthesize, read_coeff_file, write_coeff_csv,
+                        write_csv_table, write_value_table)
 from .tuning import ProblemSpec, choose_n
 
 
@@ -59,23 +64,35 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_differentiate(args) -> int:
     n = _resolve_level(args)
-    result = harness.run_single(args.input, n, args.gamma, args.r,
-                                args.output, eval_grid=args.eval_grid)
+    m = args.eval_grid
+    if m is not None:  # the value grid is refused before the input is read
+        if m * m > MAX_TABLE_ENTRIES:
+            raise ValueError(f"a {m} x {m} value grid exceeds "
+                             f"the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+        nodes = cosine_grid(m)
+    result = truncated_derivative(read_coeff_file(args.input), n, args.gamma,
+                                  args.r)
+    write_coeff_csv(result, args.output)
+    if m is not None:
+        write_value_table(f"{args.output}.values.csv", nodes, nodes,
+                          grid_synthesize(result, nodes, nodes))
     print(f"wrote {result.nnz} derivative coefficients to {args.output}")
-    if args.eval_grid is not None:
-        print(f"wrote {args.eval_grid}x{args.eval_grid} point values to "
-              f"{args.output}.values.csv")
+    if m is not None:
+        print(f"wrote {m}x{m} point values to {args.output}.values.csv")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    config = harness.load_config(args.config)
+    config = harness.config_from_dict(_load_json(args.config, ValueError))
     result = harness.run_convergence(config)
     out_dir = args.output or config.output_path or "."
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     report_path = os.path.join(out_dir, "report.json")
-    harness.write_trials_csv(result.trials, trials_path)
+    # the columns are the TrialRecord fields, in order
+    write_csv_table(trials_path, "delta,trial,metric,n,gamma,cardinality,error",
+                    "%.17g,%d,%s,%d,%.17g,%d,%.17g",
+                    *zip(*map(dataclasses.astuple, result.trials)))
     with open(report_path, "w") as fh:
         json.dump({label: dataclasses.asdict(report)
                    for label, report in result.reports.items()}, fh, indent=2)

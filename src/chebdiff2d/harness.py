@@ -1,5 +1,6 @@
-"""Experiment engine: single-shot differentiation runs, noise-level sweeps
-with log-log rate fitting, and the executable validation suite.
+"""Experiment engine: noise-level sweeps with log-log rate fitting, the
+derivative oracle and the executable validation suite.  It opens no file:
+the command line (:mod:`chebdiff2d.cli`) reads and writes them.
 
 A convergence experiment builds a test function in coefficient space,
 perturbs its coefficients on the truncation cross at each noise level,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -27,13 +28,10 @@ from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
                     NoiseSpec, WienerSpec, lp_norm, make_class_member, perturb,
                     wiener_norm)
-from .norms import (MetricSpec, cosine_grid, evaluate_metric, l2_omega_norm,
+from .norms import (MetricSpec, evaluate_metric, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
-from .transform import (MAX_TABLE_ENTRIES, CoeffGrid, _load_json, _one_of,
-                        _shown, analyze, grid_synthesize, read_coeff_file,
-                        synthesize, write_coeff_csv, write_csv_table,
-                        write_value_table)
+from .transform import CoeffGrid, _one_of, _shown, analyze, synthesize
 from .tuning import ProblemSpec, choose_n, gamma_range, theoretical_rate
 
 # ---------------------------------------------------------------------------
@@ -101,6 +99,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials_per_delta < 1:
             raise ValueError("trials_per_delta must be >= 1")
+        if not 1 <= self.trials_per_delta < math.inf or self.trials_per_delta % 1:
+            raise ValueError("trials_per_delta must be an integer")
+        # an integral float such as 3.0 runs as the integer
+        object.__setattr__(self, "trials_per_delta", int(self.trials_per_delta))
         if not self.deltas:
             raise ValueError("need at least one noise level")
         for d in self.deltas:
@@ -230,10 +232,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         **{"noise_" + key: value for key, value in noise.items()})
 
 
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(_load_json(path, ValueError))
-
-
 # ---------------------------------------------------------------------------
 # rate fitting
 
@@ -248,16 +246,17 @@ class RateFit:
 def fit_rate(points) -> RateFit:
     """Ordinary least squares of log(error) against log(delta).
 
-    Needs at least three points with positive delta and error, at two
-    distinct noise levels or more; the 95% confidence interval comes from
+    Needs at least three points with finite positive delta and error, at
+    two distinct noise levels or more; the 95% confidence interval comes from
     the standard regression formulas (it degenerates to the point estimate
     when the fit is exact).
     """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("rate fitting needs at least 3 points")
-    if any(d <= 0 or e <= 0 for d, e in pts):
-        raise ValueError("rate fitting needs positive noise levels and errors")
+    if not all(0 < d < math.inf and 0 < e < math.inf for d, e in pts):
+        raise ValueError("rate fitting needs finite positive noise levels "
+                         "and errors")
     x = np.log([d for d, _ in pts])
     if x.min() == x.max():
         raise ValueError("rate fitting needs at least 2 distinct noise levels")
@@ -418,41 +417,6 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
             theoretical_slope=theoretical_rate(replace(problem, metric=metric)),
         )
     return ExperimentResult(reports=reports, trials=trials)
-
-
-def write_trials_csv(trials, path) -> None:
-    # the columns are the TrialRecord fields, in order
-    write_csv_table(path, "delta,trial,metric,n,gamma,cardinality,error",
-                    "%.17g,%d,%s,%d,%.17g,%d,%.17g",
-                    *zip(*map(astuple, trials)))
-
-
-# ---------------------------------------------------------------------------
-# single-shot runs
-
-def run_single(coeff_input, n: int, gamma: float, r: int, output,
-               eval_grid: int | None = None):
-    """Differentiate a coefficient file and write the result.
-
-    Reads the input grid (CSV or JSON by suffix), applies the truncated
-    derivative, writes the output coefficients as CSV, and optionally
-    evaluates the derivative on an eval_grid x eval_grid cosine tensor grid
-    (written next to the output as ``<output>.values.csv``).  Returns the
-    derivative grid.  The value grid is checked before the input is read:
-    it needs at least 2 and at most MAX_TABLE_ENTRIES points.
-    """
-    if eval_grid is not None:
-        if eval_grid * eval_grid > MAX_TABLE_ENTRIES:
-            raise ValueError(f"a {eval_grid} x {eval_grid} value grid exceeds "
-                             f"the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
-        nodes = cosine_grid(eval_grid)
-    grid = read_coeff_file(coeff_input)
-    result = truncated_derivative(grid, n, gamma, r)
-    write_coeff_csv(result, output)
-    if eval_grid is not None:
-        write_value_table(f"{output}.values.csv", nodes, nodes,
-                          grid_synthesize(result, nodes, nodes))
-    return result
 
 
 # ---------------------------------------------------------------------------

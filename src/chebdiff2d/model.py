@@ -104,13 +104,15 @@ class NoiseSpec:
 
 
 def lp_norm(values, p: float) -> float:
-    """l_p norm with overflow-safe scaling; p = math.inf gives the sup."""
+    """Overflow-safe l_p norm of finite values; p = math.inf gives the sup."""
     if not p >= 1:
         raise ValueError("p must be >= 1 (math.inf allowed)")
     arr = np.abs(np.asarray(values, dtype=float)).ravel()
     if arr.size == 0:
         return 0.0
-    peak = float(arr.max())
+    peak = float(arr.max())  # nan if any value is nan
+    if not peak < math.inf:
+        raise ValueError("l_p norm needs finite values")
     if peak == 0.0 or math.isinf(p):
         return peak
     return peak * float(np.sum((arr / peak) ** p)) ** (1.0 / p)

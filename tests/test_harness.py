@@ -21,7 +21,7 @@ from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         differentiate_coeffs, evaluate_metric, fit_rate,
                         grid_synthesize, make_class_member, parse_metric,
                         perturb, read_coeff_csv, recurrence_partial_t,
-                        run_convergence, run_single, synthesize,
+                        run_convergence, synthesize,
                         theoretical_rate, truncated_derivative,
                         validate_suite,
                         write_coeff_csv, write_coeff_json)
@@ -208,6 +208,18 @@ class TestFitRate:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             fit_rate([(0.1, 1.0), (0.01, 0.0), (0.001, 0.1)])
+
+    @pytest.mark.parametrize("points", [
+        [(math.inf, 1.0), (0.1, 2.0), (0.01, 3.0)],
+        [(math.nan, 1.0), (0.1, 2.0), (0.01, 3.0)],
+        [(0.1, math.nan), (0.01, 2.0), (0.001, 3.0)],
+        [(0.1, 1.0), (0.01, math.inf), (0.001, 3.0)],
+    ], ids=["delta-inf", "delta-nan", "error-nan", "error-inf"])
+    def test_non_finite_rejected(self, points):
+        # each would give a fit of nan slope and interval
+        with pytest.raises(ValueError, match="^rate fitting needs finite positive "
+                                             "noise levels and errors$"):
+            fit_rate(points)
 
     def test_noisy_power_law_within_ci(self, rng):
         slope_true = 0.7
@@ -420,8 +432,18 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="decreasing"):
             small_config(deltas=(1e-3, 1e-2, 1e-4))
 
+    def test_integral_float_trials_per_delta_runs_as_integer(self):
+        config = small_config(trials_per_delta=3.0)
+        assert type(config.trials_per_delta) is int
+        assert config == small_config(trials_per_delta=3)
+        assert run_convergence(config) == run_convergence(small_config())
+
     @pytest.mark.parametrize("overrides, message", [
         (dict(trials_per_delta=0), r"trials_per_delta must be >= 1"),
+        # without the check, run_convergence raises a TypeError naming nothing
+        (dict(trials_per_delta=2.5), r"^trials_per_delta must be an integer$"),
+        (dict(trials_per_delta=math.nan), r"^trials_per_delta must be an integer$"),
+        (dict(trials_per_delta=math.inf), r"^trials_per_delta must be an integer$"),
         (dict(deltas=()), r"need at least one noise level"),
         (dict(deltas=(0.0,)), r"noise levels must lie in \(0, 1\)"),
         (dict(deltas=(1.0,)), r"noise levels must lie in \(0, 1\)"),
@@ -432,8 +454,9 @@ class TestConfigParsing:
          r"metric 'l2w' is given twice"),
         (dict(trials_per_delta=2**20), r"^deltas x trials_per_delta x metrics = "
          r"3145728 exceeds MAX_TRIAL_RECORDS = 1048576$"),
-    ], ids=["trials-0", "no-deltas", "delta-0", "delta-1", "delta-2",
-            "noise-mode", "no-metrics", "repeated-metric", "trial-records"])
+    ], ids=["trials-0", "trials-2.5", "trials-nan", "trials-inf", "no-deltas",
+            "delta-0", "delta-1", "delta-2", "noise-mode", "no-metrics",
+            "repeated-metric", "trial-records"])
     def test_config_checks(self, overrides, message):
         # the checks a config built in code, not parsed, goes through
         with pytest.raises(ValueError, match=message):
@@ -441,39 +464,53 @@ class TestConfigParsing:
 
 
 class TestRunSingle:
-    def test_polynomial_derivative_file(self, tmp_path):
+    """One ``differentiate`` command, run in process through ``main``."""
+
+    @staticmethod
+    def differentiate(src, out, n, *extra):
+        return main(["differentiate", "--input", str(src), "--n", str(n),
+                     "--gamma", "1.0", "--r", "1", "--output", str(out), *extra])
+
+    def test_polynomial_derivative_file(self, tmp_path, capsys):
         grid = analyze(lambda t, u: t**3, 8, 0)
         src = tmp_path / "input.csv"
         write_coeff_csv(grid, src)
         out = tmp_path / "deriv.csv"
-        result = run_single(src, 8, 1.0, 1, out, eval_grid=5)
+        assert self.differentiate(src, out, 8, "--eval-grid", "5") == 0
+        result = read_coeff_csv(out)
         probes = np.linspace(-0.95, 0.95, 10)
         for t in probes:
             assert synthesize(result, float(t), 0.1) == pytest.approx(
                 3 * t**2, abs=1e-10)
-        reread = read_coeff_csv(out)
-        assert reread == result
+        assert result == truncated_derivative(read_coeff_csv(src), 8, 1.0, 1)
         table = (tmp_path / "deriv.csv.values.csv").read_text().splitlines()
         assert table[0] == "t,tau,value"
         assert len(table) == 1 + 25
+        assert capsys.readouterr() == (
+            f"wrote {result.nnz} derivative coefficients to {out}\n"
+            f"wrote 5x5 point values to {out}.values.csv\n", "")
 
     @pytest.mark.parametrize("eval_grid, message", [
         (1, "at least 2 points"), (200_000, "limit MAX_TABLE_ENTRIES = ")])
-    def test_value_grid_checked_before_reading(self, tmp_path, eval_grid,
-                                               message):
-        # reading the missing input would raise FileNotFoundError instead
+    def test_value_grid_checked_before_reading(self, tmp_path, capsys,
+                                               eval_grid, message):
+        # reading the missing input would exit 2 with FileNotFoundError instead
         out = tmp_path / "deriv.csv"
-        with pytest.raises(ValueError, match=message):
-            run_single(tmp_path / "missing.csv", 4, 1.0, 1, out,
-                       eval_grid=eval_grid)
+        assert self.differentiate(tmp_path / "missing.csv", out, 4,
+                                  "--eval-grid", str(eval_grid)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
         assert not out.exists()
 
-    def test_empty_input_gives_zero_output(self, tmp_path):
+    def test_empty_input_gives_zero_output(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
         src.write_text("k,j,coeff\n")
         out = tmp_path / "deriv.csv"
-        result = run_single(src, 4, 1.0, 1, out)
-        assert result.nnz == 0
+        assert self.differentiate(src, out, 4) == 0
+        assert read_coeff_csv(out).nnz == 0
+        assert capsys.readouterr() == (
+            f"wrote 0 derivative coefficients to {out}\n", "")
 
 
 class TestValidateSuite:

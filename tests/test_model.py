@@ -272,6 +272,16 @@ def test_lp_norm_refuses_p_below_1(p):
             lp_norm(values, p)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [math.inf, 1.0],
+                                    [1.0, -math.inf], [0.0, math.nan]],
+                         ids=["nan", "inf", "-inf", "zero-nan"])
+def test_lp_norm_refuses_non_finite_values(values, p):
+    # the scaled sum would be nan, or inf / inf
+    with pytest.raises(ValueError, match="^l_p norm needs finite values$"):
+        lp_norm(values, p)
+
+
 def test_lp_norm_overflow_safe():
     big = [1e200, 1e200]
     assert lp_norm(big, 2.0) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-12)

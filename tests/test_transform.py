@@ -15,10 +15,10 @@ from chebdiff2d import (CoeffFileError, CoeffGrid, MetricSpec, NoiseSpec,
                         ProblemSpec, WienerSpec, analyze, basis_matrix,
                         build_cross, cosine_grid, differentiate_coeffs,
                         gauss_chebyshev_nodes, grid_synthesize, l2_omega_norm,
-                        load_config, lq_omega_norm, make_class_member,
-                        parse_metric, perturb, read_coeff_csv, read_coeff_file,
-                        read_coeff_json, recurrence_partial_t, run_single,
-                        synthesize, write_coeff_csv, write_coeff_json)
+                        lq_omega_norm, make_class_member, parse_metric,
+                        perturb, read_coeff_csv, read_coeff_file,
+                        read_coeff_json, recurrence_partial_t, synthesize,
+                        write_coeff_csv, write_coeff_json)
 from chebdiff2d.cli import main
 from chebdiff2d.transform import write_csv_table, write_value_table
 import reference
@@ -597,7 +597,7 @@ class TestFileFormats:
         assert message.startswith(f"{path}: ")
         assert [int(n) for n in re.findall(r"\bline (\d+)", message)] == [expected]
 
-    def test_written_bytes(self, tmp_path):
+    def test_written_bytes(self, tmp_path, capsys):
         grid = CoeffGrid({(0, 0): 1.0, (0, 2): -0.1, (1, 1): 1 / 3,
                           (2, 0): 5e-324, (2, 2): 1e22, (3, 1): -2.5e-7}, 3, 2)
         write_coeff_csv(grid, tmp_path / "g.csv")
@@ -611,7 +611,12 @@ class TestFileFormats:
             b'[1, 1, 0.3333333333333333], [2, 0, 5e-324], [2, 2, 1e+22], '
             b'[3, 1, -2.5e-07]]}\n')
         out = tmp_path / "d.csv"
-        run_single(tmp_path / "g.csv", 3, 1.0, 1, out, eval_grid=3)
+        assert main(["differentiate", "--input", str(tmp_path / "g.csv"),
+                     "--n", "3", "--gamma", "1.0", "--r", "1",
+                     "--output", str(out), "--eval-grid", "3"]) == 0
+        assert capsys.readouterr() == (
+            f"wrote 3 derivative coefficients to {out}\n"
+            f"wrote 3x3 point values to {out}.values.csv\n", "")
         assert out.read_bytes() == (
             b"k,j,coeff\r\n0,1,0.47140346013085982\r\n"
             b"1,0,1.9762625833649862e-323\r\n2,1,-1.5e-06\r\n")
@@ -792,6 +797,17 @@ def _written(path, text):
     return path
 
 
+def _experiment(tmp_path, text):
+    """Run ``experiment`` on a configuration file holding ``text``, which
+    must exit 1, and raise its standard error as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["experiment", "--config",
+                     str(_written(tmp_path / "config.json", text)),
+                     "--output", str(tmp_path / "out")]) == 1
+    raise ValueError(err.getvalue())
+
+
 def _differentiate_p(tmp_path, p):
     """Run ``differentiate`` with ``--p p``, and raise the last line of its
     standard error, the usage error, as a ValueError."""
@@ -808,8 +824,8 @@ def _differentiate_p(tmp_path, p):
         {"max_k": 0, "max_j": 0, "entries": [], LONG: 1}))), ": unknown key 'xxx"),
     (lambda tmp: read_coeff_json(_written(tmp / "in.json", '{"%s": 1, "%s": 2}'
                                           % (LONG, LONG))), ": duplicate key 'xxx"),
-    (lambda tmp: load_config(_written(tmp / "config.json", '{"%s": 1, "%s": 2}'
-                                      % (LONG, LONG))), ": duplicate key 'xxx"),
+    (lambda tmp: _experiment(tmp, '{"%s": 1, "%s": 2}' % (LONG, LONG)),
+     ": duplicate key 'xxx"),
     (lambda tmp: parse_metric(LONG), "unknown metric 'xxx"),
     (lambda tmp: parse_metric("lqw:" + LONG), "metric 'lqw:xxx"),
     (lambda tmp: NoiseSpec(p=2.0, delta=0.1, mode=LONG), "unknown noise mode 'xxx"),
