@@ -41,31 +41,41 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     Returns the grid b with synthesize(b) = d^r/dt^r synthesize(coeffs),
     exact (up to roundoff) for any polynomial input.  The output degree
     bound in k drops by r (floored at zero); the second variable is
-    untouched; for r > max_k the result is one row of +0.0, returned
-    without running the recurrence.  ``zeta0`` is exposed for diagnostics
-    (the validation suite perturbs it to demonstrate oracle sensitivity);
-    production code uses the default.
+    untouched.  Zero rows and columns at the high end skip the recurrence
+    and come back as the +0.0 it gives, so r or more such rows take no step.
+    A non-finite entry before the last step is refused, naming r and the
+    step.  ``zeta0`` is exposed for diagnostics (the validation suite
+    perturbs it to demonstrate oracle sensitivity); production code uses
+    the default.
     """
     if not 1 <= r < math.inf or r % 1:
         raise ValueError("derivative order r must be an integer >= 1")
-    values = coeffs._dense  # only read: each step writes a fresh table
-    rows, cols = values.shape
+    dense, r = coeffs._dense, int(r)
+    out_shape = (max(dense.shape[0] - r, 1), dense.shape[1])
+    rows = len(np.trim_zeros(dense.any(axis=1), "b"))  # -0.0 is zero too
+    cols = len(np.trim_zeros(dense.any(axis=0), "b"))
     if r >= rows:  # every degree is below r: the derivative is zero
-        return CoeffGrid._wrap(np.zeros((1, cols)))
+        return CoeffGrid._wrap(np.zeros(out_shape))
+    values = dense[:rows, :cols]  # only read: each step writes a fresh table
     weights = 2.0 * np.arange(rows)[:, None]
-    for _ in range(int(r)):
+    for step in range(1, r + 1):
         # terms[l] = 2l * a[l], then at least two zero rows.  Over the row
         # pairs (2i, 2i + 1) from the top, one in-place cumsum runs down the
         # even and the odd rows apart, each from a zero row, and leaves
         # terms[l] = b[l-1] = b[l+1] + 2l * a[l]; the degree drops by one
         terms = np.zeros((2 * ((rows + 1) // 2 + 1), cols))
-        with np.errstate(over="ignore", invalid="ignore"):  # _wrap refuses
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
             np.multiply(weights[:rows], values, out=terms[:rows])
             pairs = terms.reshape(-1, 2, cols)[::-1]
             np.cumsum(pairs, axis=0, out=pairs)
         values = terms[1:rows]
         values[0] *= zeta0
         rows -= 1
+        if step < r and not np.isfinite(values).all():  # _wrap names the last
+            raise ValueError(f"derivative of order r = {r}: step {step} "
+                             f"leaves a non-finite coefficient")
+    if values.shape != out_shape:
+        values = np.pad(values, [(0, a - b) for a, b in zip(out_shape, values.shape)])
     return CoeffGrid._wrap(values)
 
 

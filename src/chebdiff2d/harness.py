@@ -28,7 +28,7 @@ from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
                     NoiseSpec, WienerSpec, lp_norm, make_class_member, perturb,
                     wiener_norm)
-from .norms import (MetricSpec, evaluate_metric, l2_omega_norm,
+from .norms import (MetricSpec, _error_metrics, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
 from .transform import CoeffGrid, _one_of, _shown, analyze, synthesize
@@ -380,7 +380,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     levels = [(delta, build_cross(choose_n(delta, problem), gamma, problem.r))
               for delta in config.deltas]
     true_grid = config.test_function.build(problem.wiener)
-    reference = differentiate_coeffs(true_grid, problem.r)
+    errors_of = _error_metrics(differentiate_coeffs(true_grid, problem.r), metrics)
 
     # errors[level, trial, metric]; a seed-independent mode gives every trial
     # at a level the same noise, so trial 0 is computed and the rest copy it
@@ -388,13 +388,15 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     computed = (1 if config.noise_mode in SEED_INDEPENDENT_MODES
                 else config.trials_per_delta)
     for (delta, cross), block in zip(levels, errors):
+        # the derivative reads only the cross, so a trial perturbs the
+        # member's leading block and its result is block-sized too
+        member = CoeffGrid.from_dense(true_grid._dense[: cross.n + 1,
+                                                        : cross.j_bound + 1])
         for trial in range(computed):
             noise = NoiseSpec(p=problem.noise_p, delta=delta, mode=config.noise_mode,
                               seed=config.noise_seed + trial)
-            perturbed = perturb(true_grid, noise, cross)
-            err_grid = (truncated_derivative(perturbed, cross.n, gamma, problem.r)
-                        - reference)
-            block[trial] = [evaluate_metric(err_grid, m) for m in metrics]
+            block[trial] = errors_of(truncated_derivative(
+                perturb(member, noise, cross), cross.n, gamma, problem.r))
         block[computed:] = block[0]
 
     trials = tuple(TrialRecord(delta, trial, metric.label, cross.n, gamma,

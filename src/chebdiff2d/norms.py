@@ -68,37 +68,47 @@ def parse_metric(text: str) -> MetricSpec:
     raise ValueError(f"unknown metric {_shown(text)} (expected l2w, lqw:<q>, sup)")
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array, ``== math.fsum(values)``.
+def _exact_units(values: np.ndarray) -> int | None:
+    """Exact sum of a float64 array as a Python int in units of 2**-1126;
+    None for a non-finite value or above MAX_TABLE_ENTRIES values.
 
     Each value is m * 2**e with 0.5 <= |m| < 1.  The integer part of
     m * 2**27 (at most 27 bits) and the rest (a multiple of 2**-26) are
-    summed per exponent by ``np.bincount``; for up to 2**26 values
-    (MAX_TABLE_ENTRIES) every partial sum stays below 2**53 units, so both
-    sums are exact.  The per-exponent sums are added as Python ints and
-    rounded once by int true division, which rounds correctly as fsum
-    does; a finite sum beyond the float range is inf, where fsum raises
-    OverflowError.  A non-finite value or a larger array is left to fsum.
+    summed per exponent by ``np.bincount``; for up to 2**26 values every
+    partial sum stays below 2**53 units, so both sums are exact.
     """
     values = values.ravel()
     if values.size > MAX_TABLE_ENTRIES:
-        return math.fsum(values)
+        return None
     mant, exp = np.frexp(values)
     exp += 1073  # frexp exponents run from -1073 (at 2**-1074) to 1024
     mant *= 2.0 ** 27
     whole = np.trunc(mant)
     high = np.bincount(exp, whole)
     if not np.isfinite(high).all():  # an inf or nan input
-        return math.fsum(values)
+        return None
     mant -= whole
     low = np.bincount(exp, mant) * 2.0 ** 26
     bins = np.flatnonzero((high != 0) | (low != 0))
-    total = sum(((int(h) << 26) + int(lo)) << b for b, h, lo in
-                zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()))
+    return sum(((int(h) << 26) + int(lo)) << b for b, h, lo in
+               zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()))
+
+
+def _rounded(units: int) -> float:
+    """``units * 2**-1126`` rounded once, as int true division rounds; a
+    value beyond the float range is inf, where fsum raises OverflowError."""
     try:
-        return total / (1 << 1126)  # bin b holds multiples of 2**(b - 1126)
+        return units / (1 << 1126)  # bin b holds multiples of 2**(b - 1126)
     except OverflowError:
-        return math.inf if total > 0 else -math.inf
+        return math.inf if units > 0 else -math.inf
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, ``== math.fsum(values)``
+    but inf beyond the float range; a non-finite value or an array above
+    MAX_TABLE_ENTRIES is left to fsum."""
+    units = _exact_units(values)
+    return math.fsum(values.ravel()) if units is None else _rounded(units)
 
 
 def _root_sum(square, dense: np.ndarray) -> float:
@@ -130,9 +140,10 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     each variable, so the default q * (max degree) / 2 + 1 nodes per
     dimension are exact; the default is capped at 4 * (max degree) + 1, the
     exact size for q = 8.  Every other q takes the cap: the integrand is not
-    a polynomial and the result is an approximation.  Where the powers
-    |f|^q make the sum 0 or inf, it is taken over |f| / max |f| instead and
-    the root scaled back; every other result keeps its bits.
+    a polynomial and the result is an approximation.  For even integer q,
+    |f|^q is taken by repeated squaring.  Where the powers make the sum 0
+    or inf, it is taken over |f| / max |f| instead and the root scaled
+    back; every other result keeps its bits.
     """
     if not 1 <= q < math.inf:
         raise ValueError("q must be finite and >= 1; use sup_norm for q = inf")
@@ -141,18 +152,7 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
         quad_n = _lq_nodes(q, max_deg)
     if not max_deg + 1 <= quad_n < math.inf or quad_n % 1:
         raise ValueError("quad_n must be an integer >= max degree + 1")
-    values = _tensor_values(coeffs, "gauss", quad_n)
-    np.abs(values, out=values)
-    with np.errstate(over="ignore"):  # a power, or the sum, may overflow
-        values **= q
-        total = np.sum(values)
-    w = math.pi / quad_n
-    if total in (0.0, math.inf):  # again, over |f| / max |f|
-        values = np.abs(_tensor_values(coeffs, "gauss", quad_n))
-        peak = float(values.max())
-        if 0.0 < peak < math.inf:
-            return peak * float((w * w * np.sum((values / peak) ** q)) ** (1.0 / q))
-    return float((w * w * total) ** (1.0 / q))
+    return _reduce(lambda: _tensor_values(coeffs._dense, "gauss", quad_n), q)
 
 
 def _lq_nodes(q: float, max_deg: int) -> int:
@@ -161,6 +161,41 @@ def _lq_nodes(q: float, max_deg: int) -> int:
     if q % 2 == 0:
         return min(int(q) * max_deg // 2 + 1, cap)
     return cap
+
+
+def _power(values: np.ndarray, q: float) -> np.ndarray:
+    """``values **= q``.  An even integer q below 2**53 takes repeated
+    squaring, a correctly rounded step on any CPU, where ``**`` is not."""
+    if q % 2 or q >= 2.0 ** 53:
+        return np.power(values, q, out=values)
+    bits = bin(int(q) // 2)[3:]  # q / 2 after its leading one
+    np.square(values, out=values)
+    square = values.copy() if "1" in bits else None
+    for bit in bits:
+        np.square(values, out=values)
+        if bit == "1":
+            values *= square
+    return values
+
+
+def _reduce(values_of, q: float | None = None) -> float:
+    """Max |values| for q None, else the Lq norm (w**2 sum |values|**q)**(1/q),
+    w = pi / N, of the values on the N x N Gauss-Chebyshev grid, as
+    :func:`lq_omega_norm` states it; ``values_of()`` gives them afresh."""
+    values = values_of()
+    np.abs(values, out=values)
+    if q is None:
+        return float(values.max())
+    w = math.pi / values.shape[0]
+    with np.errstate(over="ignore"):  # a power, or the sum, may overflow
+        total = np.sum(_power(values, q))
+    if total in (0.0, math.inf):  # again, over |f| / max |f|
+        values = np.abs(values_of())
+        peak = float(values.max())
+        if 0.0 < peak < math.inf:
+            values /= peak
+            return peak * float((w * w * np.sum(_power(values, q))) ** (1.0 / q))
+    return float((w * w * total) ** (1.0 / q))
 
 
 def cosine_grid(points_per_dim: int) -> np.ndarray:
@@ -177,8 +212,7 @@ def sup_norm(coeffs: CoeffGrid, points_per_dim: int = 257) -> float:
     the grid maximum underestimates the true sup by an amount controlled by
     M relative to the polynomial degrees.
     """
-    values = _tensor_values(coeffs, "cosine", points_per_dim)
-    return float(np.abs(values, out=values).max())
+    return _reduce(lambda: _tensor_values(coeffs._dense, "cosine", points_per_dim))
 
 
 @functools.lru_cache(maxsize=8)
@@ -196,12 +230,15 @@ def _basis(degree: int, nodes: str, size: int) -> np.ndarray:
     return matrix
 
 
-def _tensor_values(coeffs: CoeffGrid, nodes: str, size: int) -> np.ndarray:
-    """The expansion on the size x size tensor grid of ``nodes``, computed
-    as :func:`~chebdiff2d.transform.grid_synthesize` does."""
-    bt = _basis(coeffs.max_k, nodes, size)
-    btau = _basis(coeffs.max_j, nodes, size)
-    return bt @ coeffs._dense @ btau.T
+def _tensor_values(dense: np.ndarray, nodes: str, size: int, shape=None) -> np.ndarray:
+    """The expansion with coefficient table ``dense`` on the size x size
+    tensor grid of ``nodes``, computed as
+    :func:`~chebdiff2d.transform.grid_synthesize` does, from the basis
+    matrices of a ``shape`` table (default: ``dense``'s own) cut to ``dense``."""
+    rows, cols = shape or dense.shape
+    bt = _basis(rows - 1, nodes, size)[:, : dense.shape[0]]
+    btau = _basis(cols - 1, nodes, size)[:, : dense.shape[1]]
+    return bt @ dense @ btau.T
 
 
 def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
@@ -231,11 +268,65 @@ def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:
     return (2.0 / math.pi) * math.sqrt((max_k + 1) * (max_j + 1))
 
 
+def _grid(metric: MetricSpec, shape) -> tuple[str, int]:
+    """Nodes and points per dimension of a grid metric on a ``shape`` table."""
+    if metric.kind == "sup":
+        return "cosine", metric.eval_grid
+    return "gauss", max(metric.eval_grid, _lq_nodes(metric.q, max(shape) - 1))
+
+
 def evaluate_metric(coeffs: CoeffGrid, metric: MetricSpec) -> float:
     """Evaluate one of the three output metrics on a coefficient grid."""
     if metric.kind == "l2w":
         return l2_omega_norm(coeffs)
     if metric.kind == "sup":
         return sup_norm(coeffs, metric.eval_grid)
-    quad_n = _lq_nodes(metric.q, max(coeffs.max_k, coeffs.max_j))
-    return lq_omega_norm(coeffs, metric.q, max(metric.eval_grid, quad_n))
+    return lq_omega_norm(coeffs, metric.q, _grid(metric, coeffs._dense.shape)[1])
+
+
+def _error_metrics(reference: CoeffGrid, metrics):
+    """``approx -> [evaluate_metric(approx - reference, m) for m in metrics]``
+    at the cost of ``approx``'s table, outside which the error is -reference.
+
+    ``l2w`` keeps its bits: the exact sum of the squared reference, less its
+    part inside approx's table, plus the squared error there, rounded once.
+    ``sup`` and ``lqw`` reduce values(approx) - values(reference), the
+    latter computed once per error-table shape: they are off by about eps
+    times max |values(reference)| plus the error.
+    """
+    ref = reference._dense
+
+    @functools.cache  # error-table shape -> per metric: l2w's sum or a grid
+    def grids(shape) -> list:
+        out = []
+        for metric in metrics:
+            if metric.kind == "l2w":
+                with np.errstate(over="ignore"):  # a square may overflow
+                    out.append(_exact_units(ref * ref))
+            else:
+                nodes, size = _grid(metric, shape)
+                out.append((nodes, size, _tensor_values(ref, nodes, size, shape)))
+        return out
+
+    def evaluate(approx: CoeffGrid) -> list[float]:
+        err = approx._dense.copy()
+        inside = ref[: err.shape[0], : err.shape[1]]
+        with np.errstate(over="ignore"):
+            err[: inside.shape[0], : inside.shape[1]] -= inside
+            squares = _exact_units(inside * inside), _exact_units(err * err)
+        shape = tuple(map(max, err.shape, ref.shape))
+        out = []
+        for metric, each in zip(metrics, grids(shape)):
+            if metric.kind != "l2w":
+                nodes, size, ref_values = each
+                out.append(_reduce(lambda: _tensor_values(
+                    approx._dense, nodes, size, shape) - ref_values, metric.q))
+                continue
+            total = (math.inf if None in (each, *squares)  # a square overflowed
+                     else _rounded(each - squares[0] + squares[1]))
+            # beyond the float range, l2_omega_norm rescues the sum
+            out.append(math.sqrt(total) if total < math.inf
+                       else l2_omega_norm(approx - reference))
+        return out
+
+    return evaluate

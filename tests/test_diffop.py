@@ -125,14 +125,50 @@ def test_linear_term_derivative():
     assert expected == pytest.approx(0.4501581581, abs=1e-10)
 
 
-@pytest.mark.parametrize("entries", [
-    [((600, 0), 1e308)],                       # 1200 * 1e308 overflows
-    [((600, 0), 1e308), ((598, 0), -1e308)],   # and inf - inf is nan
-], ids=["overflow", "inf-minus-inf"])
-def test_overflowing_derivative_is_refused(entries):
+@pytest.mark.parametrize("entries, r, message", [
+    ([((600, 0), 1e308)], 1,                      # 1200 * 1e308 overflows
+     r"^non-finite coefficient at \(1, 0\)$"),
+    ([((600, 0), 1e308), ((598, 0), -1e308)], 1,  # and inf - inf is nan
+     r"^non-finite coefficient at \(1, 0\)$"),
+    ([((600, 0), 1e308)], 3,                      # the loop stops at step 1
+     r"^derivative of order r = 3: step 1 leaves a non-finite coefficient$"),
+], ids=["overflow", "inf-minus-inf", "before-the-last-step"])
+def test_overflowing_derivative_is_refused(entries, r, message):
     # nor a RuntimeWarning: pyproject.toml turns warnings into errors
-    with pytest.raises(ValueError, match=r"^non-finite coefficient at \(1, 0\)$"):
-        differentiate_coeffs(CoeffGrid(entries), 1)
+    with pytest.raises(ValueError, match=message):
+        differentiate_coeffs(CoeffGrid(entries), r)
+
+
+def test_zero_table_returns_at_once():
+    # 4096 steps over 4097 rows would take seconds; zero rows take none
+    grid = CoeffGrid.from_dense(np.zeros((4097, 64)))
+    start = time.perf_counter()
+    deriv = differentiate_coeffs(grid, 4096)
+    assert time.perf_counter() - start < 0.5
+    assert deriv.to_dense().tobytes() == np.zeros((1, 64)).tobytes()
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 6)),
+       pad=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_padding_gives_the_padded_bytes(shape, pad, seed):
+    # zero rows of highest degree and zero columns of highest index, +0.0
+    # or -0.0, are left out of the recurrence and come back as +0.0
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, size=shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    padded = np.where(rng.random(np.add(shape, pad)) < 0.5, 0.0, -0.0)
+    padded[: shape[0], : shape[1]] = values
+    rows = padded.shape[0]
+    for r in range(1, rows + 3):
+        got = differentiate_coeffs(CoeffGrid.from_dense(padded), r).to_dense()
+        inner = differentiate_coeffs(CoeffGrid.from_dense(values), r).to_dense()
+        want = np.zeros((max(rows - r, 1), padded.shape[1]))
+        want[: inner.shape[0], : inner.shape[1]] = inner
+        assert got.tobytes() == want.tobytes()
+        loop = _row_recurrence(padded, r, ZETA_0)[: max(rows - r, 1)]
+        assert got.tobytes() == loop.tobytes()
 
 
 def test_invalid_order():

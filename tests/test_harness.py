@@ -11,9 +11,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chebdiff2d
-from chebdiff2d import (NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
+from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFORM,
                         CoeffGrid, ExperimentConfig, MetricSpec, NoiseSpec,
                         ProblemSpec, RateReport, RateRow, TestFunctionSpec,
                         TrialRecord, WienerSpec, analyze, build_cross,
@@ -97,6 +99,43 @@ def every_trial_computed(config):
     return tuple(trials), reports
 
 
+def assert_matches_every_trial_computed(config, result):
+    """``result`` against :func:`every_trial_computed`: ``l2w``, ``n`` and the
+    cardinality ``==``.  The sweep takes ``sup`` and ``lqw`` as
+    values(approx) - values(reference), so they may move by 64 eps times
+    the reference's largest absolute value (``sup``) or norm (``lqw``),
+    plus as much of the error itself."""
+    trials, reports = every_trial_computed(config)
+    reference = differentiate_coeffs(config.test_function.build(config.problem.wiener),
+                                     config.problem.r)
+    scale = {m.label: evaluate_metric(reference, m) for m in config.metrics}
+
+    def close(label, got, want):
+        if label == "l2w":
+            return got == want
+        return abs(got - want) <= 64 * np.finfo(float).eps * (scale[label] + abs(want))
+
+    assert len(result.trials) == len(trials)
+    for got, want in zip(result.trials, trials):
+        assert replace(got, error=0.0) == replace(want, error=0.0)
+        assert close(got.metric, got.error, want.error)
+    for label, want in reports.items():
+        got = result.reports[label]
+        if label == "l2w":
+            assert got == want
+            continue
+        assert [replace(row, mean_error=0.0, std_error=0.0) for row in got.rows] \
+            == [replace(row, mean_error=0.0, std_error=0.0) for row in want.rows]
+        for a, b in zip(got.rows, want.rows):
+            assert close(label, a.mean_error, b.mean_error)
+            assert close(label, a.std_error, b.std_error)
+        # the slope of logs moves by about the relative drift of the means
+        for a, b in ((got.fitted_slope, want.fitted_slope),
+                     (got.intercept, want.intercept), *zip(got.slope_ci, want.slope_ci)):
+            assert a == pytest.approx(b, abs=1e-12)
+        assert got.theoretical_slope == want.theoretical_slope
+
+
 def three_metric_config(mode):
     return small_config(
         test_function=TestFunctionSpec(kind="class-member", seed=3,
@@ -132,14 +171,14 @@ GOLDEN_REPORT = {
         "slope_ci": [0.6330448933284507, 0.6606604464387655],
         "theoretical_slope": 0.42857142857142855},
     "sup": {"metric": "sup", "rows": [
-        {"delta": 0.01, "mean_error": 0.0783430684370072,
+        {"delta": 0.01, "mean_error": 0.07834306843700721,
          "std_error": 0.022146957484873234, "n_used": 4,
          "cardinality": 9},
         {"delta": 0.001, "mean_error": 0.016941340460319088,
-         "std_error": 0.007440403974381295, "n_used": 7,
+         "std_error": 0.00744040397438129, "n_used": 7,
          "cardinality": 17},
         {"delta": 0.0001, "mean_error": 0.007625078208400447,
-         "std_error": 0.004258658971674458, "n_used": 14,
+         "std_error": 0.00425865897167446, "n_used": 14,
          "cardinality": 36},
     ], "fitted_slope": 0.5058781374641637,
         "intercept": -0.33917394074708396,
@@ -149,10 +188,10 @@ GOLDEN_REPORT = {
         {"delta": 0.01, "mean_error": 0.056584283265614425,
          "std_error": 0.0160083541076425, "n_used": 4,
          "cardinality": 9},
-        {"delta": 0.001, "mean_error": 0.012263152627882691,
-         "std_error": 0.004962703686667528, "n_used": 7,
+        {"delta": 0.001, "mean_error": 0.01226315262788269,
+         "std_error": 0.004962703686667526, "n_used": 7,
          "cardinality": 17},
-        {"delta": 0.0001, "mean_error": 0.0038353318604404055,
+        {"delta": 0.0001, "mean_error": 0.0038353318604404064,
          "std_error": 0.00200345873526718, "n_used": 14,
          "cardinality": 36},
     ], "fitted_slope": 0.5844464355037327,
@@ -163,23 +202,23 @@ GOLDEN_REPORT = {
 GOLDEN_TRIALS = (
     b"delta,trial,metric,n,gamma,cardinality,error\r\n"
     b"0.01,0,l2w,4,1.5,9,0.075084472131646263\r\n"
-    b"0.01,0,sup,4,1.5,9,0.10049002592188043\r\n"
+    b"0.01,0,sup,4,1.5,9,0.10049002592188044\r\n"
     b"0.01,0,lqw:4,4,1.5,9,0.072592637373256927\r\n"
     b"0.01,1,l2w,4,1.5,9,0.044681297163125015\r\n"
-    b"0.01,1,sup,4,1.5,9,0.056196110952133962\r\n"
+    b"0.01,1,sup,4,1.5,9,0.056196110952133976\r\n"
     b"0.01,1,lqw:4,4,1.5,9,0.040575929157971924\r\n"
     b"0.001,0,l2w,7,1.5,17,0.017664484152960444\r\n"
-    b"0.001,0,sup,7,1.5,17,0.024381744434700384\r\n"
-    b"0.001,0,lqw:4,7,1.5,17,0.01722585631455022\r\n"
+    b"0.001,0,sup,7,1.5,17,0.024381744434700377\r\n"
+    b"0.001,0,lqw:4,7,1.5,17,0.017225856314550217\r\n"
     b"0.001,1,l2w,7,1.5,17,0.0092259507757013661\r\n"
-    b"0.001,1,sup,7,1.5,17,0.0095009364859377932\r\n"
-    b"0.001,1,lqw:4,7,1.5,17,0.0073004489412151633\r\n"
+    b"0.001,1,sup,7,1.5,17,0.0095009364859377967\r\n"
+    b"0.001,1,lqw:4,7,1.5,17,0.0073004489412151641\r\n"
     b"0.0001,0,l2w,14,1.5,36,0.0019052482600646823\r\n"
-    b"0.0001,0,sup,14,1.5,36,0.003366419236725988\r\n"
-    b"0.0001,0,lqw:4,14,1.5,36,0.0018318731251732259\r\n"
+    b"0.0001,0,sup,14,1.5,36,0.0033664192367259859\r\n"
+    b"0.0001,0,lqw:4,14,1.5,36,0.0018318731251732261\r\n"
     b"0.0001,1,l2w,14,1.5,36,0.0041848930354116279\r\n"
-    b"0.0001,1,sup,14,1.5,36,0.011883737180074905\r\n"
-    b"0.0001,1,lqw:4,14,1.5,36,0.0058387905957075856\r\n"
+    b"0.0001,1,sup,14,1.5,36,0.011883737180074906\r\n"
+    b"0.0001,1,lqw:4,14,1.5,36,0.0058387905957075865\r\n"
 )
 
 class TestFitRate:
@@ -327,10 +366,30 @@ class TestRunConvergence:
     @pytest.mark.parametrize("mode", [NOISE_TOPWEIGHT, NOISE_SINGLE])
     def test_seed_independent_trials_equal_every_trial_computed(self, mode):
         config = three_metric_config(mode)
-        result = run_convergence(config)
-        trials, reports = every_trial_computed(config)
-        assert result.trials == trials
-        assert result.reports == reports
+        assert_matches_every_trial_computed(config, run_convergence(config))
+
+    @settings(deadline=None, database=None, max_examples=30)
+    @given(mode=st.sampled_from(NOISE_MODES), r=st.integers(1, 3),
+           box=st.tuples(st.integers(2, 24), st.integers(0, 24)),
+           level_constant=st.sampled_from([1.0, 3.0, 10.0]),
+           q=st.sampled_from([3.0, 4.0, 6.0]), seed=st.integers(0, 2 ** 16))
+    @example(mode=NOISE_UNIFORM, r=1, box=(6, 3), level_constant=10.0, q=4.0,
+             seed=0)  # every cross leaves the 7 x 4 member's box
+    def test_engine_matches_the_public_path(self, mode, r, box, level_constant,
+                                            q, seed):
+        # the sweep takes each trial on the member's leading block; the
+        # public path perturbs and differentiates the whole member
+        mu1 = 2 * r + 1.5
+        problem = ProblemSpec(r=r, wiener=WienerSpec(s=1.0, mu1=mu1, mu2=mu1),
+                              noise_p=2.0, metric=MetricSpec("l2w"),
+                              level_constant=level_constant)
+        config = small_config(
+            problem=problem, noise_mode=mode, trials_per_delta=2,
+            test_function=TestFunctionSpec(kind="class-member", seed=seed,
+                                           max_k=box[0], max_j=box[1]),
+            metrics=(MetricSpec("l2w"), MetricSpec("sup", eval_grid=65),
+                     MetricSpec("lqw", q=q)))
+        assert_matches_every_trial_computed(config, run_convergence(config))
 
     def test_seeded_trials_differ(self):
         result = run_convergence(three_metric_config(NOISE_UNIFORM))
@@ -705,6 +764,18 @@ class TestCli:
                             "--n", "600", "--gamma", "1.5", "--output", str(out))
         assert proc.returncode == 1
         assert proc.stderr == "error: non-finite coefficient at (1, 0)\n"
+        assert not out.exists()
+
+    def test_differentiate_overflow_names_the_step(self, tmp_path):
+        # the derivative stops at the first step that overflows
+        src = tmp_path / "big.csv"
+        src.write_text("k,j,coeff\n600,0,1e308\n")
+        out = tmp_path / "o.csv"
+        proc = self.run_cli("differentiate", "--input", str(src), "--r", "2",
+                            "--n", "600", "--gamma", "1.5", "--output", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: derivative of order r = 2: step 1 leaves "
+                               "a non-finite coefficient\n")
         assert not out.exists()
 
     def test_differentiate_auto_level(self, tmp_path):
