@@ -42,11 +42,11 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     exact (up to roundoff) for any polynomial input.  The output degree
     bound in k drops by r (floored at zero); the second variable is
     untouched.  Zero rows and columns at the high end skip the recurrence
-    and come back as the +0.0 it gives, so r or more such rows take no step.
-    A non-finite entry before the last step is refused, naming r and the
-    step.  ``zeta0`` is exposed for diagnostics (the validation suite
-    perturbs it to demonstrate oracle sensitivity); production code uses
-    the default.
+    and come back as the +0.0 it gives.  A step before the last that leaves
+    a non-finite entry in a row r - step or above (later steps drop the
+    rows below) is refused, naming r and the step.
+    ``zeta0`` is exposed for diagnostics (the validation suite perturbs it
+    to demonstrate oracle sensitivity); production code uses the default.
     """
     if not 1 <= r < math.inf or r % 1:
         raise ValueError("derivative order r must be an integer >= 1")
@@ -71,7 +71,7 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
         values = terms[1:rows]
         values[0] *= zeta0
         rows -= 1
-        if step < r and not np.isfinite(values).all():  # _wrap names the last
+        if step < r and not np.isfinite(values[r - step:]).all():
             raise ValueError(f"derivative of order r = {r}: step {step} "
                              f"leaves a non-finite coefficient")
     if values.shape != out_shape:

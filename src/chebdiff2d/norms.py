@@ -69,13 +69,14 @@ def parse_metric(text: str) -> MetricSpec:
 
 
 def _exact_units(values: np.ndarray) -> int | None:
-    """Exact sum of a float64 array as a Python int in units of 2**-1126;
-    None for a non-finite value or above MAX_TABLE_ENTRIES values.
+    """Exact sum of a float64 array as an int in units of 2**-1126; None
+    for a non-finite value or more than MAX_TABLE_ENTRIES values.
 
     Each value is m * 2**e with 0.5 <= |m| < 1.  The integer part of
     m * 2**27 (at most 27 bits) and the rest (a multiple of 2**-26) are
     summed per exponent by ``np.bincount``; for up to 2**26 values every
-    partial sum stays below 2**53 units, so both sums are exact.
+    partial sum stays below 2**53 units, so both sums are exact.  The
+    per-exponent sums are added as Python ints.
     """
     values = values.ravel()
     if values.size > MAX_TABLE_ENTRIES:
@@ -94,21 +95,17 @@ def _exact_units(values: np.ndarray) -> int | None:
                zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()))
 
 
-def _rounded(units: int) -> float:
-    """``units * 2**-1126`` rounded once, as int true division rounds; a
-    value beyond the float range is inf, where fsum raises OverflowError."""
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, ``== math.fsum(values)``,
+    but a finite sum beyond the float range is inf, where fsum raises
+    OverflowError; what :func:`_exact_units` leaves goes to fsum."""
+    units = _exact_units(values)
+    if units is None:
+        return math.fsum(values.ravel())
     try:
         return units / (1 << 1126)  # bin b holds multiples of 2**(b - 1126)
     except OverflowError:
         return math.inf if units > 0 else -math.inf
-
-
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array, ``== math.fsum(values)``
-    but inf beyond the float range; a non-finite value or an array above
-    MAX_TABLE_ENTRIES is left to fsum."""
-    units = _exact_units(values)
-    return math.fsum(values.ravel()) if units is None else _rounded(units)
 
 
 def _root_sum(square, dense: np.ndarray) -> float:
@@ -140,10 +137,10 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     each variable, so the default q * (max degree) / 2 + 1 nodes per
     dimension are exact; the default is capped at 4 * (max degree) + 1, the
     exact size for q = 8.  Every other q takes the cap: the integrand is not
-    a polynomial and the result is an approximation.  For even integer q,
-    |f|^q is taken by repeated squaring.  Where the powers make the sum 0
-    or inf, it is taken over |f| / max |f| instead and the root scaled
-    back; every other result keeps its bits.
+    a polynomial and the result is an approximation.  For q = 2**m, |f|^q
+    is taken by m squarings.  Where the powers make the sum 0 or inf, it is
+    taken over |f| / max |f| instead and the root scaled back; every other
+    result keeps its bits.
     """
     if not 1 <= q < math.inf:
         raise ValueError("q must be finite and >= 1; use sup_norm for q = inf")
@@ -152,7 +149,8 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
         quad_n = _lq_nodes(q, max_deg)
     if not max_deg + 1 <= quad_n < math.inf or quad_n % 1:
         raise ValueError("quad_n must be an integer >= max degree + 1")
-    return _reduce(lambda: _tensor_values(coeffs._dense, "gauss", quad_n), q)
+    return _reduce(_basis(coeffs.max_k, "gauss", quad_n), coeffs._dense,
+                   _basis(coeffs.max_j, "gauss", quad_n), q)
 
 
 def _lq_nodes(q: float, max_deg: int) -> int:
@@ -164,37 +162,35 @@ def _lq_nodes(q: float, max_deg: int) -> int:
 
 
 def _power(values: np.ndarray, q: float) -> np.ndarray:
-    """``values **= q``.  An even integer q below 2**53 takes repeated
-    squaring, a correctly rounded step on any CPU, where ``**`` is not."""
-    if q % 2 or q >= 2.0 ** 53:
+    """``values **= q``; q = 2**m takes m squarings, which round alike on
+    every CPU, where ``**`` may not."""
+    m = math.frexp(q)[1] - 1
+    if q != 2.0 ** m:
         return np.power(values, q, out=values)
-    bits = bin(int(q) // 2)[3:]  # q / 2 after its leading one
-    np.square(values, out=values)
-    square = values.copy() if "1" in bits else None
-    for bit in bits:
+    for _ in range(m):
         np.square(values, out=values)
-        if bit == "1":
-            values *= square
     return values
 
 
-def _reduce(values_of, q: float | None = None) -> float:
-    """Max |values| for q None, else the Lq norm (w**2 sum |values|**q)**(1/q),
-    w = pi / N, of the values on the N x N Gauss-Chebyshev grid, as
-    :func:`lq_omega_norm` states it; ``values_of()`` gives them afresh."""
-    values = values_of()
-    np.abs(values, out=values)
+def _reduce(bt, dense, btau, q: float | None = None, less=0.0) -> float:
+    """Max |f| for q None, else :func:`lq_omega_norm`'s Lq sum and root, of
+    f = bt @ dense @ btau.T - less on an N x N grid (weight pi / N)."""
+    def values() -> np.ndarray:
+        f = bt @ dense @ btau.T
+        return np.abs(np.subtract(f, less, out=f), out=f)  # x - 0.0 is x
+
+    f = values()
     if q is None:
-        return float(values.max())
-    w = math.pi / values.shape[0]
+        return float(f.max())
+    w = math.pi / f.shape[0]
     with np.errstate(over="ignore"):  # a power, or the sum, may overflow
-        total = np.sum(_power(values, q))
+        total = np.sum(_power(f, q))
     if total in (0.0, math.inf):  # again, over |f| / max |f|
-        values = np.abs(values_of())
-        peak = float(values.max())
+        f = values()
+        peak = float(f.max())
         if 0.0 < peak < math.inf:
-            values /= peak
-            return peak * float((w * w * np.sum(_power(values, q))) ** (1.0 / q))
+            f /= peak
+            return peak * float((w * w * np.sum(_power(f, q))) ** (1.0 / q))
     return float((w * w * total) ** (1.0 / q))
 
 
@@ -212,7 +208,8 @@ def sup_norm(coeffs: CoeffGrid, points_per_dim: int = 257) -> float:
     the grid maximum underestimates the true sup by an amount controlled by
     M relative to the polynomial degrees.
     """
-    return _reduce(lambda: _tensor_values(coeffs._dense, "cosine", points_per_dim))
+    return _reduce(_basis(coeffs.max_k, "cosine", points_per_dim), coeffs._dense,
+                   _basis(coeffs.max_j, "cosine", points_per_dim))
 
 
 @functools.lru_cache(maxsize=8)
@@ -221,24 +218,14 @@ def _basis(degree: int, nodes: str, size: int) -> np.ndarray:
     "cosine" grid or the "gauss" (Gauss-Chebyshev) rule.
 
     A sweep evaluates every trial's metric on the same nodes and degrees,
-    so the matrices are built once per process.
+    so the matrices are built once per process.  ``bt @ dense @ btau.T`` is
+    the table :func:`~chebdiff2d.transform.grid_synthesize` gives.
     """
     points = (cosine_grid(size) if nodes == "cosine"
               else gauss_chebyshev_nodes(size))
     matrix = basis_matrix(degree, points)
     matrix.setflags(write=False)
     return matrix
-
-
-def _tensor_values(dense: np.ndarray, nodes: str, size: int, shape=None) -> np.ndarray:
-    """The expansion with coefficient table ``dense`` on the size x size
-    tensor grid of ``nodes``, computed as
-    :func:`~chebdiff2d.transform.grid_synthesize` does, from the basis
-    matrices of a ``shape`` table (default: ``dense``'s own) cut to ``dense``."""
-    rows, cols = shape or dense.shape
-    bt = _basis(rows - 1, nodes, size)[:, : dense.shape[0]]
-    btau = _basis(cols - 1, nodes, size)[:, : dense.shape[1]]
-    return bt @ dense @ btau.T
 
 
 def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
@@ -286,47 +273,40 @@ def evaluate_metric(coeffs: CoeffGrid, metric: MetricSpec) -> float:
 
 def _error_metrics(reference: CoeffGrid, metrics):
     """``approx -> [evaluate_metric(approx - reference, m) for m in metrics]``
-    at the cost of ``approx``'s table, outside which the error is -reference.
+    at the cost of approx's table, outside which the error is -reference.
 
     ``l2w`` keeps its bits: the exact sum of the squared reference, less its
     part inside approx's table, plus the squared error there, rounded once.
-    ``sup`` and ``lqw`` reduce values(approx) - values(reference), the
-    latter computed once per error-table shape: they are off by about eps
-    times max |values(reference)| plus the error.
+    ``sup`` and ``lqw`` reduce values(approx) - values(reference), the latter
+    computed here.  An approx beyond the reference's table takes the plain path.
     """
-    ref = reference._dense
-
-    @functools.cache  # error-table shape -> per metric: l2w's sum or a grid
-    def grids(shape) -> list:
-        out = []
-        for metric in metrics:
-            if metric.kind == "l2w":
-                with np.errstate(over="ignore"):  # a square may overflow
-                    out.append(_exact_units(ref * ref))
-            else:
-                nodes, size = _grid(metric, shape)
-                out.append((nodes, size, _tensor_values(ref, nodes, size, shape)))
-        return out
+    ref, parts = reference._dense, []
+    for metric in metrics:
+        if metric.kind == "l2w":
+            with np.errstate(over="ignore"):  # a square may overflow
+                parts.append(_exact_units(ref * ref))
+        else:
+            bt, btau = (_basis(d - 1, *_grid(metric, ref.shape)) for d in ref.shape)
+            parts.append((bt, btau, bt @ ref @ btau.T))
 
     def evaluate(approx: CoeffGrid) -> list[float]:
-        err = approx._dense.copy()
-        inside = ref[: err.shape[0], : err.shape[1]]
-        with np.errstate(over="ignore"):
-            err[: inside.shape[0], : inside.shape[1]] -= inside
-            squares = _exact_units(inside * inside), _exact_units(err * err)
-        shape = tuple(map(max, err.shape, ref.shape))
-        out = []
-        for metric, each in zip(metrics, grids(shape)):
+        dense, out = approx._dense, []
+        rows, cols = dense.shape
+        if rows > ref.shape[0] or cols > ref.shape[1]:
+            return [evaluate_metric(approx - reference, m) for m in metrics]
+        for metric, part in zip(metrics, parts):
             if metric.kind != "l2w":
-                nodes, size, ref_values = each
-                out.append(_reduce(lambda: _tensor_values(
-                    approx._dense, nodes, size, shape) - ref_values, metric.q))
+                bt, btau, ref_values = part
+                out.append(_reduce(bt[:, :rows], dense, btau[:, :cols], metric.q, ref_values))
                 continue
-            total = (math.inf if None in (each, *squares)  # a square overflowed
-                     else _rounded(each - squares[0] + squares[1]))
-            # beyond the float range, l2_omega_norm rescues the sum
-            out.append(math.sqrt(total) if total < math.inf
-                       else l2_omega_norm(approx - reference))
+            inside = ref[:rows, :cols]
+            with np.errstate(over="ignore"):
+                try:  # an overflowed square gives None, and a large sum inf
+                    out.append(math.sqrt((part - _exact_units(inside * inside)
+                                          + _exact_units(np.square(dense - inside)))
+                                         / (1 << 1126)))
+                except (TypeError, OverflowError):  # l2_omega_norm rescues them
+                    out.append(l2_omega_norm(approx - reference))
         return out
 
     return evaluate

@@ -139,6 +139,15 @@ def test_overflowing_derivative_is_refused(entries, r, message):
         differentiate_coeffs(CoeffGrid(entries), r)
 
 
+def test_overflow_that_drops_out_is_not_refused():
+    # step 1 turns 2 * 1e308 into inf in row 0, which step 2 drops; the
+    # result is that of the table without it
+    got = differentiate_coeffs(CoeffGrid.from_dense([[0.0], [1e308], [1.0]]), 2)
+    want = differentiate_coeffs(CoeffGrid.from_dense([[0.0], [0.0], [1.0]]), 2)
+    assert got.to_dense().tobytes() == want.to_dense().tobytes()
+    assert got.to_dense()[0, 0] == 8.0 * ZETA_0
+
+
 def test_zero_table_returns_at_once():
     # 4096 steps over 4097 rows would take seconds; zero rows take none
     grid = CoeffGrid.from_dense(np.zeros((4097, 64)))
