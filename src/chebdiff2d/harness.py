@@ -388,15 +388,14 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     computed = (1 if config.noise_mode in SEED_INDEPENDENT_MODES
                 else config.trials_per_delta)
     for (delta, cross), block in zip(levels, errors):
-        # the derivative reads only the cross, so a trial perturbs the
-        # member's leading block and its result is block-sized too
-        member = CoeffGrid.from_dense(true_grid._dense[: cross.n + 1,
-                                                        : cross.j_bound + 1])
+        # trials perturb the leading block, restricted to the cross once (+0.0 outside)
+        leading = true_grid._dense[: cross.n + 1, : cross.j_bound + 1]
+        member = CoeffGrid._wrap(np.where(cross.mask(*leading.shape), leading, 0.0))
         for trial in range(computed):
             noise = NoiseSpec(p=problem.noise_p, delta=delta, mode=config.noise_mode,
                               seed=config.noise_seed + trial)
-            block[trial] = errors_of(truncated_derivative(
-                perturb(member, noise, cross), cross.n, gamma, problem.r))
+            block[trial] = errors_of(differentiate_coeffs(
+                perturb(member, noise, cross), problem.r))
         block[computed:] = block[0]
 
     trials = tuple(TrialRecord(delta, trial, metric.label, cross.n, gamma,

@@ -275,36 +275,36 @@ def _error_metrics(reference: CoeffGrid, metrics):
     """``approx -> [evaluate_metric(approx - reference, m) for m in metrics]``
     at the cost of approx's table, outside which the error is -reference.
 
-    ``l2w`` keeps its bits: the exact sum of the squared reference, less its
-    part inside approx's table, plus the squared error there, rounded once.
-    ``sup`` and ``lqw`` reduce values(approx) - values(reference), the latter
-    computed here.  An approx beyond the reference's table takes the plain path.
+    ``l2w`` keeps its bits: the exact squared sum of the reference, less its
+    part on the tables' overlap, plus the squared error on approx's table,
+    rounded once.  ``sup`` and ``lqw`` reduce values(approx) - values(reference)
+    on evaluate_metric's grid; the reference's values are cached per grid.
     """
-    ref, parts = reference._dense, []
-    for metric in metrics:
-        if metric.kind == "l2w":
-            with np.errstate(over="ignore"):  # a square may overflow
-                parts.append(_exact_units(ref * ref))
-        else:
-            bt, btau = (_basis(d - 1, *_grid(metric, ref.shape)) for d in ref.shape)
-            parts.append((bt, btau, bt @ ref @ btau.T))
+    ref = reference._dense
+    with np.errstate(over="ignore"):  # a square may overflow
+        ref_units = {m: _exact_units(ref * ref) for m in metrics if m.kind == "l2w"}
+
+    @functools.lru_cache(maxsize=len(metrics))  # a level's grids, one per metric
+    def ref_values(nodes: str, size: int) -> np.ndarray:
+        bt, btau = (_basis(d - 1, nodes, size) for d in ref.shape)
+        return bt @ ref @ btau.T
 
     def evaluate(approx: CoeffGrid) -> list[float]:
         dense, out = approx._dense, []
-        rows, cols = dense.shape
-        if rows > ref.shape[0] or cols > ref.shape[1]:
-            return [evaluate_metric(approx - reference, m) for m in metrics]
-        for metric, part in zip(metrics, parts):
+        shape = tuple(map(max, dense.shape, ref.shape))  # the error's table
+        for metric in metrics:
             if metric.kind != "l2w":
-                bt, btau, ref_values = part
-                out.append(_reduce(bt[:, :rows], dense, btau[:, :cols], metric.q, ref_values))
+                grid = _grid(metric, shape)
+                bt, btau = (_basis(u - 1, *grid)[:, :d] for u, d in zip(shape, dense.shape))
+                out.append(_reduce(bt, dense, btau, metric.q, ref_values(*grid)))
                 continue
-            inside = ref[:rows, :cols]
+            overlap = tuple(slice(min(d, e)) for d, e in zip(dense.shape, ref.shape))
+            inside, error = ref[overlap], dense.copy()
             with np.errstate(over="ignore"):
+                error[overlap] -= inside
                 try:  # an overflowed square gives None, and a large sum inf
-                    out.append(math.sqrt((part - _exact_units(inside * inside)
-                                          + _exact_units(np.square(dense - inside)))
-                                         / (1 << 1126)))
+                    out.append(math.sqrt((ref_units[metric] - _exact_units(inside * inside)
+                                          + _exact_units(error * error)) / (1 << 1126)))
                 except (TypeError, OverflowError):  # l2_omega_norm rescues them
                     out.append(l2_omega_norm(approx - reference))
         return out

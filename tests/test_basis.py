@@ -34,6 +34,8 @@ def test_clamping_and_domain_error():
         basis_matrix(4, [1.0 + 1e-12])
     with pytest.raises(ValueError):
         basis_matrix(-1, [0.0])
+    with pytest.raises(ValueError, match="^points must be one-dimensional$"):
+        basis_matrix(3, [[0.1]])
 
 
 def test_tensor_values():

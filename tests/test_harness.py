@@ -27,6 +27,7 @@ from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFOR
                         theoretical_rate, truncated_derivative,
                         validate_suite,
                         write_coeff_csv, write_coeff_json)
+from chebdiff2d import harness
 from chebdiff2d.cli import main
 from chebdiff2d.harness import _t_quantile_975
 from helpers import random_grid
@@ -465,6 +466,14 @@ class TestConfigParsing:
             metrics=(MetricSpec("l2w"),),
         )
 
+    def test_integral_floats_build_the_integer_config(self):
+        doc = small_doc(trials_per_delta=2)
+        floats = small_doc(trials_per_delta=2.0)
+        floats["problem"] = dict(floats["problem"], r=1.0)
+        floats["test_function"] = dict(floats["test_function"], max_k=8.0)
+        # repr tells 1.0 from 1, which == does not
+        assert repr(config_from_dict(floats)) == repr(config_from_dict(doc))
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing required field"):
             config_from_dict({"deltas": [0.1]})
@@ -582,6 +591,16 @@ class TestValidateSuite:
         results = {res.name: res for res in validate_suite()}
         res = results["nikolskii-explicit-bound"]
         assert res.passed and res.measured <= 1.0
+
+    def test_a_raising_check_is_a_failed_check(self, monkeypatch):
+        def _check_boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "_CHECKS", (_check_boom,))
+        [res] = validate_suite()
+        assert (res.name, res.passed, res.detail) == (
+            "check_boom", False, "raised RuntimeError('boom')")
+        assert math.isnan(res.measured)
 
     def test_oracle_detects_corrupted_derivative_constant(self):
         # doubling the degree-0 weight must break the oracle comparison
@@ -1070,6 +1089,22 @@ class TestCli:
                          "--delta", "1e-3", "--mu1", "3", "--mu2", "2",
                          "--p", "2", *extra]) == 0
             assert f"n = {n}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["pass", "fail"])
+    def test_validate_text(self, capsys, monkeypatch, failing):
+        results = validate_suite()
+        if failing:
+            results[3] = replace(results[3], passed=False)
+            monkeypatch.setattr(harness, "validate_suite", lambda: results)
+        assert main(["validate"]) == failing
+        lines = capsys.readouterr().out.splitlines()
+        assert len(results) == len(harness._CHECKS) == 14
+        assert lines[28:] == (["1 of 14 checks failed"] if failing else [])
+        width = max(len(res.name) for res in results)
+        for res, status, detail in zip(results, lines[:28:2], lines[1:28:2], strict=True):
+            word = "PASS" if res.passed else "FAIL"
+            assert status == f"[{word}] {res.name:<{width}}  measured={res.measured:.6e}"
+            assert detail == f"       {res.detail}"
 
     def test_validate_json(self):
         proc = self.run_cli("validate", "--json")

@@ -71,6 +71,11 @@ class TestClassMember:
         member = make_class_member(spec, 32, 32, seed=3)
         assert abs(wiener_norm(member, spec) - 1.0) <= 1e-12
 
+    def test_nonpositive_epsilon_refused(self):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            make_class_member(WienerSpec(s=1.0, mu1=3.0, mu2=2.0), 4, 4, seed=0,
+                              epsilon=0)
+
     def test_deterministic(self):
         spec = WienerSpec(s=2.0, mu1=2.5, mu2=2.5)
         a = make_class_member(spec, 16, 16, seed=11)

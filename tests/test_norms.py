@@ -12,7 +12,7 @@ from chebdiff2d import (CoeffGrid, MetricSpec, WienerSpec, cosine_grid,
                         lq_omega_norm, make_class_member,
                         nikolskii_explicit_bound, parse_metric, sup_norm,
                         synthesize, wiener_norm)
-from chebdiff2d.norms import _exact_sum
+from chebdiff2d.norms import _error_metrics, _exact_sum
 from helpers import random_grid
 
 
@@ -44,6 +44,20 @@ class TestL2:
     def test_norm_beyond_the_float_range_is_inf(self):
         top = np.finfo(float).max
         assert l2_omega_norm(CoeffGrid([((0, 0), top), ((0, 1), top)])) == math.inf
+
+
+class TestErrorMetrics:
+    @pytest.mark.parametrize("reference, want", [
+        ([[1.0, 2.0], [1e200, -3.0]], 1e200),  # a square overflows
+        (np.full((3, 3), 1e154), 3e154),  # the squares' sum overflows
+    ], ids=["square", "sum"])
+    @pytest.mark.parametrize("approx", [[[0.5]], np.zeros((4, 5))],
+                             ids=["inside", "beyond"])
+    def test_l2w_beyond_the_range_of_the_sum(self, reference, want, approx):
+        # the engine hands these to l2_omega_norm, which rescales the table
+        reference, approx = CoeffGrid.from_dense(reference), CoeffGrid.from_dense(approx)
+        got = _error_metrics(reference, (MetricSpec("l2w"),))(approx)
+        assert got == [l2_omega_norm(approx - reference)] == [want]
 
 
 def reflections(table):
@@ -288,6 +302,10 @@ class TestNikolskii:
         assert nikolskii_explicit_bound(0, 0) == pytest.approx(2 / math.pi)
         assert nikolskii_explicit_bound(3, 1) == pytest.approx(
             (2 / math.pi) * math.sqrt(8))
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="^degrees must be nonnegative$"):
+            nikolskii_explicit_bound(-1, 0)
 
     def test_valid_for_constant_basis_member(self):
         grid = CoeffGrid([((0, 0), 1.0)])

@@ -153,6 +153,11 @@ class TestCoeffGrid:
             op(grid)
         assert str(info.value) == f"non-finite coefficient at {where}"
 
+    def test_from_dense_refuses_an_empty_table(self):
+        with pytest.raises(ValueError,
+                           match="^dense input must be a nonempty 2-D array$"):
+            CoeffGrid.from_dense(np.zeros((0, 3)))
+
     def test_from_dense_copies_its_array(self):
         source = np.arange(6.0).reshape(2, 3)
         grid = CoeffGrid.from_dense(source)
