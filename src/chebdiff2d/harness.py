@@ -31,7 +31,8 @@ from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
 from .norms import (MetricSpec, _error_metrics, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
-from .transform import CoeffGrid, _one_of, _shown, analyze, synthesize
+from .transform import (CoeffGrid, _check_table_size, _one_of, _shown, analyze,
+                        synthesize)
 from .tuning import ProblemSpec, choose_n, gamma_range, theoretical_rate
 
 # ---------------------------------------------------------------------------
@@ -371,14 +372,17 @@ class ExperimentResult:
 def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     """Run the noise-level sweep and fit one rate per requested metric."""
     problem, gamma, metrics = config.problem, config.gamma, config.metrics
-    for metric in metrics:
-        low, high = gamma_range(replace(problem, metric=metric))
+    specs = [replace(problem, metric=metric) for metric in metrics]
+    for spec in specs:
+        low, high = gamma_range(spec)
         if not low <= gamma < high:
             raise ValueError(f"gamma={gamma} outside admissible range "
-                             f"[{low}, {high}) for metric {metric.label}")
-    # building a cross checks its level, so every level is checked first
-    levels = [(delta, build_cross(choose_n(delta, problem), gamma, problem.r))
+                             f"[{low}, {high}) for metric {spec.metric.label}")
+    # every level, and the noisy table that spans its cross, is checked first
+    levels = [(delta, build_cross(choose_n(delta, specs[0]), gamma, problem.r))
               for delta in config.deltas]
+    for _, cross in levels:
+        _check_table_size(cross.n, cross.j_bound)
     true_grid = config.test_function.build(problem.wiener)
     errors_of = _error_metrics(differentiate_coeffs(true_grid, problem.r), metrics)
 
@@ -388,9 +392,9 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     computed = (1 if config.noise_mode in SEED_INDEPENDENT_MODES
                 else config.trials_per_delta)
     for (delta, cross), block in zip(levels, errors):
-        # trials perturb the leading block, restricted to the cross once (+0.0 outside)
-        leading = true_grid._dense[: cross.n + 1, : cross.j_bound + 1]
-        member = CoeffGrid._wrap(np.where(cross.mask(*leading.shape), leading, 0.0))
+        # trials perturb the leading block, restricted to the cross once
+        member = CoeffGrid.from_dense(
+            true_grid._dense[: cross.n + 1, : cross.j_bound + 1]).restrict_to(cross)
         for trial in range(computed):
             noise = NoiseSpec(p=problem.noise_p, delta=delta, mode=config.noise_mode,
                               seed=config.noise_seed + trial)
@@ -404,18 +408,18 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
                    for trial, row in enumerate(block)
                    for metric, error in zip(metrics, row))
     reports: dict[str, RateReport] = {}
-    for i, metric in enumerate(metrics):
+    for i, spec in enumerate(specs):
         rows = tuple(RateRow(delta, float(column.mean()), float(column.std()),
                              cross.n, len(cross))
                      for (delta, cross), column in zip(levels, errors[:, :, i]))
         fit = fit_rate([(row.delta, row.mean_error) for row in rows])
-        reports[metric.label] = RateReport(
-            metric=metric.label,
+        reports[spec.metric.label] = RateReport(
+            metric=spec.metric.label,
             rows=rows,
             fitted_slope=fit.slope,
             intercept=fit.intercept,
             slope_ci=(fit.ci_low, fit.ci_high),
-            theoretical_slope=theoretical_rate(replace(problem, metric=metric)),
+            theoretical_slope=theoretical_rate(spec),
         )
     return ExperimentResult(reports=reports, trials=trials)
 

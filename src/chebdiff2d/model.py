@@ -143,8 +143,10 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     the unit-ball boundary.  Same seed, same grid, bit for bit.
     """
     _check_table_size(max_k, max_j)
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if epsilon == math.inf:
+        raise ValueError("epsilon must be finite")
     ks, js = np.arange(max_k + 1)[:, None], np.arange(max_j + 1)
     values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
               * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)

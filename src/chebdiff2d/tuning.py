@@ -77,7 +77,8 @@ def choose_n(delta: float, spec: ProblemSpec) -> int:
     """Truncation level for noise level delta, floored at r.
 
     Follows level_constant * delta**(-1/(mu1 - 1/p + 1/s)), rounded to the
-    nearest integer; a level that overflows to inf is refused.
+    nearest integer; a level above MAX_LEVEL, one that overflows to inf
+    included, is refused, as the cross refuses it.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -85,9 +86,10 @@ def choose_n(delta: float, spec: ProblemSpec) -> int:
     inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
     exponent = 1.0 / (spec.wiener.mu1 - inv_p + 1.0 / spec.wiener.s)
     level = spec.level_constant * delta ** -exponent
-    if not math.isfinite(level):
-        raise ValueError(f"level n={level} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
-    return max(spec.r, round(level))
+    n = max(spec.r, round(level)) if math.isfinite(level) else level
+    if n > MAX_LEVEL:
+        raise ValueError(f"level n={n} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+    return n
 
 
 def gamma_range(spec: ProblemSpec) -> tuple[float, float]:

@@ -406,6 +406,39 @@ class TestRunConvergence:
         with pytest.raises(ValueError, match="gamma"):
             run_convergence(config)
 
+    def test_only_the_measured_metrics_are_checked(self):
+        # problem.metric (sup) would refuse mu1 = 2; the sweep measures l2w only
+        problem = ProblemSpec(r=1, wiener=WienerSpec(s=1.0, mu1=2.0, mu2=1.5),
+                              noise_p=2.0, metric=MetricSpec("sup"))
+        config = small_config(problem=problem, gamma=1.2)
+        assert run_convergence(config) == run_convergence(replace(
+            config, problem=replace(problem, metric=MetricSpec("l2w"))))
+
+    def test_one_restriction_per_level(self, monkeypatch):
+        restrict_to, levels = CoeffGrid.restrict_to, []
+
+        def counted(grid, cross):
+            levels.append(cross.n)
+            return restrict_to(grid, cross)
+
+        monkeypatch.setattr(CoeffGrid, "restrict_to", counted)
+        result = run_convergence(small_config(trials_per_delta=2))
+        assert levels == [row.n_used for row in result.reports["l2w"].rows]  # 3 levels
+
+    def test_noisy_tables_checked_before_the_member_is_built(self, monkeypatch):
+        def build(spec, wiener):
+            raise AssertionError("the class member was built")
+
+        monkeypatch.setattr(TestFunctionSpec, "build", build)
+        config = small_config(
+            deltas=(1e-2, 1e-4, 1e-18), trials_per_delta=10,
+            test_function=TestFunctionSpec(kind="class-member", seed=42,
+                                           max_k=256, max_j=256),
+            metrics=tuple(parse_metric(m) for m in ("l2w", "sup", "lqw:4")))
+        with pytest.raises(ValueError, match="^a 138951 x 2683 coefficient table "
+                           "exceeds the limit MAX_TABLE_ENTRIES = 67108864$"):
+            run_convergence(config)
+
     def test_multiple_metrics(self):
         config = small_config(metrics=(MetricSpec("l2w"),
                                        MetricSpec("sup", eval_grid=65)))
@@ -806,6 +839,31 @@ class TestCli:
                             "--output", str(out))
         assert proc.returncode == 1
         assert "--delta needs --mu1, --mu2, --p" in proc.stderr
+
+    def test_differentiate_level_above_max_level(self, tmp_path, capsys):
+        # refused by the level rule, before a level is announced
+        src = tmp_path / "in.csv"
+        src.write_text("k,j,coeff\n0,0,1.0\n")
+        assert main(["differentiate", "--input", str(src), "--r", "1",
+                     "--delta", "1e-300", "--mu1", "3", "--mu2", "2", "--p", "2",
+                     "--gamma", "1.5", "--output", str(tmp_path / "out.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: level n=")
+        assert err.endswith(" exceeds the limit MAX_LEVEL = 1048576\n")
+
+    @pytest.mark.parametrize("epsilon, message", [
+        (math.nan, "epsilon must be positive"),
+        (math.inf, "epsilon must be finite"),
+    ], ids=["nan", "inf"])
+    def test_experiment_non_finite_epsilon(self, tmp_path, capsys, epsilon, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(small_doc(test_function={
+            "kind": "class-member", "max_k": 8, "max_j": 8, "epsilon": epsilon})))
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_outputs(self, tmp_path):
         config = {

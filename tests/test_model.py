@@ -76,6 +76,15 @@ class TestClassMember:
             make_class_member(WienerSpec(s=1.0, mu1=3.0, mu2=2.0), 4, 4, seed=0,
                               epsilon=0)
 
+    @pytest.mark.parametrize("epsilon, message", [
+        (math.nan, "epsilon must be positive"),
+        (math.inf, "epsilon must be finite"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_epsilon_refused(self, epsilon, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_class_member(WienerSpec(s=1.0, mu1=3.0, mu2=2.0), 4, 4, seed=0,
+                              epsilon=epsilon)
+
     def test_deterministic(self):
         spec = WienerSpec(s=2.0, mu1=2.5, mu2=2.5)
         a = make_class_member(spec, 16, 16, seed=11)

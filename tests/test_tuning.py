@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chebdiff2d import (MetricSpec, ProblemSpec, WienerSpec, cardinality,
                         choose_n, gamma_range, theoretical_rate)
+from chebdiff2d.hypercross import MAX_LEVEL
 
 
 def make_spec(r=1, s=1.0, mu1=3.0, mu2=2.0, p=2.0, metric=None, constant=1.0):
@@ -114,6 +115,14 @@ class TestChooseN:
     def test_level_constant_scales(self):
         assert choose_n(1e-3, make_spec(constant=2.0)) == 14
 
+    def test_levels_above_max_level_refused(self):
+        # the cross's own limit: n = MAX_LEVEL is the largest level it builds
+        assert choose_n(1 - 1e-12, make_spec(constant=MAX_LEVEL)) == MAX_LEVEL
+        for delta, constant in [(0.5, MAX_LEVEL), (1e-300, 1.0), (0.5, 1e308)]:
+            with pytest.raises(ValueError, match=r"^level n=(\d+|inf) exceeds the "
+                               f"limit MAX_LEVEL = {MAX_LEVEL}$"):
+                choose_n(delta, make_spec(constant=constant))
+
 
 class TestGammaRange:
     def test_l2_reference(self):
@@ -208,6 +217,11 @@ def test_choose_n_is_monotone_in_delta(deltas, r, s, mu1, mu2, p, constant):
     small, large = sorted(deltas)
     try:
         assert choose_n(small, spec) >= choose_n(large, spec)
-    except ValueError as exc:  # an inadmissible spec
-        assert str(exc).startswith("inadmissible spec")
+    except ValueError as exc:  # an inadmissible spec, or a level above MAX_LEVEL
+        if "exceeds the limit MAX_LEVEL" in str(exc):
+            # a level too large for the larger delta is too large for the smaller
+            with pytest.raises(ValueError, match="exceeds the limit MAX_LEVEL"):
+                choose_n(small, spec)
+        else:
+            assert str(exc).startswith("inadmissible spec")
         reject()
