@@ -28,14 +28,21 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+def _size(value, name: str, low: int = 0) -> int:
+    """``value`` as an int: a size, order or level is an integral number
+    >= ``low``, and an integral float such as 8.0 is taken as the integer."""
+    if not low <= value < math.inf or value % 1:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return int(value)
+
+
 def basis_matrix(max_degree: int, points) -> np.ndarray:
     """Matrix of basis values with entry (i, k) = T_k(points[i]).
 
     Covers degrees 0..max_degree.  Points may overshoot the interval by the
     clamp tolerance and are clamped.
     """
-    if not 0 <= max_degree < math.inf or max_degree % 1:
-        raise ValueError("max_degree must be a nonnegative integer")
+    max_degree = _size(max_degree, "max_degree")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
@@ -55,8 +62,7 @@ def gauss_chebyshev_nodes(n_nodes: int) -> np.ndarray:
     Every weight is pi/N; the rule integrates (1 - t^2)^(-1/2) * P(t)
     exactly for polynomials P of degree up to 2N - 1.
     """
-    if not 1 <= n_nodes < math.inf or n_nodes % 1:
-        raise ValueError("n_nodes must be an integer >= 1")
+    n_nodes = _size(n_nodes, "n_nodes", 1)
     i = np.arange(1, n_nodes + 1)
     nodes = np.cos((2 * i - 1) * math.pi / (2 * n_nodes))
     nodes.setflags(write=False)

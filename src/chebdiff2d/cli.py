@@ -18,11 +18,12 @@ import re
 import sys
 
 from . import harness
+from .basis import _size
 from .diffop import truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import WienerSpec
 from .norms import cosine_grid
-from .transform import (MAX_TABLE_ENTRIES, CoeffFileError, _load_json, _shown,
+from .transform import (CoeffFileError, _check_table_size, _load_json, _shown,
                         grid_synthesize, read_coeff_file, write_coeff_csv,
                         write_csv_table, write_value_table)
 from .tuning import ProblemSpec, choose_n
@@ -66,9 +67,8 @@ def _cmd_differentiate(args) -> int:
     n = _resolve_level(args)
     m = args.eval_grid
     if m is not None:  # the value grid is refused before the input is read
-        if m * m > MAX_TABLE_ENTRIES:
-            raise ValueError(f"a {m} x {m} value grid exceeds "
-                             f"the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+        m = _size(m, "--eval-grid", 2)
+        _check_table_size(m - 1, m - 1, "value grid")
         nodes = cosine_grid(m)
     result = truncated_derivative(read_coeff_file(args.input), n, args.gamma,
                                   args.r)

@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .basis import _size
 from .hypercross import build_cross
 from .transform import CoeffGrid
 
@@ -48,9 +49,7 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     ``zeta0`` is exposed for diagnostics (the validation suite perturbs it
     to demonstrate oracle sensitivity); production code uses the default.
     """
-    if not 1 <= r < math.inf or r % 1:
-        raise ValueError("derivative order r must be an integer >= 1")
-    dense, r = coeffs._dense, int(r)
+    dense, r = coeffs._dense, _size(r, "derivative order r", 1)
     out_shape = (max(dense.shape[0] - r, 1), dense.shape[1])
     rows = len(np.trim_zeros(dense.any(axis=1), "b"))  # -0.0 is zero too
     cols = len(np.trim_zeros(dense.any(axis=0), "b"))

@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .basis import basis_matrix, gauss_chebyshev_nodes
+from .basis import _size, basis_matrix, gauss_chebyshev_nodes
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
@@ -98,12 +98,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.trials_per_delta < 1:
-            raise ValueError("trials_per_delta must be >= 1")
-        if not 1 <= self.trials_per_delta < math.inf or self.trials_per_delta % 1:
-            raise ValueError("trials_per_delta must be an integer")
-        # an integral float such as 3.0 runs as the integer
-        object.__setattr__(self, "trials_per_delta", int(self.trials_per_delta))
+        object.__setattr__(self, "trials_per_delta",
+                           _size(self.trials_per_delta, "trials_per_delta", 1))
         if not self.deltas:
             raise ValueError("need at least one noise level")
         for d in self.deltas:
@@ -454,9 +450,8 @@ def recurrence_partial_t(coeffs: CoeffGrid, r: int, ts, taus) -> np.ndarray:
     recurrence in float64, and one einsum (no BLAS call) contracts them
     with the coefficient table.
     """
-    if not 0 <= r < math.inf or r % 1:
-        raise ValueError("derivative order r must be an integer >= 0")
-    return np.einsum("pk,kj,pj->p", _recurrence_table(int(r), ts, coeffs.max_k),
+    r = _size(r, "derivative order r")
+    return np.einsum("pk,kj,pj->p", _recurrence_table(r, ts, coeffs.max_k),
                      coeffs._dense, _recurrence_table(0, taus, coeffs.max_j))
 
 

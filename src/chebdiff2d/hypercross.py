@@ -17,11 +17,21 @@ import math
 
 import numpy as np
 
+from .basis import _size
+from .transform import _shown
+
 _BOUNDARY_RTOL = 1e-12
 
 #: Largest truncation level n; a gamma = 1 cross at this level holds about
 #: 15 million index pairs.
 MAX_LEVEL = 2 ** 20
+
+
+def _level(n):
+    """``n``; a level above MAX_LEVEL, inf included, is refused, shown shortened."""
+    if n > MAX_LEVEL:
+        raise ValueError(f"level n={_shown(n)} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+    return n
 
 
 def _column_bounds(n: int, gamma: float, r: int) -> np.ndarray:
@@ -46,17 +56,11 @@ class CrossIndexSet:
     __slots__ = ("n", "gamma", "r", "_columns")
 
     def __init__(self, n: int, gamma: float, r: int):
-        if not 1 <= r < math.inf or r % 1:
-            raise ValueError("derivative order r must be an integer >= 1")
-        if not r <= n < math.inf or n % 1:
-            raise ValueError(f"level n must be an integer >= r (got n={n}, r={r})")
-        if n > MAX_LEVEL:
-            raise ValueError(f"level n={n} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+        self.r = _size(r, "derivative order r", 1)
+        self.n = _level(_size(n, "level n", self.r))
         if not 1.0 <= gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 1 (got gamma={gamma})")
-        self.n = int(n)
         self.gamma = float(gamma)
-        self.r = int(r)
         self._columns = _column_bounds(self.n, self.gamma, self.r)
         self._columns.flags.writeable = False
 

@@ -142,12 +142,12 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
     exactly 1.  The default margin epsilon = 0.01 places the member near
     the unit-ball boundary.  Same seed, same grid, bit for bit.
     """
-    _check_table_size(max_k, max_j)
+    rows, cols = _check_table_size(max_k, max_j)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if epsilon == math.inf:
         raise ValueError("epsilon must be finite")
-    ks, js = np.arange(max_k + 1)[:, None], np.arange(max_j + 1)
+    ks, js = np.arange(rows)[:, None], np.arange(cols)
     values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
               * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)
               * _keyed_signs(seed, ks, js))
@@ -165,7 +165,7 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
     if noise.delta == 0.0:
         return coeffs
     max_k, max_j = max(coeffs.max_k, support.n), max(coeffs.max_j, support.j_bound)
-    _check_table_size(max_k, max_j)
+    shape = _check_table_size(max_k, max_j)
     # row-major over the support's own box: the support's own order
     ks, js = np.nonzero(support.mask(support.n + 1, support.j_bound + 1))
     if noise.mode == NOISE_SINGLE:
@@ -183,7 +183,7 @@ def perturb(coeffs: CoeffGrid, noise: NoiseSpec, support: CrossIndexSet) -> Coef
         raw = 2.0 * _keyed_uniform(noise.seed, ks, js) - 1.0
         if not np.any(raw):
             raw[0] = 1.0
-    table = np.zeros((max_k + 1, max_j + 1))
+    table = np.zeros(shape)
     table[ks, js] = (noise.delta / lp_norm(raw, noise.p)) * raw
     table[: coeffs.max_k + 1, : coeffs.max_j + 1] += coeffs._dense
     return CoeffGrid._wrap(table)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix, gauss_chebyshev_nodes
+from .basis import _size, basis_matrix, gauss_chebyshev_nodes
 from .transform import MAX_TABLE_ENTRIES, CoeffGrid, _one_of, _shown
 
 
@@ -44,8 +44,7 @@ class MetricSpec:
                                  "use 'sup' for q = inf")
         elif self.q is not None:
             raise ValueError(f"metric {self.kind!r} takes no q parameter")
-        if not 2 <= self.eval_grid < math.inf or self.eval_grid % 1:
-            raise ValueError("eval_grid must be an integer >= 2")
+        object.__setattr__(self, "eval_grid", _size(self.eval_grid, "eval_grid", 2))
 
     @property
     def label(self) -> str:
@@ -108,26 +107,30 @@ def _exact_sum(values: np.ndarray) -> float:
         return math.inf if units > 0 else -math.inf
 
 
-def _root_sum(square, dense: np.ndarray) -> float:
-    """``sqrt`` of the correctly rounded sum of ``square(dense)``, where
-    ``square`` is homogeneous of degree 2.
+#: A sum of q-th powers below this may have lost terms to underflow: the
+#: smallest normal float 2**-1022 is then within 53 bits of it.
+_TINY_SUM = 2.0 ** -969
 
-    A sum beyond the float range is taken over ``dense / 2**e`` instead,
-    with ``2**e`` just above the table's peak, and the root scaled back, so
-    a finite norm stays finite; every other result keeps its bits.
-    """
-    with np.errstate(over="ignore"):  # a term, or the norm, may overflow
-        total = _exact_sum(square(dense))
-        if total < math.inf:
-            return math.sqrt(total)
-        e = math.frexp(float(np.abs(dense).max()))[1]
-        scaled = _exact_sum(square(np.ldexp(dense, -e)))
-        return float(np.ldexp(math.sqrt(scaled), e))
+
+def _root_sum(table, sum_of, root=math.sqrt) -> float:
+    """``root(sum_of(table()))``, for a ``sum_of`` homogeneous of the degree
+    ``root`` undoes.  A sum of 0, inf or below ``_TINY_SUM``, whose terms
+    may have overflowed or underflowed, is taken again over a second
+    ``table() * 2**-e``, with ``2**e`` just above its peak, and the root
+    scaled back; every other result keeps its bits."""
+    with np.errstate(over="ignore"):  # a term, or the sum, may overflow
+        total = sum_of(table())
+        if _TINY_SUM <= total < math.inf:
+            return float(root(total))
+        scaled = table()
+        e = math.frexp(float(np.abs(scaled).max()))[1]  # 0 for a peak of 0, inf or nan
+        return float(np.ldexp(root(sum_of(np.ldexp(scaled, -e))), e))
 
 
 def l2_omega_norm(coeffs: CoeffGrid) -> float:
-    """Weighted L2 norm, exact through the coefficients (Parseval)."""
-    return _root_sum(lambda a: a * a, coeffs._dense)
+    """Weighted L2 norm, exact through the coefficients (Parseval); a sum
+    of squares out of the float range is rescaled as :func:`_root_sum` says."""
+    return _root_sum(lambda: coeffs._dense, lambda a: _exact_sum(a * a))
 
 
 def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> float:
@@ -138,17 +141,15 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     dimension are exact; the default is capped at 4 * (max degree) + 1, the
     exact size for q = 8.  Every other q takes the cap: the integrand is not
     a polynomial and the result is an approximation.  For q = 2**m, |f|^q
-    is taken by m squarings.  Where the powers make the sum 0 or inf, it is
-    taken over |f| / max |f| instead and the root scaled back; every other
-    result keeps its bits.
+    is taken by m squarings.  A sum that overflows or underflows is taken
+    again over a power-of-two scaling of |f|, as :func:`_root_sum` says.
     """
     if not 1 <= q < math.inf:
         raise ValueError("q must be finite and >= 1; use sup_norm for q = inf")
     max_deg = max(coeffs.max_k, coeffs.max_j)
     if quad_n is None:
         quad_n = _lq_nodes(q, max_deg)
-    if not max_deg + 1 <= quad_n < math.inf or quad_n % 1:
-        raise ValueError("quad_n must be an integer >= max degree + 1")
+    quad_n = _size(quad_n, "quad_n", max_deg + 1)
     return _reduce(_basis(coeffs.max_k, "gauss", quad_n), coeffs._dense,
                    _basis(coeffs.max_j, "gauss", quad_n), q)
 
@@ -179,25 +180,16 @@ def _reduce(bt, dense, btau, q: float | None = None, less=0.0) -> float:
         f = bt @ dense @ btau.T
         return np.abs(np.subtract(f, less, out=f), out=f)  # x - 0.0 is x
 
-    f = values()
     if q is None:
-        return float(f.max())
-    w = math.pi / f.shape[0]
-    with np.errstate(over="ignore"):  # a power, or the sum, may overflow
-        total = np.sum(_power(f, q))
-    if total in (0.0, math.inf):  # again, over |f| / max |f|
-        f = values()
-        peak = float(f.max())
-        if 0.0 < peak < math.inf:
-            f /= peak
-            return peak * float((w * w * np.sum(_power(f, q))) ** (1.0 / q))
-    return float((w * w * total) ** (1.0 / q))
+        return float(values().max())
+    w = math.pi / bt.shape[0]
+    return _root_sum(values, lambda f: w * w * np.sum(_power(f, q)),
+                     lambda total: total ** (1.0 / q))
 
 
 def cosine_grid(points_per_dim: int) -> np.ndarray:
     """Endpoint-including evaluation nodes cos(i*pi/(M-1)), i = 0..M-1."""
-    if not 2 <= points_per_dim < math.inf or points_per_dim % 1:
-        raise ValueError("points_per_dim must be an integer of at least 2 points")
+    points_per_dim = _size(points_per_dim, "points_per_dim", 2)
     return np.cos(np.arange(points_per_dim) * math.pi / (points_per_dim - 1))
 
 
@@ -240,7 +232,7 @@ def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
     uk = np.maximum(1, np.arange(coeffs.max_k + 1))
     uj = np.maximum(1, np.arange(coeffs.max_j + 1))
     weights = np.outer(uk, uj) ** (1.0 - 2.0 / q)
-    return _root_sum(lambda a: weights * a * a, coeffs._dense)
+    return _root_sum(lambda: coeffs._dense, lambda a: _exact_sum(weights * a * a))
 
 
 def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:
@@ -277,8 +269,10 @@ def _error_metrics(reference: CoeffGrid, metrics):
 
     ``l2w`` keeps its bits: the exact squared sum of the reference, less its
     part on the tables' overlap, plus the squared error on approx's table,
-    rounded once.  ``sup`` and ``lqw`` reduce values(approx) - values(reference)
-    on evaluate_metric's grid; the reference's values are cached per grid.
+    rounded once; a total :func:`_root_sum` would take again is left to
+    :func:`l2_omega_norm`.  ``sup`` and ``lqw`` reduce values(approx) -
+    values(reference) on evaluate_metric's grid; the reference's values are
+    cached per grid.
     """
     ref = reference._dense
     with np.errstate(over="ignore"):  # a square may overflow
@@ -302,11 +296,14 @@ def _error_metrics(reference: CoeffGrid, metrics):
             inside, error = ref[overlap], dense.copy()
             with np.errstate(over="ignore"):
                 error[overlap] -= inside
-                try:  # an overflowed square gives None, and a large sum inf
-                    out.append(math.sqrt((ref_units[metric] - _exact_units(inside * inside)
-                                          + _exact_units(error * error)) / (1 << 1126)))
-                except (TypeError, OverflowError):  # l2_omega_norm rescues them
-                    out.append(l2_omega_norm(approx - reference))
+                parts = (ref_units[metric], _exact_units(inside * inside),
+                         _exact_units(error * error))
+            # the total in units of 2**-1126; l2_omega_norm takes a non-finite
+            # square (None), a total it would take again, and one near 2**1024
+            units = None if None in parts else parts[0] - parts[1] + parts[2]
+            exact = units is not None and math.ldexp(_TINY_SUM, 1126) <= units < 2 ** 2149
+            out.append(math.sqrt(units / (1 << 1126)) if exact
+                       else l2_omega_norm(approx - reference))
         return out
 
     return evaluate

@@ -31,7 +31,7 @@ import reprlib
 
 import numpy as np
 
-from .basis import basis_matrix, gauss_chebyshev_nodes
+from .basis import _size, basis_matrix, gauss_chebyshev_nodes
 
 #: Largest coefficient table built from outside input: 2**26 entries, that
 #: is 512 MiB of float64.
@@ -92,14 +92,13 @@ def _load_json(path, error: type[ValueError]):
             raise error(f"{path}: {exc}") from None
 
 
-def _check_table_size(max_k: int, max_j: int, what="coefficient table") -> None:
-    """Refuse bounds not integral and >= 0, or a table above MAX_TABLE_ENTRIES."""
-    if not all(0 <= bound < math.inf and bound % 1 == 0 for bound in (max_k, max_j)):
-        raise ValueError("degree bounds max_k and max_j must be nonnegative integers")
-    rows, cols = int(max_k) + 1, int(max_j) + 1
+def _check_table_size(max_k: int, max_j: int, what="coefficient table") -> tuple[int, int]:
+    """Shape (max_k + 1, max_j + 1) of a table, refused above MAX_TABLE_ENTRIES."""
+    rows, cols = _size(max_k, "max_k") + 1, _size(max_j, "max_j") + 1
     if rows * cols > MAX_TABLE_ENTRIES:
         raise ValueError(f"a {_shown(rows)} x {_shown(cols)} {what} "
                          f"exceeds the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+    return rows, cols
 
 
 def _is_index(key) -> bool:
@@ -163,10 +162,10 @@ def _entry_table(ks, js, values, max_k, max_j, where) -> np.ndarray:
     refuse(np.flatnonzero(~np.isfinite(values)), "non-finite coefficient at {}")
     max_k = int(ks.max(initial=0)) if max_k is None else max_k
     max_j = int(js.max(initial=0)) if max_j is None else max_j
-    _check_table_size(max_k, max_j)
+    shape = _check_table_size(max_k, max_j)
     refuse(np.flatnonzero((ks > max_k) | (js > max_j)),
            f"entry {{}} outside declared bounds ({max_k}, {max_j})")
-    dense = np.zeros((int(max_k) + 1, int(max_j) + 1))
+    dense = np.zeros(shape)
     cells = np.ravel_multi_index((ks, js), dense.shape)
     # a stable sort keeps equal cells in entry order, so every entry after
     # the first of its run repeats an earlier pair
@@ -277,8 +276,7 @@ def analyze(f, max_k: int, max_j: int) -> CoeffGrid:
     coordinate degrees at most ``3 * max(max_k, max_j) + 1``.  A sample
     grid above MAX_TABLE_ENTRIES points is refused before f is called.
     """
-    _check_table_size(max_k, max_j)
-    nodes = 2 * int(max(max_k, max_j)) + 1
+    nodes = 2 * max(_check_table_size(max_k, max_j)) - 1  # 2 * max degree + 1
     _check_table_size(nodes - 1, nodes - 1, "sample grid")
     ts = gauss_chebyshev_nodes(nodes)
     samples = np.array([[float(f(t, u)) for u in ts] for t in ts])

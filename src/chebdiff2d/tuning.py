@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .hypercross import MAX_LEVEL
+from .basis import _size
+from .hypercross import _level
 from .model import WienerSpec
 from .norms import MetricSpec
 
@@ -33,8 +34,7 @@ class ProblemSpec:
     level_constant: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.r < math.inf or self.r % 1:
-            raise ValueError("derivative order r must be an integer >= 1")
+        object.__setattr__(self, "r", _size(self.r, "derivative order r", 1))
         if not self.noise_p >= 1:
             raise ValueError("noise_p must be >= 1 (math.inf allowed)")
         if not self.level_constant > 0:
@@ -78,7 +78,7 @@ def choose_n(delta: float, spec: ProblemSpec) -> int:
 
     Follows level_constant * delta**(-1/(mu1 - 1/p + 1/s)), rounded to the
     nearest integer; a level above MAX_LEVEL, one that overflows to inf
-    included, is refused, as the cross refuses it.
+    included, is refused by the cross's own check.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -86,10 +86,7 @@ def choose_n(delta: float, spec: ProblemSpec) -> int:
     inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
     exponent = 1.0 / (spec.wiener.mu1 - inv_p + 1.0 / spec.wiener.s)
     level = spec.level_constant * delta ** -exponent
-    n = max(spec.r, round(level)) if math.isfinite(level) else level
-    if n > MAX_LEVEL:
-        raise ValueError(f"level n={n} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
-    return n
+    return _level(max(spec.r, round(level)) if math.isfinite(level) else level)
 
 
 def gamma_range(spec: ProblemSpec) -> tuple[float, float]:

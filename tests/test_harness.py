@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -533,11 +534,11 @@ class TestConfigParsing:
         assert run_convergence(config) == run_convergence(small_config())
 
     @pytest.mark.parametrize("overrides, message", [
-        (dict(trials_per_delta=0), r"trials_per_delta must be >= 1"),
+        (dict(trials_per_delta=0), r"^trials_per_delta must be an integer >= 1$"),
         # without the check, run_convergence raises a TypeError naming nothing
-        (dict(trials_per_delta=2.5), r"^trials_per_delta must be an integer$"),
-        (dict(trials_per_delta=math.nan), r"^trials_per_delta must be an integer$"),
-        (dict(trials_per_delta=math.inf), r"^trials_per_delta must be an integer$"),
+        (dict(trials_per_delta=2.5), r"^trials_per_delta must be an integer >= 1$"),
+        (dict(trials_per_delta=math.nan), r"^trials_per_delta must be an integer >= 1$"),
+        (dict(trials_per_delta=math.inf), r"^trials_per_delta must be an integer >= 1$"),
         (dict(deltas=()), r"need at least one noise level"),
         (dict(deltas=(0.0,)), r"noise levels must lie in \(0, 1\)"),
         (dict(deltas=(1.0,)), r"noise levels must lie in \(0, 1\)"),
@@ -585,7 +586,8 @@ class TestRunSingle:
             f"wrote 5x5 point values to {out}.values.csv\n", "")
 
     @pytest.mark.parametrize("eval_grid, message", [
-        (1, "at least 2 points"), (200_000, "limit MAX_TABLE_ENTRIES = ")])
+        pytest.param(1, "--eval-grid must be an integer >= 2", id="1-below 2 points"),
+        (200_000, "limit MAX_TABLE_ENTRIES = ")])
     def test_value_grid_checked_before_reading(self, tmp_path, capsys,
                                                eval_grid, message):
         # reading the missing input would exit 2 with FileNotFoundError instead
@@ -839,6 +841,35 @@ class TestCli:
                             "--output", str(out))
         assert proc.returncode == 1
         assert "--delta needs --mu1, --mu2, --p" in proc.stderr
+
+    def test_delta_needs_the_class_parameters(self, tmp_path, capsys):
+        # in process, so a line trace sees the refusal
+        src = tmp_path / "in.csv"
+        src.write_text("k,j,coeff\n0,0,1.0\n")
+        out = tmp_path / "out.csv"
+        assert main(["differentiate", "--input", str(src), "--r", "1",
+                     "--delta", "1e-3", "--gamma", "1.5", "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: --delta needs --mu1, --mu2, --p\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["differentiate", "--delta", "1e-300", "--mu1", "3", "--mu2", "2", "--p", "2"],
+        ["differentiate", "--n", "9" * 90],
+        ["cross", "--n", "9" * 90, "--count"],
+    ], ids=["auto-level", "differentiate-n", "cross-n"])
+    def test_level_refusal_shows_the_level_shortened(self, tmp_path, capsys, args):
+        # the level rule and the cross refuse a level in one function, which
+        # shows an integer of over 40 digits as its first 18 and last 19
+        src = tmp_path / "in.csv"
+        src.write_text("k,j,coeff\n0,0,1.0\n")
+        files = ["--input", str(src), "--output", str(tmp_path / "out.csv")]
+        assert main([*args, "--r", "1", "--gamma", "1.5",
+                     *(files if args[0] == "differentiate" else [])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err) < 200
+        assert re.fullmatch(r"error: level n=\d{18}\.\.\.\d{19} exceeds the limit "
+                            r"MAX_LEVEL = 1048576\n", err), err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_differentiate_level_above_max_level(self, tmp_path, capsys):
         # refused by the level rule, before a level is announced

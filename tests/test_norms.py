@@ -59,6 +59,48 @@ class TestErrorMetrics:
         got = _error_metrics(reference, (MetricSpec("l2w"),))(approx)
         assert got == [l2_omega_norm(approx - reference)] == [want]
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 2e153])
+    def test_l2w_at_the_ends_of_the_range_equals_the_public_path(self, rng, scale):
+        # the squares underflow in part (1e-160) or whole (1e-170), or their
+        # sum nears the float range's top (2e153); the engine hands such a
+        # total to l2_omega_norm
+        reference = CoeffGrid.from_dense(scale * rng.uniform(-1.0, 1.0, (9, 9)))
+        evaluate = _error_metrics(reference, (MetricSpec("l2w"),))
+        for shape in ((5, 4), (9, 9), (12, 11)):
+            approx = CoeffGrid.from_dense(scale * rng.uniform(-1.0, 1.0, shape))
+            got = evaluate(approx)
+            assert got == [l2_omega_norm(approx - reference)]
+            assert got[0] > 0.0
+
+
+class TestTinyTables:
+    """Tables whose squares or fourth powers underflow in part or in whole:
+    the sum is taken again over the table scaled by a power of two."""
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-160, 1e-170])
+    def test_norms_match_mpmath(self, rng, scale):
+        dense = scale * rng.uniform(-1.0, 1.0, (9, 9))
+        grid = CoeffGrid.from_dense(dense)
+        nodes = 17  # 4 * 8 / 2 + 1: exact for |f|^4 at degree 8
+        with mpmath.workdps(40):
+            a = mpmath.matrix(dense.tolist())
+            l2 = mpmath.sqrt(mpmath.fsum(v * v for v in a))
+            bound = mpmath.sqrt(mpmath.fsum(
+                mpmath.sqrt(max(1, k) * max(1, j)) * a[k, j] ** 2
+                for k in range(9) for j in range(9)))
+            theta = [(2 * i - 1) * mpmath.pi / (2 * nodes) for i in range(1, nodes + 1)]
+            basis = mpmath.matrix([[mpmath.sqrt((1 if k == 0 else 2) / mpmath.pi)
+                                    * mpmath.cos(k * t) for k in range(9)] for t in theta])
+            values = basis * a * basis.T
+            lq4 = ((mpmath.pi / nodes) ** 2 * mpmath.fsum(v ** 4 for v in values)) ** 0.25
+        # abs=0: approx's default absolute tolerance would pass any tiny norm
+        assert l2_omega_norm(grid) == pytest.approx(float(l2), rel=3e-16, abs=0)
+        assert lq_coefficient_bound(grid, 4.0) == pytest.approx(float(bound),
+                                                                rel=3e-16, abs=0)
+        for quad_n in (nodes, 257):  # the default size, and the metric's
+            assert lq_omega_norm(grid, 4.0, quad_n) == pytest.approx(
+                float(lq4), rel=1e-14, abs=0)
+
 
 def reflections(table):
     """``table`` with its odd rows negated (t -> -t) and with its odd
@@ -154,18 +196,21 @@ class TestExactSum:
 
     @pytest.mark.parametrize("scale", [1e-310, 1e-160, 1.0, 1e150])
     def test_norms_equal_fsum_formulas(self, rng, scale):
-        # 1e-160 makes the squares, 1e-310 the coefficients, subnormal
+        # 1e-160 makes the squares, 1e-310 the coefficients, subnormal; the
+        # root of the exact sum is the root over dense * 2**k, scaled back
+        k = -math.frexp(scale)[1]
         for _ in range(10):
             grid = random_grid(rng, 15, 12, fill=0.5, scale=scale)
             dense = grid.to_dense()
-            assert l2_omega_norm(grid) == math.sqrt(
-                math.fsum((dense * dense).ravel()))
+            scaled = np.ldexp(dense, k)
+            assert l2_omega_norm(grid) == math.ldexp(math.sqrt(
+                math.fsum((scaled * scaled).ravel())), -k)
             uk = np.maximum(1, np.arange(16))
             uj = np.maximum(1, np.arange(13))
             for q in (2.0, 3.0, 8.0):
-                terms = np.outer(uk, uj) ** (1.0 - 2.0 / q) * dense * dense
-                assert lq_coefficient_bound(grid, q) == math.sqrt(
-                    math.fsum(terms.ravel()))
+                terms = np.outer(uk, uj) ** (1.0 - 2.0 / q) * scaled * scaled
+                assert lq_coefficient_bound(grid, q) == math.ldexp(math.sqrt(
+                    math.fsum(terms.ravel())), -k)
             for spec in (WienerSpec(s=1.0, mu1=3.0, mu2=2.0),
                          WienerSpec(s=1.5, mu1=2.5, mu2=1.5)):
                 weights = np.outer(
@@ -192,7 +237,8 @@ class TestLq:
     @pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["overflow", "underflow"])
     def test_large_q_stays_finite_and_nonzero(self, rng, scale):
         # |f|**600 overflows where |f| > 3.3, and every power underflows
-        # where |f| < 0.3; the sum is then taken over |f| / max |f|
+        # where |f| < 0.3; the sum is then taken over |f| * 2**-e, with 2**e
+        # just above max |f| (abs=0: approx's default 1e-12 would pass 1e-3)
         grid = CoeffGrid.from_dense(scale * rng.uniform(-1.0, 1.0, (9, 9)))
         quad_n = 4 * 8 + 1
         nodes = gauss_chebyshev_nodes(quad_n)
@@ -201,7 +247,7 @@ class TestLq:
             exact = (mpmath.fsum(mpmath.mpf(v) ** 600 for v in values)
                      * (mpmath.pi / quad_n) ** 2) ** (mpmath.mpf(1) / 600)
         got = lq_omega_norm(grid, 600.0)
-        assert got == pytest.approx(float(exact), rel=1e-14)
+        assert got == pytest.approx(float(exact), rel=1e-14, abs=0)
         # the scale is exact, so it keeps the bits under powers of two
         shifted = CoeffGrid.from_dense(np.ldexp(grid.to_dense(), 40))
         assert lq_omega_norm(shifted, 600.0) == math.ldexp(got, 40)
