@@ -116,8 +116,9 @@ def _cmd_cross(args) -> int:
     if args.count:
         print(cardinality(args.n, args.gamma, args.r))
         return 0
+    cross = build_cross(args.n, args.gamma, args.r)  # a refusal prints nothing
     print("k,j")
-    for k, j in build_cross(args.n, args.gamma, args.r):
+    for k, j in cross:
         print(f"{k},{j}")
     return 0
 

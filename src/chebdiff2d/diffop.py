@@ -51,8 +51,8 @@ def differentiate_coeffs(coeffs: CoeffGrid, r: int, *, zeta0: float = ZETA_0) ->
     """
     dense, r = coeffs._dense, _size(r, "derivative order r", 1)
     out_shape = (max(dense.shape[0] - r, 1), dense.shape[1])
-    rows = len(np.trim_zeros(dense.any(axis=1), "b"))  # -0.0 is zero too
-    cols = len(np.trim_zeros(dense.any(axis=0), "b"))
+    rows, cols = (int(np.flatnonzero(used).max(initial=-1)) + 1  # -0.0 counts as zero
+                  for used in (dense.any(axis=1), dense.any(axis=0)))
     if r >= rows:  # every degree is below r: the derivative is zero
         return CoeffGrid._wrap(np.zeros(out_shape))
     values = dense[:rows, :cols]  # only read: each step writes a fresh table

@@ -605,7 +605,7 @@ def _check_derivative_oracle() -> CheckResult:
         grid = _random_grid(rng, 10, 10)
         for r in (1, 2, 3):
             worst = max(worst, _oracle_deviation(grid, r, *_probe_points(rng, 20)))
-    return CheckResult("derivative-fd-oracle", worst <= 1e-5, worst,
+    return CheckResult("derivative-fd-oracle", worst <= 1e-12, worst,
                        "relative sup deviation, 10 grids x r in {1,2,3}")
 
 

@@ -53,7 +53,7 @@ class CrossIndexSet:
     and safe to use concurrently.
     """
 
-    __slots__ = ("n", "gamma", "r", "_columns")
+    __slots__ = ("n", "gamma", "r", "_columns", "_len")
 
     def __init__(self, n: int, gamma: float, r: int):
         self.r = _size(r, "derivative order r", 1)
@@ -63,6 +63,7 @@ class CrossIndexSet:
         self.gamma = float(gamma)
         self._columns = _column_bounds(self.n, self.gamma, self.r)
         self._columns.flags.writeable = False
+        self._len = int(self._columns.sum()) + len(self._columns)
 
     @property
     def j_bound(self) -> int:
@@ -83,7 +84,8 @@ class CrossIndexSet:
                 yield (k, j)
 
     def __len__(self) -> int:
-        return int(self._columns.sum()) + len(self._columns)
+        """Number of index pairs, summed once from the column bounds."""
+        return self._len
 
     def __repr__(self):
         return f"CrossIndexSet(n={self.n}, gamma={self.gamma}, r={self.r})"

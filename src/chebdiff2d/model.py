@@ -54,7 +54,7 @@ def _keyed_hash(seed: int, ks, js) -> np.ndarray:
 def _keyed_signs(seed: int, ks, js) -> np.ndarray:
     """Deterministic +-1 array keyed by (seed, k, j)."""
     h = _keyed_hash(seed, ks, js)
-    return np.where((h & _U64(1)).astype(bool), 1.0, -1.0)
+    return ((h & _U64(1)) == 1).astype(float) * 2.0 - 1.0
 
 
 def _keyed_uniform(seed: int, ks, js) -> np.ndarray:
@@ -119,13 +119,13 @@ def lp_norm(values, p: float) -> float:
 
 
 def wiener_norm(coeffs: CoeffGrid, spec: WienerSpec) -> float:
-    """Class norm (sum_k,j max(1,k)^(s*mu1) max(1,j)^(s*mu2) |a|^s)^(1/s)."""
+    """Class norm (sum_k,j max(1,k)^(s*mu1) max(1,j)^(s*mu2) |a|^s)^(1/s);
+    at s = 1 the power pass over |a| is skipped, as x ** 1.0 is x."""
     dense = coeffs._dense
-    uk = np.maximum(1, np.arange(dense.shape[0], dtype=float))
-    uj = np.maximum(1, np.arange(dense.shape[1], dtype=float))
+    uk, uj = (np.maximum(1, np.arange(size, dtype=float)) for size in dense.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.outer(uk ** (spec.s * spec.mu1), uj ** (spec.s * spec.mu2))
-        terms = weights * np.abs(dense) ** spec.s
+        terms = weights * (np.abs(dense) if spec.s == 1 else np.abs(dense) ** spec.s)
     norm = _exact_sum(terms) ** (1.0 / spec.s)
     if not math.isfinite(norm):
         raise ValueError(f"the class norm overflows for s = {spec.s}, "

@@ -163,25 +163,25 @@ def _lq_nodes(q: float, max_deg: int) -> int:
 
 
 def _power(values: np.ndarray, q: float) -> np.ndarray:
-    """``values **= q``; q = 2**m takes m squarings, which round alike on
-    every CPU, where ``**`` may not."""
+    """``|values| ** q`` in place; q = 2**m >= 2 takes m squarings, which round
+    alike on every CPU, where ``**`` may not, and take the sign off exactly."""
     m = math.frexp(q)[1] - 1
     if q != 2.0 ** m:
-        return np.power(values, q, out=values)
+        return np.power(np.abs(values, out=values), q, out=values)
     for _ in range(m):
         np.square(values, out=values)
-    return values
+    return values if m else np.abs(values, out=values)  # q = 1
 
 
 def _reduce(bt, dense, btau, q: float | None = None, less=0.0) -> float:
     """Max |f| for q None, else :func:`lq_omega_norm`'s Lq sum and root, of
-    f = bt @ dense @ btau.T - less on an N x N grid (weight pi / N)."""
+    f = bt @ dense @ btau.T - less on an N x N grid (weight pi / N), |f| by _power."""
     def values() -> np.ndarray:
         f = bt @ dense @ btau.T
-        return np.abs(np.subtract(f, less, out=f), out=f)  # x - 0.0 is x
+        return np.subtract(f, less, out=f)  # x - 0.0 is x
 
     if q is None:
-        return float(values().max())
+        return float(_power(values(), 1).max())  # |f| ** 1 is |f|
     w = math.pi / bt.shape[0]
     return _root_sum(values, lambda f: w * w * np.sum(_power(f, q)),
                      lambda total: total ** (1.0 / q))

@@ -435,6 +435,7 @@ def read_coeff_json(path) -> CoeffGrid:
                           for c, dtype in zip(column, (np.int64, np.int64, float)))
     except OverflowError:  # _entry_table names the entry int64 or float cannot hold
         ks, js, values = (np.array(list(map(c, entries)), dtype=object) for c in column)
+    del doc, entries  # the parse tree is not held while the table is built
     try:
         return CoeffGrid._wrap(_entry_table(ks, js, values, max_k, max_j,
                                             "entries[{}]".format))

@@ -637,6 +637,17 @@ class TestValidateSuite:
             "check_boom", False, "raised RuntimeError('boom')")
         assert math.isnan(res.measured)
 
+    def test_derivative_oracle_refuses_a_derivative_off_by_1e9(self, monkeypatch):
+        # the check measures about 5e-15; a derivative scaled by 1 + 1e-9
+        # measures 1e-9 and must fail
+        exact = harness.differentiate_coeffs
+        monkeypatch.setattr(harness, "differentiate_coeffs",
+                            lambda grid, r, **kw: CoeffGrid.from_dense(
+                                exact(grid, r, **kw).to_dense() * (1 + 1e-9)))
+        res = harness._check_derivative_oracle()
+        assert res.name == "derivative-fd-oracle" and not res.passed
+        assert res.measured == pytest.approx(1e-9, rel=0.05)
+
     def test_oracle_detects_corrupted_derivative_constant(self):
         # doubling the degree-0 weight must break the oracle comparison
         from chebdiff2d import ZETA_0, recurrence_partial_t
@@ -734,6 +745,15 @@ class TestCli:
         assert captured.err == ("" if code == 0 else
                                 "error: gamma must be finite and >= 1 "
                                 "(got gamma=inf)\n")
+
+    @pytest.mark.parametrize("n, gamma, message", [
+        ("2000000", "1.5", "level n=2000000 exceeds the limit MAX_LEVEL = 1048576"),
+        ("8", "0.5", "gamma must be finite and >= 1 (got gamma=0.5)"),
+    ], ids=["level", "gamma"])
+    def test_refused_cross_prints_nothing(self, capsys, n, gamma, message):
+        # the listing's header is printed only after the cross is built
+        assert main(["cross", "--n", n, "--gamma", gamma, "--r", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_differentiate_and_errors(self, tmp_path):
         grid = analyze(lambda t, u: t**2, 4, 0)

@@ -52,6 +52,14 @@ def test_invalid_parameters():
         build_cross(4, 1.0, 0)
 
 
+@pytest.mark.parametrize("n, gamma, r", [(4, 1.0, 1), (40, 1.5, 2), (300, 2.0, 3),
+                                         (1000, 1.0, 5), (777, 2.7, 1)])
+def test_len_counts_the_mask(n, gamma, r):
+    # the length is summed once, when the set is built
+    cross = build_cross(n, gamma, r)
+    assert len(cross) == cross.mask(n + 1, cross.j_bound + 1).sum() == len(list(cross))
+
+
 def test_enumeration_order_is_lexicographic():
     cross = build_cross(9, 1.3, 2)
     indices = list(cross)

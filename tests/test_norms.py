@@ -228,6 +228,25 @@ class TestLq:
             assert lq_omega_norm(grid, q, quad_n=9) == pytest.approx(
                 math.pi ** (2.0 / q), rel=1e-12)
 
+    @pytest.mark.parametrize("q", [1.0, 3.0])
+    def test_signed_values_take_their_absolute_value(self, rng, q):
+        # q = 1 takes no squaring and q = 3 is no power of two: both take
+        # the sign off with abs, bit for bit as the formula written out
+        grid = random_grid(rng, 12, 9)
+        quad_n = 4 * 12 + 1
+        nodes = gauss_chebyshev_nodes(quad_n)
+        f = grid_synthesize(grid, nodes, nodes)
+        assert f.min() < 0 < f.max()
+        w = math.pi / quad_n
+        assert lq_omega_norm(grid, q) == (w * w * np.sum(np.abs(f) ** q)) ** (1 / q)
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, 8.0])
+    def test_squarings_are_sign_blind(self, rng, q):
+        # q = 2**m takes no abs pass: the first squaring drops the sign
+        grid = random_grid(rng, 12, 9)
+        negated = CoeffGrid.from_dense(-grid.to_dense())
+        assert lq_omega_norm(grid, q) == lq_omega_norm(negated, q)
+
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             lq_omega_norm(CoeffGrid([((0, 0), 1.0)]), 0.5)
