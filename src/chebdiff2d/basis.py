@@ -16,6 +16,7 @@ arccos conditioning limits attainable accuracy to roughly k * eps.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -23,6 +24,10 @@ import numpy as np
 #: endpoints land here); such points are clamped.  Anything farther out is
 #: a domain error.
 CLAMP_TOL = 1e-14
+
+#: Largest table, grid or basis matrix sized from outside input: 2**26
+#: entries, that is 512 MiB of float64.
+MAX_TABLE_ENTRIES = 2 ** 26
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -36,16 +41,39 @@ def _size(value, name: str, low: int = 0) -> int:
     return int(value)
 
 
+def _shown(value) -> str:
+    """A refused value for a message, in a few dozen characters: a string
+    shortened by reprlib to about 30 characters and an integer to 40, a
+    float as Python writes it, any other value by the name of its type."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+    elif not isinstance(value, str):
+        return type(value).__name__
+    return reprlib.repr(value)
+
+
+def _check_table_size(max_k: int, max_j: int, what="coefficient table") -> tuple[int, int]:
+    """Shape (max_k + 1, max_j + 1) of a table, refused above MAX_TABLE_ENTRIES."""
+    rows, cols = _size(max_k, "max_k") + 1, _size(max_j, "max_j") + 1
+    if rows * cols > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a {_shown(rows)} x {_shown(cols)} {what} "
+                         f"exceeds the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+    return rows, cols
+
+
 def basis_matrix(max_degree: int, points) -> np.ndarray:
     """Matrix of basis values with entry (i, k) = T_k(points[i]).
 
-    Covers degrees 0..max_degree.  Points may overshoot the interval by the
-    clamp tolerance and are clamped.
+    Covers degrees 0..max_degree, in at most MAX_TABLE_ENTRIES entries.
+    Points may overshoot the interval by the clamp tolerance and are clamped.
     """
     max_degree = _size(max_degree, "max_degree")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError("points must be one-dimensional")
+    _check_table_size(max(pts.size, 1) - 1, max_degree, "basis matrix")  # no points: one row
     outside = ~(np.abs(pts) <= 1.0 + CLAMP_TOL)  # NaN is outside too
     if np.any(outside):
         raise ValueError(f"point {float(pts[outside][0])!r} lies outside [-1, 1]")

@@ -196,8 +196,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {_short(str(exc))}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError has no text
+        print(f"error: {_short(str(exc) or 'out of memory')}", file=sys.stderr)
         return 2 if isinstance(exc, (CoeffFileError, OSError)) else 1
 
 

@@ -28,7 +28,7 @@ from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
                     NoiseSpec, WienerSpec, lp_norm, make_class_member, perturb,
                     wiener_norm)
-from .norms import (MetricSpec, _error_metrics, l2_omega_norm,
+from .norms import (MetricSpec, _error_metrics, _grid, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
 from .transform import (CoeffGrid, _check_table_size, _one_of, _shown, analyze,
@@ -374,11 +374,18 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
         if not low <= gamma < high:
             raise ValueError(f"gamma={gamma} outside admissible range "
                              f"[{low}, {high}) for metric {spec.metric.label}")
-    # every level, and the noisy table that spans its cross, is checked first
+    # every level, the noisy table that spans its cross, and each grid metric's
+    # grid on the largest error table (the member's box or a block) are checked first
     levels = [(delta, build_cross(choose_n(delta, specs[0]), gamma, problem.r))
               for delta in config.deltas]
+    tf = config.test_function  # an analytic member's 41 x 41 box is too small to matter
+    rows, cols = (tf.max_k, tf.max_j) if tf.kind == "class-member" else (0, 0)
     for _, cross in levels:
         _check_table_size(cross.n, cross.j_bound)
+        rows, cols = max(rows, cross.n), max(cols, cross.j_bound)
+    shape = (rows + 1 - problem.r, cols + 1)  # the derivative drops r rows
+    for nodes, size in (_grid(m, shape) for m in metrics if m.kind != "l2w"):
+        _check_table_size(size - 1, size - 1, f"{nodes} grid")
     true_grid = config.test_function.build(problem.wiener)
     errors_of = _error_metrics(differentiate_coeffs(true_grid, problem.r), metrics)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _size, basis_matrix, gauss_chebyshev_nodes
-from .transform import MAX_TABLE_ENTRIES, CoeffGrid, _one_of, _shown
+from .transform import MAX_TABLE_ENTRIES, CoeffGrid, _check_table_size, _one_of, _shown
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     if quad_n is None:
         quad_n = _lq_nodes(q, max_deg)
     quad_n = _size(quad_n, "quad_n", max_deg + 1)
-    return _reduce(_basis(coeffs.max_k, "gauss", quad_n), coeffs._dense,
-                   _basis(coeffs.max_j, "gauss", quad_n), q)
+    return _reduce(_basis(coeffs.max_k, "quadrature", quad_n), coeffs._dense,
+                   _basis(coeffs.max_j, "quadrature", quad_n), q)
 
 
 def _lq_nodes(q: float, max_deg: int) -> int:
@@ -200,20 +200,22 @@ def sup_norm(coeffs: CoeffGrid, points_per_dim: int = 257) -> float:
     the grid maximum underestimates the true sup by an amount controlled by
     M relative to the polynomial degrees.
     """
-    return _reduce(_basis(coeffs.max_k, "cosine", points_per_dim), coeffs._dense,
-                   _basis(coeffs.max_j, "cosine", points_per_dim))
+    points_per_dim = _size(points_per_dim, "points_per_dim", 2)
+    return _reduce(_basis(coeffs.max_k, "evaluation", points_per_dim), coeffs._dense,
+                   _basis(coeffs.max_j, "evaluation", points_per_dim))
 
 
 @functools.lru_cache(maxsize=8)
 def _basis(degree: int, nodes: str, size: int) -> np.ndarray:
     """Read-only basis matrix for degrees 0..degree at ``size`` nodes of the
-    "cosine" grid or the "gauss" (Gauss-Chebyshev) rule.
+    "evaluation" (cosine) grid or the "quadrature" (Gauss-Chebyshev) rule.
 
     A sweep evaluates every trial's metric on the same nodes and degrees,
     so the matrices are built once per process.  ``bt @ dense @ btau.T`` is
     the table :func:`~chebdiff2d.transform.grid_synthesize` gives.
     """
-    points = (cosine_grid(size) if nodes == "cosine"
+    _check_table_size(size - 1, size - 1, f"{nodes} grid")
+    points = (cosine_grid(size) if nodes == "evaluation"
               else gauss_chebyshev_nodes(size))
     matrix = basis_matrix(degree, points)
     matrix.setflags(write=False)
@@ -240,18 +242,17 @@ def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:
 
     For any polynomial of coordinate degrees (max_k, max_j) the sup norm is
     at most (2/pi) * sqrt((max_k + 1) * (max_j + 1)) times its weighted L2
-    norm.
+    norm.  A degree that is not an integer >= 0 is refused.
     """
-    if max_k < 0 or max_j < 0:
-        raise ValueError("degrees must be nonnegative")
-    return (2.0 / math.pi) * math.sqrt((max_k + 1) * (max_j + 1))
+    rows, cols = _size(max_k, "max_k") + 1, _size(max_j, "max_j") + 1
+    return (2.0 / math.pi) * math.sqrt(rows * cols)
 
 
 def _grid(metric: MetricSpec, shape) -> tuple[str, int]:
     """Nodes and points per dimension of a grid metric on a ``shape`` table."""
     if metric.kind == "sup":
-        return "cosine", metric.eval_grid
-    return "gauss", max(metric.eval_grid, _lq_nodes(metric.q, max(shape) - 1))
+        return "evaluation", metric.eval_grid
+    return "quadrature", max(metric.eval_grid, _lq_nodes(metric.q, max(shape) - 1))
 
 
 def evaluate_metric(coeffs: CoeffGrid, metric: MetricSpec) -> float:

@@ -27,15 +27,11 @@ import itertools
 import json
 import math
 import operator
-import reprlib
 
 import numpy as np
 
-from .basis import _size, basis_matrix, gauss_chebyshev_nodes
-
-#: Largest coefficient table built from outside input: 2**26 entries, that
-#: is 512 MiB of float64.
-MAX_TABLE_ENTRIES = 2 ** 26
+from .basis import (MAX_TABLE_ENTRIES, _check_table_size, _shown, _size,
+                    basis_matrix, gauss_chebyshev_nodes)
 
 _CSV_HEADER = ["k", "j", "coeff"]
 _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
@@ -43,19 +39,6 @@ _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
 
 class CoeffFileError(ValueError):
     """Malformed coefficient file; the message names the line or entry."""
-
-
-def _shown(value) -> str:
-    """A refused value for a message, in a few dozen characters: a string
-    shortened by reprlib to about 30 characters and an integer to 40, a
-    float as Python writes it, any other value by the name of its type."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        value = int(value)
-    elif not isinstance(value, str):
-        return type(value).__name__
-    return reprlib.repr(value)
 
 
 def _one_of(what: str, options):
@@ -90,15 +73,6 @@ def _load_json(path, error: type[ValueError]):
             raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: {exc}") from None
-
-
-def _check_table_size(max_k: int, max_j: int, what="coefficient table") -> tuple[int, int]:
-    """Shape (max_k + 1, max_j + 1) of a table, refused above MAX_TABLE_ENTRIES."""
-    rows, cols = _size(max_k, "max_k") + 1, _size(max_j, "max_j") + 1
-    if rows * cols > MAX_TABLE_ENTRIES:
-        raise ValueError(f"a {_shown(rows)} x {_shown(cols)} {what} "
-                         f"exceeds the limit MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
-    return rows, cols
 
 
 def _is_index(key) -> bool:
@@ -243,7 +217,8 @@ class CoeffGrid:
     def _binary(self, other: "CoeffGrid", ufunc) -> "CoeffGrid":
         if not isinstance(other, CoeffGrid):
             return NotImplemented
-        out = np.zeros(np.maximum(self._dense.shape, other._dense.shape))
+        out = np.zeros(_check_table_size(max(self.max_k, other.max_k),
+                                         max(self.max_j, other.max_j)))
         out[: self.max_k + 1, : self.max_j + 1] = self._dense
         part = out[: other.max_k + 1, : other.max_j + 1]
         with np.errstate(over="ignore"):  # _wrap names an overflowed entry
@@ -303,8 +278,9 @@ def grid_synthesize(coeffs: CoeffGrid, ts, taus) -> np.ndarray:
     (ts[i], taus[m]).
 
     Uses dense matrix products; agrees with pointwise :func:`synthesize` to
-    roundoff.
+    roundoff.  A value grid above MAX_TABLE_ENTRIES points is refused first.
     """
+    _check_table_size(max(np.size(ts), 1) - 1, max(np.size(taus), 1) - 1, "value grid")
     bt = basis_matrix(coeffs.max_k, np.asarray(ts, dtype=float))
     btau = basis_matrix(coeffs.max_j, np.asarray(taus, dtype=float))
     return bt @ coeffs._dense @ btau.T

@@ -28,7 +28,7 @@ from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT, NOISE_UNIFOR
                         theoretical_rate, truncated_derivative,
                         validate_suite,
                         write_coeff_csv, write_coeff_json)
-from chebdiff2d import harness
+from chebdiff2d import cli, harness, norms
 from chebdiff2d.cli import main
 from chebdiff2d.harness import _t_quantile_975
 from helpers import random_grid
@@ -440,6 +440,52 @@ class TestRunConvergence:
                            "exceeds the limit MAX_TABLE_ENTRIES = 67108864$"):
             run_convergence(config)
 
+    @pytest.mark.parametrize("metric, grid", [
+        (MetricSpec("lqw", q=4.0), "16383 x 16383 quadrature"),  # 2 * 8191 + 1 nodes
+        (MetricSpec("lqw", q=3.0), "32765 x 32765 quadrature"),  # 4 * 8191 + 1
+        (MetricSpec("sup", eval_grid=8193), "8193 x 8193 evaluation"),
+    ], ids=["lqw:4", "lqw:3", "sup"])
+    def test_metric_grids_checked_before_the_member_is_built(self, monkeypatch,
+                                                             metric, grid):
+        def build(spec, wiener):
+            raise AssertionError("the class member was built")
+
+        monkeypatch.setattr(TestFunctionSpec, "build", build)
+        config = small_config(
+            test_function=TestFunctionSpec(kind="class-member", seed=42,
+                                           max_k=8191, max_j=8191),
+            metrics=(MetricSpec("l2w"), metric))
+        with pytest.raises(ValueError, match=f"^a {grid} grid exceeds the limit "
+                           "MAX_TABLE_ENTRIES = 67108864$"):
+            run_convergence(config)
+
+    @pytest.mark.parametrize("box", [(60, 20), (8, 8)], ids=["member", "block"])
+    def test_grid_check_sizes_the_largest_grid_the_sweep_builds(self, monkeypatch, box):
+        # the member's box (less the r rows the derivative drops) or the last
+        # level's block, whichever is larger, sets each metric's largest grid
+        checked, built = {}, {}
+        check, basis = harness._check_table_size, norms._basis
+
+        def checked_size(max_k, max_j, what="coefficient table"):
+            if what.endswith(" grid"):
+                checked[what] = max_k + 1
+            return check(max_k, max_j, what)
+
+        def built_basis(degree, nodes, size):
+            built[f"{nodes} grid"] = max(built.get(f"{nodes} grid", 0), size)
+            return basis(degree, nodes, size)
+
+        monkeypatch.setattr(harness, "_check_table_size", checked_size)
+        monkeypatch.setattr(norms, "_basis", built_basis)
+        run_convergence(small_config(
+            test_function=TestFunctionSpec(kind="class-member", seed=3,
+                                           max_k=box[0], max_j=box[1]),
+            metrics=(MetricSpec("l2w"), MetricSpec("lqw", q=4.0, eval_grid=2),
+                     MetricSpec("sup", eval_grid=33)),
+            trials_per_delta=2))
+        assert checked == built
+        assert checked["quadrature grid"] == 2 * (max(box[0], 14) - 1) + 1  # n = 14
+
     def test_multiple_metrics(self):
         config = small_config(metrics=(MetricSpec("l2w"),
                                        MetricSpec("sup", eval_grid=65)))
@@ -753,6 +799,39 @@ class TestCli:
     def test_refused_cross_prints_nothing(self, capsys, n, gamma, message):
         # the listing's header is printed only after the cross is built
         assert main(["cross", "--n", n, "--gamma", gamma, "--r", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_large_lqw_experiment_refused_before_the_member(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def build(spec, wiener):
+            raise AssertionError("the class member was built")
+
+        monkeypatch.setattr(TestFunctionSpec, "build", build)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_doc(
+            test_function={"kind": "class-member", "max_k": 8191, "max_j": 8191},
+            metrics=["lqw:4"])))
+        assert main(["experiment", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "error: a 16383 x 16383 quadrature grid "
+                                       "exceeds the limit MAX_TABLE_ENTRIES = 67108864\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 512. MiB for an array"),
+         "Unable to allocate 512. MiB for an array"),
+    ], ids=["bare", "numpy"])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, exc, message):
+        def grid_synthesize(coeffs, ts, taus):
+            raise exc
+
+        monkeypatch.setattr(cli, "grid_synthesize", grid_synthesize)
+        src = tmp_path / "in.csv"
+        src.write_text("k,j,coeff\n0,0,1\n3,0,0.5\n2,1,-0.25\n")
+        assert main(["differentiate", "--input", str(src), "--r", "1", "--n", "4",
+                     "--gamma", "1.5", "--eval-grid", "5",
+                     "--output", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_differentiate_and_errors(self, tmp_path):

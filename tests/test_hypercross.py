@@ -29,6 +29,10 @@ def test_example_gamma_one():
     assert len(cross) == 12
 
 
+def test_repr_names_the_parameters():
+    assert repr(build_cross(8, 1.5, 1)) == "CrossIndexSet(n=8, gamma=1.5, r=1)"
+
+
 def test_example_level_equals_order():
     cross = build_cross(2, 1.0, 2)
     assert set(cross) == {(2, 0), (2, 1)}

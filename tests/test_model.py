@@ -10,6 +10,7 @@ from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT,
                         NOISE_UNIFORM, SEED_INDEPENDENT_MODES, CoeffGrid,
                         NoiseSpec, WienerSpec, build_cross, lp_norm,
                         make_class_member, perturb, wiener_norm)
+from chebdiff2d import model
 from helpers import random_grid
 
 
@@ -157,6 +158,16 @@ class TestPerturb:
         got = perturb(grid, noise, cross)._dense
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+    def test_uniform_all_zero_draw_puts_delta_on_the_first_entry(self, monkeypatch):
+        # every draw 0.5 gives raw noise 0, whose l_p norm cannot scale it
+        monkeypatch.setattr(model, "_keyed_uniform",
+                            lambda seed, ks, js: np.full(ks.shape, 0.5))
+        cross = build_cross(6, 1.5, 1)
+        noise = NoiseSpec(p=2.0, delta=0.3, mode=NOISE_UNIFORM, seed=4)
+        expected = np.zeros((7, cross.j_bound + 1))
+        expected[1, 0] = 0.3  # (r, 0) comes first in the cross
+        assert np.array_equal(perturb(CoeffGrid(), noise, cross).to_dense(), expected)
 
     def test_sup_mode_saturation(self, rng):
         grid = random_grid(rng, 10, 10, fill=0.3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from chebdiff2d import (CoeffGrid, MetricSpec, WienerSpec, cosine_grid,
                         lq_omega_norm, make_class_member,
                         nikolskii_explicit_bound, parse_metric, sup_norm,
                         synthesize, wiener_norm)
+from chebdiff2d import norms
 from chebdiff2d.norms import _error_metrics, _exact_sum
 from helpers import random_grid
 
@@ -247,6 +249,16 @@ class TestLq:
         negated = CoeffGrid.from_dense(-grid.to_dense())
         assert lq_omega_norm(grid, q) == lq_omega_norm(negated, q)
 
+    def test_quadrature_grid_above_the_limit_is_refused_first(self, monkeypatch):
+        # 2049 x 1 at q = 3 takes the 4 * 2048 + 1 cap: 8193^2 > 2^26 points
+        def basis_matrix(degree, points):
+            raise AssertionError("a basis matrix was built")
+
+        monkeypatch.setattr(norms, "basis_matrix", basis_matrix)
+        with pytest.raises(ValueError, match="^a 8193 x 8193 quadrature grid exceeds "
+                           "the limit MAX_TABLE_ENTRIES = 67108864$"):
+            lq_omega_norm(CoeffGrid.from_dense(np.ones((2049, 1))), 3.0)
+
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             lq_omega_norm(CoeffGrid([((0, 0), 1.0)]), 0.5)
@@ -312,6 +324,19 @@ class TestSupNorm:
     def test_zero_grid(self):
         assert sup_norm(CoeffGrid(), 17) == 0.0
 
+    def test_basis_above_the_limit_is_refused_first(self):
+        # the 1 x 2^18 table is within the limit; its 257-point basis is not
+        grid = CoeffGrid.from_dense(np.ones((1, 2 ** 18)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^a 257 x 262144 basis matrix exceeds "
+                               "the limit MAX_TABLE_ENTRIES = 67108864$"):
+                sup_norm(grid, 257)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the basis would take 512 MiB
+
     def test_dominates_samples(self, rng):
         grid = random_grid(rng, 9, 9)
         peak = sup_norm(grid, 257)
@@ -369,7 +394,7 @@ class TestNikolskii:
             (2 / math.pi) * math.sqrt(8))
 
     def test_negative_degree_refused(self):
-        with pytest.raises(ValueError, match="^degrees must be nonnegative$"):
+        with pytest.raises(ValueError, match="^max_k must be an integer >= 0$"):
             nikolskii_explicit_bound(-1, 0)
 
     def test_valid_for_constant_basis_member(self):

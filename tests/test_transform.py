@@ -16,10 +16,12 @@ from chebdiff2d import (CoeffFileError, CoeffGrid, MetricSpec, NoiseSpec,
                         ProblemSpec, WienerSpec, analyze, basis_matrix,
                         build_cross, cosine_grid, differentiate_coeffs,
                         gauss_chebyshev_nodes, grid_synthesize, l2_omega_norm,
-                        lq_omega_norm, make_class_member, parse_metric,
-                        perturb, read_coeff_csv, read_coeff_file,
-                        read_coeff_json, recurrence_partial_t, synthesize,
+                        lq_omega_norm, make_class_member,
+                        nikolskii_explicit_bound, parse_metric, perturb,
+                        read_coeff_csv, read_coeff_file, read_coeff_json,
+                        recurrence_partial_t, sup_norm, synthesize,
                         write_coeff_csv, write_coeff_json)
+from chebdiff2d import transform
 from chebdiff2d.cli import main
 from chebdiff2d.transform import write_csv_table, write_value_table
 import reference
@@ -153,6 +155,30 @@ class TestCoeffGrid:
         with pytest.raises(ValueError) as info:
             op(grid)
         assert str(info.value) == f"non-finite coefficient at {where}"
+
+    @pytest.mark.parametrize("op", [CoeffGrid.__add__, CoeffGrid.__sub__],
+                             ids=["add", "sub"])
+    def test_union_table_above_the_limit_is_refused_first(self, op):
+        tall = CoeffGrid.from_dense(np.ones((8193, 1)))
+        wide = CoeffGrid.from_dense(np.ones((1, 8193)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^a 8193 x 8193 coefficient table "
+                               "exceeds the limit MAX_TABLE_ENTRIES = 67108864$"):
+                op(tall, wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the table would take 512 MiB
+
+    def test_repr_and_foreign_operands(self):
+        grid = CoeffGrid([((2, 1), 0.5)], 3, 4)
+        assert repr(grid) == "CoeffGrid(nnz=1, max_k=3, max_j=4)"
+        assert (grid == 1) is False
+        with pytest.raises(TypeError):
+            grid + 1
+        with pytest.raises(TypeError):
+            grid - 1
 
     def test_from_dense_refuses_an_empty_table(self):
         with pytest.raises(ValueError,
@@ -307,6 +333,17 @@ class TestGridSynthesize:
         values = grid_synthesize(CoeffGrid(), [0.1, 0.5], [-0.3])
         assert values.shape == (2, 1)
         assert np.all(values == 0.0)
+        assert grid_synthesize(CoeffGrid(), [], [-0.3]).shape == (0, 1)
+
+    def test_value_grid_above_the_limit_is_refused_first(self, monkeypatch):
+        def basis_matrix(degree, points):
+            raise AssertionError("a basis matrix was built")
+
+        nodes = cosine_grid(8193)
+        monkeypatch.setattr(transform, "basis_matrix", basis_matrix)
+        with pytest.raises(ValueError, match="^a 8193 x 8193 value grid exceeds "
+                           "the limit MAX_TABLE_ENTRIES = 67108864$"):
+            grid_synthesize(CoeffGrid([((0, 0), 1.0)]), nodes, nodes)
 
     def test_constant_surface(self):
         grid = CoeffGrid([((0, 0), math.pi)])
@@ -890,6 +927,9 @@ SIZED = {
     "MetricSpec": (lambda m: MetricSpec("sup", eval_grid=m), "eval_grid"),
     "lq_omega_norm": (lambda m: lq_omega_norm(CoeffGrid.from_dense(np.eye(3)),
                                               4.0, m), "quad_n"),
+    "sup_norm": (lambda m: sup_norm(CoeffGrid.from_dense(np.eye(3)), m),
+                 "points_per_dim"),
+    "nikolskii_explicit_bound": (lambda m: nikolskii_explicit_bound(2, m), "max_j"),
     "CrossIndexSet.n": (lambda m: build_cross(m, 1.5, 1).mask(5, 5), "level n"),
     "CrossIndexSet.r": (lambda m: build_cross(4, 1.5, m).mask(5, 5),
                         "derivative order r"),
