@@ -41,6 +41,14 @@ def _size(value, name: str, low: int = 0) -> int:
     return int(value)
 
 
+def _interval(value, name: str, low: float, high: float, ends: str = "[)") -> None:
+    """Refuse ``value``, NaN included, outside the interval from ``low`` to
+    ``high``; of the brackets in ``ends``, "[" and "]" close an end."""
+    if not ((low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+
+
 def _shown(value) -> str:
     """A refused value for a message, in a few dozen characters: a string
     shortened by reprlib to about 30 characters and an integer to 40, a

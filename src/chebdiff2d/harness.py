@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .basis import _size, basis_matrix, gauss_chebyshev_nodes
+from .basis import _interval, _size, basis_matrix, gauss_chebyshev_nodes
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
@@ -103,8 +103,7 @@ class ExperimentConfig:
         if not self.deltas:
             raise ValueError("need at least one noise level")
         for d in self.deltas:
-            if not 0.0 < d < 1.0:
-                raise ValueError("noise levels must lie in (0, 1)")
+            _interval(d, "noise levels", 0, 1, "()")
         if any(a <= b for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
         _one_of("noise mode", NOISE_MODES)(self.noise_mode)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .basis import _size
+from .basis import _interval, _size
 from .transform import _shown
 
 _BOUNDARY_RTOL = 1e-12
@@ -58,8 +58,7 @@ class CrossIndexSet:
     def __init__(self, n: int, gamma: float, r: int):
         self.r = _size(r, "derivative order r", 1)
         self.n = _level(_size(n, "level n", self.r))
-        if not 1.0 <= gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 1 (got gamma={gamma})")
+        _interval(gamma, "gamma", 1, math.inf)
         self.gamma = float(gamma)
         self._columns = _column_bounds(self.n, self.gamma, self.r)
         self._columns.flags.writeable = False

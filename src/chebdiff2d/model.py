@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _interval
 from .hypercross import CrossIndexSet
 from .norms import _exact_sum
 from .transform import CoeffGrid, _check_table_size, _one_of
@@ -65,24 +66,23 @@ def _keyed_uniform(seed: int, ks, js) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WienerSpec:
-    """Smoothness parameters (s, mu1, mu2) of the coefficient class."""
+    """Smoothness of the class: s in [1, inf), mu1 and mu2 in (0, inf)."""
 
     s: float
     mu1: float
     mu2: float
 
     def __post_init__(self):
-        if not 1 <= self.s < math.inf:
-            raise ValueError("s must be >= 1 and finite")
-        if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
-            raise ValueError("mu1 and mu2 must be positive and finite")
+        _interval(self.s, "s", 1, math.inf)
+        _interval(self.mu1, "mu1", 0, math.inf, "()")
+        _interval(self.mu2, "mu2", 0, math.inf, "()")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Coefficient perturbation: l_p norm saturated at delta.
 
-    ``p`` may be math.inf.  Mode ``uniform-random`` spreads keyed random
+    ``p`` lies in [1, inf] and ``delta`` in [0, 1).  Mode ``uniform-random`` spreads keyed random
     values over the support; ``adversarial-topweight`` weights index (k, j)
     by k**(2r-1), the amplification factor of r-fold differentiation, with
     aligned signs; ``single-coefficient`` puts all mass on the single
@@ -96,17 +96,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError("p must be >= 1 (math.inf allowed)")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
+        _interval(self.p, "p", 1, math.inf, "[]")
+        _interval(self.delta, "delta", 0, 1)
         _one_of("noise mode", NOISE_MODES)(self.mode)
 
 
 def lp_norm(values, p: float) -> float:
     """Overflow-safe l_p norm of finite values; p = math.inf gives the sup."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1 (math.inf allowed)")
+    _interval(p, "p", 1, math.inf, "[]")
     arr = np.abs(np.asarray(values, dtype=float)).ravel()
     if arr.size == 0:
         return 0.0
@@ -139,14 +136,12 @@ def make_class_member(spec: WienerSpec, max_k: int, max_j: int, seed: int,
 
     Coefficients follow sign(k,j) * max(1,k)**(-mu1-epsilon)
     * max(1,j)**(-mu2-epsilon) and are rescaled so the class norm is
-    exactly 1.  The default margin epsilon = 0.01 places the member near
-    the unit-ball boundary.  Same seed, same grid, bit for bit.
+    exactly 1.  The margin epsilon lies in (0, inf); its default 0.01
+    places the member near the unit-ball boundary.  Same seed, same grid,
+    bit for bit.
     """
     rows, cols = _check_table_size(max_k, max_j)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if epsilon == math.inf:
-        raise ValueError("epsilon must be finite")
+    _interval(epsilon, "epsilon", 0, math.inf, "()")
     ks, js = np.arange(rows)[:, None], np.arange(cols)
     values = (np.maximum(1.0, ks) ** (-spec.mu1 - epsilon)
               * np.maximum(1.0, js) ** (-spec.mu2 - epsilon)

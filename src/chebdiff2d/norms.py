@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _size, basis_matrix, gauss_chebyshev_nodes
+from .basis import _interval, _size, basis_matrix, gauss_chebyshev_nodes
 from .transform import MAX_TABLE_ENTRIES, CoeffGrid, _check_table_size, _one_of, _shown
 
 
@@ -37,11 +37,9 @@ class MetricSpec:
     def __post_init__(self):
         _one_of("metric kind", ("l2w", "lqw", "sup"))(self.kind)
         if self.kind == "lqw":
-            if self.q is None or not self.q >= 2:
-                raise ValueError("Lq metric requires q >= 2")
             if self.q == math.inf:
-                raise ValueError("Lq metric requires a finite q; "
-                                 "use 'sup' for q = inf")
+                raise ValueError("Lq metric requires a finite q; use 'sup' for q = inf")
+            _interval(math.nan if self.q is None else self.q, "q", 2, math.inf)
         elif self.q is not None:
             raise ValueError(f"metric {self.kind!r} takes no q parameter")
         object.__setattr__(self, "eval_grid", _size(self.eval_grid, "eval_grid", 2))
@@ -134,7 +132,7 @@ def l2_omega_norm(coeffs: CoeffGrid) -> float:
 
 
 def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> float:
-    """Weighted Lq norm by tensor Gauss-Chebyshev quadrature.
+    """Weighted Lq norm, q in [1, inf), by tensor Gauss-Chebyshev quadrature.
 
     For even integer q, |f|^q is a polynomial of degree q * (max degree) in
     each variable, so the default q * (max degree) / 2 + 1 nodes per
@@ -144,8 +142,9 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     is taken by m squarings.  A sum that overflows or underflows is taken
     again over a power-of-two scaling of |f|, as :func:`_root_sum` says.
     """
-    if not 1 <= q < math.inf:
-        raise ValueError("q must be finite and >= 1; use sup_norm for q = inf")
+    if q == math.inf:
+        raise ValueError("Lq norm requires a finite q; use sup_norm for q = inf")
+    _interval(q, "q", 1, math.inf)
     max_deg = max(coeffs.max_k, coeffs.max_j)
     if quad_n is None:
         quad_n = _lq_nodes(q, max_deg)
@@ -229,8 +228,7 @@ def lq_coefficient_bound(coeffs: CoeffGrid, q: float) -> float:
     is exactly the L2 norm.  The Lq norm is bounded by a constant multiple
     of this quantity for 2 <= q < infinity.
     """
-    if not 2 <= q < math.inf:
-        raise ValueError("q must lie in [2, inf)")
+    _interval(q, "q", 2, math.inf)
     uk = np.maximum(1, np.arange(coeffs.max_k + 1))
     uj = np.maximum(1, np.arange(coeffs.max_j + 1))
     weights = np.outer(uk, uj) ** (1.0 - 2.0 / q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .basis import _size
+from .basis import _interval, _size
 from .hypercross import _level
 from .model import WienerSpec
 from .norms import MetricSpec
@@ -22,9 +22,9 @@ from .norms import MetricSpec
 class ProblemSpec:
     """Everything the parameter-choice rules need.
 
-    ``level_constant`` scales the truncation-level rule; rates (log-log
-    slopes) do not depend on it, so it defaults to 1 and is exposed as a
-    sweep parameter.
+    ``level_constant``, in (0, inf), scales the truncation-level rule; rates
+    (log-log slopes) do not depend on it, so it defaults to 1 and is
+    exposed as a sweep parameter.  ``noise_p`` lies in [1, inf].
     """
 
     r: int
@@ -35,10 +35,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", _size(self.r, "derivative order r", 1))
-        if not self.noise_p >= 1:
-            raise ValueError("noise_p must be >= 1 (math.inf allowed)")
-        if not self.level_constant > 0:
-            raise ValueError("level_constant must be positive")
+        _interval(self.noise_p, "noise_p", 1, math.inf, "[]")
+        _interval(self.level_constant, "level_constant", 0, math.inf, "()")
 
 
 #: Metric kind -> (shift a(1/s, q); the bounds 2r - a and -a as the
@@ -80,11 +78,9 @@ def choose_n(delta: float, spec: ProblemSpec) -> int:
     nearest integer; a level above MAX_LEVEL, one that overflows to inf
     included, is refused by the cross's own check.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _interval(delta, "delta", 0, 1, "()")
     _require_valid(spec)
-    inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
-    exponent = 1.0 / (spec.wiener.mu1 - inv_p + 1.0 / spec.wiener.s)
+    exponent = 1.0 / (spec.wiener.mu1 - 1.0 / spec.noise_p + 1.0 / spec.wiener.s)
     level = spec.level_constant * delta ** -exponent
     return _level(max(spec.r, round(level)) if math.isfinite(level) else level)
 
@@ -103,7 +99,6 @@ def gamma_range(spec: ProblemSpec) -> tuple[float, float]:
 def theoretical_rate(spec: ProblemSpec) -> float:
     """Predicted exponent of delta in the accuracy bound for this metric."""
     _require_valid(spec)
-    mu1 = spec.wiener.mu1
-    inv_p = 0.0 if math.isinf(spec.noise_p) else 1.0 / spec.noise_p
+    mu1, inv_p = spec.wiener.mu1, 1.0 / spec.noise_p
     return (mu1 - 2 * spec.r + _shift(spec)) / (mu1 - inv_p + 1.0 / spec.wiener.s)
 

@@ -789,12 +789,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err == ("" if code == 0 else
-                                "error: gamma must be finite and >= 1 "
-                                "(got gamma=inf)\n")
+                                "error: gamma must lie in [1, inf)\n")
 
     @pytest.mark.parametrize("n, gamma, message", [
         ("2000000", "1.5", "level n=2000000 exceeds the limit MAX_LEVEL = 1048576"),
-        ("8", "0.5", "gamma must be finite and >= 1 (got gamma=0.5)"),
+        ("8", "0.5", "gamma must lie in [1, inf)"),
     ], ids=["level", "gamma"])
     def test_refused_cross_prints_nothing(self, capsys, n, gamma, message):
         # the listing's header is printed only after the cross is built
@@ -982,18 +981,35 @@ class TestCli:
         assert err.startswith("error: level n=")
         assert err.endswith(" exceeds the limit MAX_LEVEL = 1048576\n")
 
-    @pytest.mark.parametrize("epsilon, message", [
-        (math.nan, "epsilon must be positive"),
-        (math.inf, "epsilon must be finite"),
-    ], ids=["nan", "inf"])
-    def test_experiment_non_finite_epsilon(self, tmp_path, capsys, epsilon, message):
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_experiment_non_finite_epsilon(self, tmp_path, capsys, epsilon):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(small_doc(test_function={
             "kind": "class-member", "max_k": 8, "max_j": 8, "epsilon": epsilon})))
         assert main(["experiment", "--config", str(cfg_path),
                      "--output", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == "error: epsilon must lie in (0, inf)\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["differentiate", "experiment"])
+    def test_infinite_level_constant_refused_at_once(self, tmp_path, capsys, command):
+        # refused with the spec, not later as a level above MAX_LEVEL
+        out = tmp_path / "out"
+        if command == "differentiate":
+            src = tmp_path / "in.csv"
+            src.write_text("k,j,coeff\n0,0,1.0\n")
+            args = ["--input", str(src), "--r", "1", "--gamma", "1.5", "--delta", "1e-3",
+                    "--mu1", "3", "--mu2", "2", "--p", "2", "--level-constant", "inf"]
+        else:
+            doc = small_doc()
+            doc["problem"]["level_constant"] = math.inf
+            src = tmp_path / "config.json"
+            src.write_text(json.dumps(doc))  # json writes inf as Infinity
+            assert "Infinity" in src.read_text()
+            args = ["--config", str(src)]
+        assert main([command, *args, "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: level_constant must lie in (0, inf)\n")
+        assert not out.exists()
 
     def test_experiment_outputs(self, tmp_path):
         config = {
@@ -1164,7 +1180,7 @@ class TestCli:
         (lambda doc: doc.update(metrics=["l2w", "lqw:inf"]),
          "Lq metric requires a finite q; use 'sup' for q = inf"),
         (lambda doc: doc["problem"].update(s=math.inf),
-         "s must be >= 1 and finite"),
+         "s must lie in [1, inf)"),
         (lambda doc: doc["problem"].update(mu1=200.0, mu2=199.0)
          or doc.update(gamma=1.0),
          "the class norm overflows for s = 1.0, mu1 = 200.0, mu2 = 199.0"),

@@ -49,10 +49,11 @@ class TestWienerNorm:
             WienerSpec(s=0.5, mu1=1.0, mu2=1.0)
         with pytest.raises(ValueError):
             WienerSpec(s=1.0, mu1=0.0, mu2=1.0)
-        with pytest.raises(ValueError, match="s must be >= 1 and finite"):
+        with pytest.raises(ValueError, match=r"^s must lie in \[1, inf\)$"):
             WienerSpec(s=math.inf, mu1=1.0, mu2=1.0)
-        for mu1, mu2 in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
-            with pytest.raises(ValueError, match="positive and finite"):
+        for mu1, mu2, name in ((math.inf, 1.0, "mu1"), (1.0, math.inf, "mu2"),
+                               (math.nan, 1.0, "mu1")):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, inf\)$"):
                 WienerSpec(s=1.0, mu1=mu1, mu2=mu2)
 
     @pytest.mark.parametrize("entries", [
@@ -73,16 +74,13 @@ class TestClassMember:
         assert abs(wiener_norm(member, spec) - 1.0) <= 1e-12
 
     def test_nonpositive_epsilon_refused(self):
-        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, inf\)$"):
             make_class_member(WienerSpec(s=1.0, mu1=3.0, mu2=2.0), 4, 4, seed=0,
                               epsilon=0)
 
-    @pytest.mark.parametrize("epsilon, message", [
-        (math.nan, "epsilon must be positive"),
-        (math.inf, "epsilon must be finite"),
-    ], ids=["nan", "inf"])
-    def test_non_finite_epsilon_refused(self, epsilon, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, inf\)$"):
             make_class_member(WienerSpec(s=1.0, mu1=3.0, mu2=2.0), 4, 4, seed=0,
                               epsilon=epsilon)
 
@@ -293,7 +291,7 @@ class TestPerturb:
 def test_lp_norm_refuses_p_below_1(p):
     # p = 0.5 would give the quasi-norm 5.83 of [1, 2], and nan a nan
     for values in ([1.0, 2.0], []):
-        with pytest.raises(ValueError, match=r"^p must be >= 1 \(math.inf allowed\)$"):
+        with pytest.raises(ValueError, match=r"^p must lie in \[1, inf\]$"):
             lp_norm(values, p)
 
 

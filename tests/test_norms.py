@@ -182,6 +182,18 @@ class TestExactSum:
         with pytest.raises(ValueError, match="inf"):
             _exact_sum(np.array([math.inf, -math.inf]))
 
+    def test_above_the_table_limit_goes_to_fsum(self, monkeypatch):
+        # the exact integer sum takes at most MAX_TABLE_ENTRIES values; a
+        # larger array goes to math.fsum, with the same correctly rounded bits
+        grid = CoeffGrid.from_dense(np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3)))
+        expected = l2_omega_norm(grid)
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(norms, "MAX_TABLE_ENTRIES", 8)
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+        assert l2_omega_norm(grid).hex() == expected.hex()
+        assert calls == [1]
+
     def test_sum_beyond_the_float_range_is_signed_inf(self):
         top = np.finfo(float).max
         assert _exact_sum(np.array([top, top, -1.0])) == math.inf
@@ -419,7 +431,7 @@ class TestMetricSpec:
             parse_metric("linf")
 
     @pytest.mark.parametrize("text, message", [
-        ("lqw:1", r"Lq metric requires q >= 2"),
+        ("lqw:1", r"q must lie in \[2, inf\)"),
         ("lqw:inf", r"Lq metric requires a finite q; use 'sup' for q = inf"),
         ("lqw:abc", r"metric 'lqw:abc': q is not a number"),
         ("linf", r"unknown metric 'linf' \(expected l2w, lqw:<q>, sup\)"),
@@ -429,7 +441,7 @@ class TestMetricSpec:
             parse_metric(text)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q must lie in \[2, inf\)$"):
             MetricSpec("lqw")  # missing q
         with pytest.raises(ValueError):
             MetricSpec("lqw", q=1.5)

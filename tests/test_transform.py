@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdiff2d import (CoeffFileError, CoeffGrid, MetricSpec, NoiseSpec,
-                        ProblemSpec, WienerSpec, analyze, basis_matrix,
-                        build_cross, cosine_grid, differentiate_coeffs,
+from chebdiff2d import (CoeffFileError, CoeffGrid, CrossIndexSet,
+                        ExperimentConfig, MetricSpec, NoiseSpec, ProblemSpec,
+                        TestFunctionSpec, WienerSpec, analyze, basis_matrix,
+                        build_cross, choose_n, cosine_grid, differentiate_coeffs,
                         gauss_chebyshev_nodes, grid_synthesize, l2_omega_norm,
-                        lq_omega_norm, make_class_member,
+                        lp_norm, lq_coefficient_bound, lq_omega_norm,
+                        make_class_member,
                         nikolskii_explicit_bound, parse_metric, perturb,
                         read_coeff_csv, read_coeff_file, read_coeff_json,
                         recurrence_partial_t, sup_norm, synthesize,
@@ -955,3 +957,61 @@ def test_size_must_be_integral(name):
         with pytest.raises(ValueError, match=argument):
             call(size)
 
+
+_WIENER = WienerSpec(s=1.0, mu1=3.0, mu2=2.0)
+_PROBLEM = ProblemSpec(r=1, wiener=_WIENER, noise_p=2.0)
+
+#: A call per real parameter that has an interval, the name its refusal
+#: gives and the interval as the refusal writes it.
+INTERVALS = {
+    "MetricSpec.q": (lambda v: MetricSpec("lqw", q=v), "q", "[2, inf)"),
+    "lq_omega_norm.q": (lambda v: lq_omega_norm(CoeffGrid.from_dense(np.eye(3)), v),
+                        "q", "[1, inf)"),
+    "lq_coefficient_bound.q": (lambda v: lq_coefficient_bound(
+        CoeffGrid.from_dense(np.eye(3)), v), "q", "[2, inf)"),
+    "ProblemSpec.noise_p": (lambda v: ProblemSpec(r=1, wiener=_WIENER, noise_p=v),
+                            "noise_p", "[1, inf]"),
+    "ProblemSpec.level_constant": (lambda v: ProblemSpec(
+        r=1, wiener=_WIENER, noise_p=2.0, level_constant=v), "level_constant", "(0, inf)"),
+    "choose_n.delta": (lambda v: choose_n(v, _PROBLEM), "delta", "(0, 1)"),
+    "CrossIndexSet.gamma": (lambda v: CrossIndexSet(4, v, 1), "gamma", "[1, inf)"),
+    "ExperimentConfig.deltas": (lambda v: ExperimentConfig(
+        problem=_PROBLEM, deltas=(v,), gamma=1.5,
+        test_function=TestFunctionSpec("class-member")), "noise levels", "(0, 1)"),
+    "WienerSpec.s": (lambda v: WienerSpec(s=v, mu1=3.0, mu2=2.0), "s", "[1, inf)"),
+    "WienerSpec.mu1": (lambda v: WienerSpec(s=1.0, mu1=v, mu2=2.0), "mu1", "(0, inf)"),
+    "WienerSpec.mu2": (lambda v: WienerSpec(s=1.0, mu1=3.0, mu2=v), "mu2", "(0, inf)"),
+    "NoiseSpec.p": (lambda v: NoiseSpec(p=v, delta=0.1), "p", "[1, inf]"),
+    "NoiseSpec.delta": (lambda v: NoiseSpec(p=2.0, delta=v), "delta", "[0, 1)"),
+    "lp_norm.p": (lambda v: lp_norm([1.0, 2.0], v), "p", "[1, inf]"),
+    "make_class_member.epsilon": (lambda v: make_class_member(_WIENER, 2, 2, 0, v),
+                                  "epsilon", "(0, inf)"),
+}
+
+#: The refusal of q = inf where an Lq norm would be the uniform norm.
+SUP_HINTS = {
+    "MetricSpec.q": "Lq metric requires a finite q; use 'sup' for q = inf",
+    "lq_omega_norm.q": "Lq norm requires a finite q; use sup_norm for q = inf",
+}
+
+
+@pytest.mark.parametrize("name", INTERVALS)
+def test_real_parameter_interval(name):
+    # a closed end is accepted and the next float beyond it refused; an
+    # open end is refused, and NaN too, each with the one message form
+    call, argument, interval = INTERVALS[name]
+    message = f"{argument} must lie in {interval}"
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    for end, closed, outward in ((low, interval[0] == "[", -math.inf),
+                                 (high, interval[-1] == "]", math.inf)):
+        if closed:
+            call(end)
+            beyond = [math.nextafter(end, outward)] if math.isfinite(end) else []
+        else:
+            beyond = [end]
+        for value in beyond:
+            expected = SUP_HINTS.get(name, message) if value == math.inf else message
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                call(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(math.nan)

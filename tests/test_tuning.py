@@ -19,8 +19,8 @@ def make_spec(r=1, s=1.0, mu1=3.0, mu2=2.0, p=2.0, metric=None, constant=1.0):
 
 class TestValidateSpec:
     @pytest.mark.parametrize("field, message", [
-        (dict(p=0.5), r"noise_p must be >= 1 \(math.inf allowed\)"),
-        (dict(constant=0), r"level_constant must be positive"),
+        (dict(p=0.5), r"noise_p must lie in \[1, inf\]"),
+        (dict(constant=0), r"level_constant must lie in \(0, inf\)"),
     ], ids=["noise-p", "level-constant"])
     def test_problem_spec_refusal(self, field, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
