@@ -62,6 +62,17 @@ def _shown(value) -> str:
     return reprlib.repr(value)
 
 
+def _one_of(what: str, options):
+    """Converter for a string among ``options``; ``what`` names it in the
+    message, as in "unknown noise mode 'x'"."""
+    def parse(value) -> str:
+        if value not in options:
+            raise ValueError(f"unknown {what} {_shown(value)} "
+                             f"(expected {', '.join(options)})")
+        return value
+    return parse
+
+
 def _check_table_size(max_k: int, max_j: int, what="coefficient table") -> tuple[int, int]:
     """Shape (max_k + 1, max_j + 1) of a table, refused above MAX_TABLE_ENTRIES."""
     rows, cols = _size(max_k, "max_k") + 1, _size(max_j, "max_j") + 1

@@ -18,14 +18,13 @@ import re
 import sys
 
 from . import harness
-from .basis import _size
+from .basis import _check_table_size, _shown, _size
 from .diffop import truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import WienerSpec
 from .norms import cosine_grid
-from .transform import (CoeffFileError, _check_table_size, _load_json, _shown,
-                        grid_synthesize, read_coeff_file, write_coeff_csv,
-                        write_csv_table, write_value_table)
+from .transform import (CoeffFileError, _load_json, grid_synthesize, read_coeff_file,
+                        write_coeff_csv, write_csv_table, write_value_table)
 from .tuning import ProblemSpec, choose_n
 
 
@@ -89,9 +88,8 @@ def _cmd_experiment(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     report_path = os.path.join(out_dir, "report.json")
-    # the columns are the TrialRecord fields, in order
-    write_csv_table(trials_path, "delta,trial,metric,n,gamma,cardinality,error",
-                    "%.17g,%d,%s,%d,%.17g,%d,%.17g",
+    header = ",".join(field.name for field in dataclasses.fields(harness.TrialRecord))
+    write_csv_table(trials_path, header, "%.17g,%d,%s,%d,%.17g,%d,%.17g",
                     *zip(*map(dataclasses.astuple, result.trials)))
     with open(report_path, "w") as fh:
         json.dump({label: dataclasses.asdict(report)

@@ -22,7 +22,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .basis import _interval, _size, basis_matrix, gauss_chebyshev_nodes
+from .basis import (_check_table_size, _interval, _one_of, _shown, _size,
+                    basis_matrix, gauss_chebyshev_nodes)
 from .diffop import ZETA_0, differentiate_coeffs, truncated_derivative
 from .hypercross import build_cross, cardinality
 from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
@@ -31,8 +32,7 @@ from .model import (NOISE_MODES, NOISE_UNIFORM, SEED_INDEPENDENT_MODES,
 from .norms import (MetricSpec, _error_metrics, _grid, l2_omega_norm,
                     lq_coefficient_bound, lq_omega_norm,
                     nikolskii_explicit_bound, parse_metric, sup_norm)
-from .transform import (CoeffGrid, _check_table_size, _one_of, _shown, analyze,
-                        synthesize)
+from .transform import CoeffGrid, analyze, synthesize
 from .tuning import ProblemSpec, choose_n, gamma_range, theoretical_rate
 
 # ---------------------------------------------------------------------------
@@ -148,39 +148,22 @@ def _section(section: dict, where: str, required: dict, optional: dict) -> dict:
     return fields
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected a JSON object")
-    return value
+def _typed(kind: str, test, convert=None):
+    """Converter for a JSON value of one type: a bool, or a value that fails
+    ``test``, is a TypeError "expected <kind>, got <value>"."""
+    def parse(value):
+        if isinstance(value, bool) or not test(value):
+            raise TypeError(f"expected {kind}, got {_shown(value)}")
+        return value if convert is None else convert(value)
+    return parse
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
-    return value
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {_shown(value)}")
-    return float(value)
-
-
-def _noise_p(value) -> float:
-    """``problem.p``: a JSON number, or exactly the string "inf"."""
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number or 'inf', got {_shown(value)}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {_shown(value)}")
-    return value
+_object = _typed("a JSON object", lambda v: isinstance(v, dict))
+_text = _typed("a string", lambda v: isinstance(v, str))
+_number = _typed("a number", lambda v: isinstance(v, (int, float)), float)
+_noise_p = _typed("a number or 'inf'",  # float("inf") is inf
+                  lambda v: v == "inf" or isinstance(v, (int, float)), float)
+_integer = _typed("an integer", lambda v: isinstance(v, (int, float)) and v % 1 == 0, int)
 
 
 def _list_of(convert):

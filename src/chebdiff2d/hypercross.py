@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .basis import _interval, _size
-from .transform import _shown
+from .basis import _interval, _shown, _size
 
 _BOUNDARY_RTOL = 1e-12
 
@@ -27,10 +26,11 @@ _BOUNDARY_RTOL = 1e-12
 MAX_LEVEL = 2 ** 20
 
 
-def _level(n):
-    """``n``; a level above MAX_LEVEL, inf included, is refused, shown shortened."""
+def _level(n, name="level n"):
+    """``n``, a level or an order; above MAX_LEVEL, inf included, it is refused
+    as ``name``, shown shortened."""
     if n > MAX_LEVEL:
-        raise ValueError(f"level n={_shown(n)} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+        raise ValueError(f"{name}={_shown(n)} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
     return n
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _interval
+from .basis import _check_table_size, _interval, _one_of
 from .hypercross import CrossIndexSet
 from .norms import _exact_sum
-from .transform import CoeffGrid, _check_table_size, _one_of
+from .transform import CoeffGrid
 
 NOISE_UNIFORM = "uniform-random"
 NOISE_TOPWEIGHT = "adversarial-topweight"

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _interval, _size, basis_matrix, gauss_chebyshev_nodes
-from .transform import MAX_TABLE_ENTRIES, CoeffGrid, _check_table_size, _one_of, _shown
+from .basis import (MAX_TABLE_ENTRIES, _check_table_size, _interval, _one_of, _shown,
+                    _size, basis_matrix, gauss_chebyshev_nodes)
+from .transform import CoeffGrid
 
 
 @dataclass(frozen=True)

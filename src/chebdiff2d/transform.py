@@ -30,8 +30,7 @@ import operator
 
 import numpy as np
 
-from .basis import (MAX_TABLE_ENTRIES, _check_table_size, _shown, _size,
-                    basis_matrix, gauss_chebyshev_nodes)
+from .basis import _check_table_size, _shown, basis_matrix, gauss_chebyshev_nodes
 
 _CSV_HEADER = ["k", "j", "coeff"]
 _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
@@ -39,17 +38,6 @@ _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("value", np.float64)])
 
 class CoeffFileError(ValueError):
     """Malformed coefficient file; the message names the line or entry."""
-
-
-def _one_of(what: str, options):
-    """Converter for a string among ``options``; ``what`` names it in the
-    message, as in "unknown noise mode 'x'"."""
-    def parse(value) -> str:
-        if value not in options:
-            raise ValueError(f"unknown {what} {_shown(value)} "
-                             f"(expected {', '.join(options)})")
-        return value
-    return parse
 
 
 def _unique_keys(pairs) -> dict:

@@ -34,7 +34,9 @@ class ProblemSpec:
     level_constant: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _size(self.r, "derivative order r", 1))
+        # no level n >= r exists above MAX_LEVEL
+        name = "derivative order r"
+        object.__setattr__(self, "r", _level(_size(self.r, name, 1), name))
         _interval(self.noise_p, "noise_p", 1, math.inf, "[]")
         _interval(self.level_constant, "level_constant", 0, math.inf, "()")
 

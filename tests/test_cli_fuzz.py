@@ -169,6 +169,8 @@ def documents(draw):
 @given(text=documents())
 @example(text=DEEP)
 @example(text=json.dumps(dict(CONFIG, gamma=json.loads("[" * 900 + "]" * 900))))
+# int(1e308) has 309 digits, too many for the spec's float arithmetic
+@example(text=json.dumps(dict(CONFIG, problem=dict(CONFIG["problem"], r=1e308))))
 def test_configuration_documents_exit_cleanly(workdir, text):
     # "sweep" is a directory name no drawn command line writes to: a drawn
     # "differentiate --output out" may have left a file named "out"

@@ -558,6 +558,29 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="missing required field"):
             config_from_dict({"deltas": [0.1]})
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("problem", [], "a JSON object, got list"),
+        ("problem", True, "a JSON object, got bool"),
+        ("metrics", [3], "a string, got 3"),
+        ("metrics", [True], "a string, got bool"),
+        ("output_path", 3, "a string, got 3"),
+        ("output_path", True, "a string, got bool"),
+        ("gamma", "y", "a number, got 'y'"),
+        ("gamma", True, "a number, got bool"),
+        ("trials_per_delta", 2.5, "an integer, got 2.5"),
+        ("trials_per_delta", True, "an integer, got bool"),
+        ("problem.p", "x", "a number or 'inf', got 'x'"),
+        ("problem.p", True, "a number or 'inf', got bool"),
+    ])
+    def test_converter_message(self, key, value, expected):
+        # one message form for every JSON type a field takes
+        doc = small_doc()
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+        with pytest.raises(ValueError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == f"configuration field {key!r}: expected {expected}"
+
     def test_readme_example(self):
         # the documented example holds only fields the parser knows
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -980,6 +1003,27 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: level n=")
         assert err.endswith(" exceeds the limit MAX_LEVEL = 1048576\n")
+
+    @pytest.mark.parametrize("command", ["experiment", "differentiate"])
+    def test_derivative_order_above_max_level(self, tmp_path, capsys, command):
+        # int(1e308) has 309 digits, too many for the spec's float arithmetic
+        if command == "experiment":
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(small_doc(problem={
+                "r": 1e308, "s": 1, "mu1": 3.0, "mu2": 2.0, "p": 2})))
+            argv = ["experiment", "--config", str(cfg_path)]
+        else:
+            src = tmp_path / "in.csv"
+            src.write_text("k,j,coeff\n0,0,1.0\n")
+            argv = ["differentiate", "--input", str(src), "--r", str(int(1e308)),
+                    "--delta", "1e-3", "--mu1", "3", "--mu2", "2", "--p", "2",
+                    "--gamma", "1.5"]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: derivative order r=100000000000000001...4885715430223118336"
+                       " exceeds the limit MAX_LEVEL = 1048576\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf], ids=["nan", "inf"])
     def test_experiment_non_finite_epsilon(self, tmp_path, capsys, epsilon):

@@ -26,6 +26,13 @@ class TestValidateSpec:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_spec(**field)
 
+    def test_derivative_order_up_to_max_level(self):
+        # choose_n floors n at r, and no cross has n > MAX_LEVEL
+        assert make_spec(r=MAX_LEVEL).r == MAX_LEVEL
+        with pytest.raises(ValueError, match=f"^derivative order r={MAX_LEVEL + 1} "
+                           f"exceeds the limit MAX_LEVEL = {MAX_LEVEL}$"):
+            make_spec(r=MAX_LEVEL + 1)
+
     def test_admissible_l2(self):
         assert gamma_range(make_spec(mu1=3.0, mu2=2.0))[1] > 1.0
 
