@@ -20,7 +20,7 @@ import sys
 from . import harness
 from .basis import _check_table_size, _shown, _size
 from .diffop import truncated_derivative
-from .hypercross import build_cross, cardinality
+from .hypercross import build_cross
 from .model import WienerSpec
 from .norms import cosine_grid
 from .transform import (CoeffFileError, _load_json, grid_synthesize, read_coeff_file,
@@ -111,10 +111,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_cross(args) -> int:
-    if args.count:
-        print(cardinality(args.n, args.gamma, args.r))
-        return 0
     cross = build_cross(args.n, args.gamma, args.r)  # a refusal prints nothing
+    if args.count:
+        print(len(cross))
+        return 0
     print("k,j")
     for k, j in cross:
         print(f"{k},{j}")

@@ -118,7 +118,7 @@ class ExperimentConfig:
         records = len(self.deltas) * self.trials_per_delta * len(labels)
         if records > MAX_TRIAL_RECORDS:
             raise ValueError(f"deltas x trials_per_delta x metrics = {_shown(records)} "
-                             f"exceeds MAX_TRIAL_RECORDS = {MAX_TRIAL_RECORDS}")
+                             f"exceeds the limit MAX_TRIAL_RECORDS = {MAX_TRIAL_RECORDS}")
 
 
 def _field(section: dict, key: str, convert, where: str):
@@ -418,6 +418,7 @@ def _recurrence_table(m: int, points, degree: int) -> np.ndarray:
     T_{k+1}^(m) = 2t T_k^(m) + 2m T_k^(m-1) - T_{k-1}^(m) of the classical
     polynomials, run for all orders up to m at once."""
     points = np.asarray(points, dtype=float)
+    _check_table_size(m, max(points.size, 1) * (degree + 2) - 1, "recurrence table")
     d = np.zeros((m + 1, points.size, degree + 2))
     d[0, :, 0] = 1.0
     d[0, :, 1] = points

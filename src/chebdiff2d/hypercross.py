@@ -26,12 +26,11 @@ _BOUNDARY_RTOL = 1e-12
 MAX_LEVEL = 2 ** 20
 
 
-def _level(n, name="level n"):
-    """``n``, a level or an order; above MAX_LEVEL, inf included, it is refused
-    as ``name``, shown shortened."""
-    if n > MAX_LEVEL:
-        raise ValueError(f"{name}={_shown(n)} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
-    return n
+def _level(value, name="level n", low=1) -> int:
+    """A level or an order as :func:`_size` takes it, first refused above MAX_LEVEL."""
+    if value > MAX_LEVEL:
+        raise ValueError(f"{name}={_shown(value)} exceeds the limit MAX_LEVEL = {MAX_LEVEL}")
+    return _size(value, name, low)
 
 
 def _column_bounds(n: int, gamma: float, r: int) -> np.ndarray:
@@ -56,8 +55,8 @@ class CrossIndexSet:
     __slots__ = ("n", "gamma", "r", "_columns", "_len")
 
     def __init__(self, n: int, gamma: float, r: int):
-        self.r = _size(r, "derivative order r", 1)
-        self.n = _level(_size(n, "level n", self.r))
+        self.r = _level(r, "derivative order r")
+        self.n = _level(n, "level n", self.r)
         _interval(gamma, "gamma", 1, math.inf)
         self.gamma = float(gamma)
         self._columns = _column_bounds(self.n, self.gamma, self.r)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (MAX_TABLE_ENTRIES, _check_table_size, _interval, _one_of, _shown,
-                    _size, basis_matrix, gauss_chebyshev_nodes)
+from .basis import (_check_table_size, _interval, _one_of, _shown, _size, basis_matrix,
+                    gauss_chebyshev_nodes)
 from .transform import CoeffGrid
 
 
@@ -68,18 +68,15 @@ def parse_metric(text: str) -> MetricSpec:
 
 def _exact_units(values: np.ndarray) -> int | None:
     """Exact sum of a float64 array as an int in units of 2**-1126; None
-    for a non-finite value or more than MAX_TABLE_ENTRIES values.
+    for a non-finite value.
 
     Each value is m * 2**e with 0.5 <= |m| < 1.  The integer part of
     m * 2**27 (at most 27 bits) and the rest (a multiple of 2**-26) are
-    summed per exponent by ``np.bincount``; for up to 2**26 values every
-    partial sum stays below 2**53 units, so both sums are exact.  The
-    per-exponent sums are added as Python ints.
+    summed per exponent by ``np.bincount``; for up to 2**26 values (a
+    table's limit) every partial sum stays below 2**53 units, so both
+    sums are exact.  The per-exponent sums are added as Python ints.
     """
-    values = values.ravel()
-    if values.size > MAX_TABLE_ENTRIES:
-        return None
-    mant, exp = np.frexp(values)
+    mant, exp = np.frexp(values.ravel())
     exp += 1073  # frexp exponents run from -1073 (at 2**-1074) to 1024
     mant *= 2.0 ** 27
     whole = np.trunc(mant)
@@ -96,7 +93,7 @@ def _exact_units(values: np.ndarray) -> int | None:
 def _exact_sum(values: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array, ``== math.fsum(values)``,
     but a finite sum beyond the float range is inf, where fsum raises
-    OverflowError; what :func:`_exact_units` leaves goes to fsum."""
+    OverflowError; a non-finite term goes to fsum."""
     units = _exact_units(values)
     if units is None:
         return math.fsum(values.ravel())

@@ -163,8 +163,11 @@ class CoeffGrid:
 
     @classmethod
     def from_dense(cls, array) -> "CoeffGrid":
-        """Grid from a copy of a 2-D array whose entry [k, j] is a[k, j]."""
-        return cls._wrap(np.array(array, dtype=float, order="C"))
+        """Grid from a copy of a 2-D array whose entry [k, j] is a[k, j],
+        refused above MAX_TABLE_ENTRIES entries as a coefficient table."""
+        grid = cls._wrap(np.array(array, dtype=float, order="C"))
+        _check_table_size(grid.max_k, grid.max_j)
+        return grid
 
     @classmethod
     def _wrap(cls, dense: np.ndarray) -> "CoeffGrid":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .basis import _interval, _size
+from .basis import _interval
 from .hypercross import _level
 from .model import WienerSpec
 from .norms import MetricSpec
@@ -34,9 +34,7 @@ class ProblemSpec:
     level_constant: float = 1.0
 
     def __post_init__(self):
-        # no level n >= r exists above MAX_LEVEL
-        name = "derivative order r"
-        object.__setattr__(self, "r", _level(_size(self.r, name, 1), name))
+        object.__setattr__(self, "r", _level(self.r, "derivative order r"))
         _interval(self.noise_p, "noise_p", 1, math.inf, "[]")
         _interval(self.level_constant, "level_constant", 0, math.inf, "()")
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -617,7 +618,7 @@ class TestConfigParsing:
         (dict(metrics=(MetricSpec("l2w"), MetricSpec("sup"), MetricSpec("l2w"))),
          r"metric 'l2w' is given twice"),
         (dict(trials_per_delta=2**20), r"^deltas x trials_per_delta x metrics = "
-         r"3145728 exceeds MAX_TRIAL_RECORDS = 1048576$"),
+         r"3145728 exceeds the limit MAX_TRIAL_RECORDS = 1048576$"),
     ], ids=["trials-0", "trials-2.5", "trials-nan", "trials-inf", "no-deltas",
             "delta-0", "delta-1", "delta-2", "noise-mode", "no-metrics",
             "repeated-metric", "trial-records"])
@@ -769,6 +770,23 @@ class TestRecurrenceOracle:
                             / np.abs(exact).max())
         assert worst <= 1e-14
 
+    def test_table_above_the_limit_is_refused_first(self):
+        # (r + 1) x points x (degree + 2) floats: 1.9 GB at r = 10**7
+        grid = CoeffGrid.from_dense(np.eye(11))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^a 10000001 x 24 recurrence table "
+                               "exceeds the limit MAX_TABLE_ENTRIES = 67108864$"):
+                recurrence_partial_t(grid, 10 ** 7, [0.1, 0.2], [0.3, 0.4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_no_points_give_an_empty_result(self):
+        got = recurrence_partial_t(CoeffGrid.from_dense(np.eye(11)), 3, [], [])
+        assert got.shape == (0,)
+
     def test_validate_passes_where_longdouble_is_double(self):
         # as on MSVC Windows and macOS arm64, where long double is a double
         child = """if True:
@@ -814,14 +832,18 @@ class TestCli:
         assert captured.err == ("" if code == 0 else
                                 "error: gamma must lie in [1, inf)\n")
 
-    @pytest.mark.parametrize("n, gamma, message", [
-        ("2000000", "1.5", "level n=2000000 exceeds the limit MAX_LEVEL = 1048576"),
-        ("8", "0.5", "gamma must lie in [1, inf)"),
-    ], ids=["level", "gamma"])
-    def test_refused_cross_prints_nothing(self, capsys, n, gamma, message):
-        # the listing's header is printed only after the cross is built
-        assert main(["cross", "--n", n, "--gamma", gamma, "--r", "1"]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+    @pytest.mark.parametrize("n, gamma, r, message", [
+        ("2000000", "1.5", "1", "level n=2000000 exceeds the limit MAX_LEVEL = 1048576"),
+        ("8", "0.5", "1", "gamma must lie in [1, inf)"),
+        ("5", "1.5", "2000000",
+         "derivative order r=2000000 exceeds the limit MAX_LEVEL = 1048576"),
+    ], ids=["level", "gamma", "order"])
+    def test_refused_cross_prints_nothing(self, capsys, n, gamma, r, message):
+        # the listing's header and the count are printed only after the
+        # cross is built
+        for count in ([], ["--count"]):
+            assert main(["cross", "--n", n, "--gamma", gamma, "--r", r, *count]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_large_lqw_experiment_refused_before_the_member(self, tmp_path, capsys,
                                                            monkeypatch):

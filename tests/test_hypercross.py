@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdiff2d import build_cross, cardinality
+from chebdiff2d import CrossIndexSet, build_cross, cardinality
 from chebdiff2d.hypercross import MAX_LEVEL, _column_bounds
 
 
@@ -168,6 +168,12 @@ def test_level_limit():
     assert build_cross(MAX_LEVEL, 1.0, 1).n == MAX_LEVEL  # one bound per column
     with pytest.raises(ValueError, match=f"exceeds the limit MAX_LEVEL = {MAX_LEVEL}"):
         build_cross(MAX_LEVEL + 1, 1.0, 1)
+    # the same rule bounds the order: no level n >= r exists above MAX_LEVEL
+    assert len(CrossIndexSet(MAX_LEVEL, 1.0, MAX_LEVEL)) == 2  # (n, 0) and (n, 1)
+    for r in (MAX_LEVEL + 1, math.inf, MAX_LEVEL + 0.5):
+        with pytest.raises(ValueError, match=f"^derivative order r={r!r} exceeds "
+                           f"the limit MAX_LEVEL = {MAX_LEVEL}$"):
+            CrossIndexSet(5, 1.5, r)
 
 
 def test_integer_gammas_give_exact_integer_bounds():

@@ -13,7 +13,7 @@ from chebdiff2d import (CoeffGrid, MetricSpec, WienerSpec, cosine_grid,
                         lq_omega_norm, make_class_member,
                         nikolskii_explicit_bound, parse_metric, sup_norm,
                         synthesize, wiener_norm)
-from chebdiff2d import norms
+from chebdiff2d import basis, norms
 from chebdiff2d.norms import _error_metrics, _exact_sum
 from helpers import random_grid
 
@@ -182,17 +182,13 @@ class TestExactSum:
         with pytest.raises(ValueError, match="inf"):
             _exact_sum(np.array([math.inf, -math.inf]))
 
-    def test_above_the_table_limit_goes_to_fsum(self, monkeypatch):
-        # the exact integer sum takes at most MAX_TABLE_ENTRIES values; a
-        # larger array goes to math.fsum, with the same correctly rounded bits
-        grid = CoeffGrid.from_dense(np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3)))
-        expected = l2_omega_norm(grid)
-        calls = []
-        fsum = math.fsum
-        monkeypatch.setattr(norms, "MAX_TABLE_ENTRIES", 8)
-        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
-        assert l2_omega_norm(grid).hex() == expected.hex()
-        assert calls == [1]
+    def test_no_grid_above_the_table_limit(self, monkeypatch):
+        # the integer sum is exact for up to MAX_TABLE_ENTRIES values, and
+        # from_dense, which adopts any caller's array, refuses more
+        monkeypatch.setattr(basis, "MAX_TABLE_ENTRIES", 8)
+        with pytest.raises(ValueError, match="^a 3 x 3 coefficient table exceeds "
+                           "the limit MAX_TABLE_ENTRIES = 8$"):
+            CoeffGrid.from_dense(np.ones((3, 3)))
 
     def test_sum_beyond_the_float_range_is_signed_inf(self):
         top = np.finfo(float).max

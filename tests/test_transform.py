@@ -906,9 +906,10 @@ def _differentiate_p(tmp_path, p):
     (lambda tmp: read_coeff_json(_written(tmp / "in.json",
         '{"max_k": %d, "max_j": 2, "entries": []}' % HUGE)),
      ": a 1000"),
+    (lambda tmp: build_cross(5, 1.5, HUGE), "derivative order r=1000"),
 ], ids=["json-unknown-key", "json-duplicate-key", "config-duplicate-key",
         "metric-name", "lqw-suffix", "noise-mode", "metric-kind", "cli-p",
-        "grid-index", "json-index", "json-max-k"])
+        "grid-index", "json-index", "json-max-k", "cross-order"])
 def test_refused_value_is_shown_shortened(tmp_path, refuse, named):
     with pytest.raises(ValueError) as info:
         refuse(tmp_path)
