@@ -360,13 +360,14 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     # grid on the largest error table (the member's box or a block) are checked first
     levels = [(delta, build_cross(choose_n(delta, specs[0]), gamma, problem.r))
               for delta in config.deltas]
-    tf = config.test_function  # an analytic member's 41 x 41 box is too small to matter
-    rows, cols = (tf.max_k, tf.max_j) if tf.kind == "class-member" else (0, 0)
+    tf = config.test_function
+    rows, cols = ((tf.max_k, tf.max_j) if tf.kind == "class-member"
+                  else ANALYTIC_FUNCTIONS[tf.name][1:])
     for _, cross in levels:
         _check_table_size(cross.n, cross.j_bound)
         rows, cols = max(rows, cross.n), max(cols, cross.j_bound)
     shape = (rows + 1 - problem.r, cols + 1)  # the derivative drops r rows
-    for nodes, size in (_grid(m, shape) for m in metrics if m.kind != "l2w"):
+    for nodes, size in filter(None, (_grid(m, shape) for m in metrics)):
         _check_table_size(size - 1, size - 1, f"{nodes} grid")
     true_grid = config.test_function.build(problem.wiener)
     errors_of = _error_metrics(differentiate_coeffs(true_grid, problem.r), metrics)

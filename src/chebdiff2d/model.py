@@ -85,9 +85,10 @@ class NoiseSpec:
     ``p`` lies in [1, inf] and ``delta`` in [0, 1).  Mode ``uniform-random`` spreads keyed random
     values over the support; ``adversarial-topweight`` weights index (k, j)
     by k**(2r-1), the amplification factor of r-fold differentiation, with
-    aligned signs; ``single-coefficient`` puts all mass on the single
-    most-amplified index.  The last two ignore ``seed`` and are listed in
-    :data:`SEED_INDEPENDENT_MODES`.
+    aligned signs, and claims no extremality; ``single-coefficient`` puts all
+    mass on (n, 0), the most amplified index for ``l2w`` only: (n, 1), also in
+    every cross, amplifies ``sup`` and ``lqw`` at q > 2 more.  The last two ignore
+    ``seed`` and are listed in :data:`SEED_INDEPENDENT_MODES`.
     """
 
     p: float

@@ -147,8 +147,7 @@ def lq_omega_norm(coeffs: CoeffGrid, q: float, quad_n: int | None = None) -> flo
     if quad_n is None:
         quad_n = _lq_nodes(q, max_deg)
     quad_n = _size(quad_n, "quad_n", max_deg + 1)
-    return _reduce(_basis(coeffs.max_k, "quadrature", quad_n), coeffs._dense,
-                   _basis(coeffs.max_j, "quadrature", quad_n), q)
+    return _reduce(coeffs._dense, ("quadrature", quad_n), q)
 
 
 def _lq_nodes(q: float, max_deg: int) -> int:
@@ -170,9 +169,12 @@ def _power(values: np.ndarray, q: float) -> np.ndarray:
     return values if m else np.abs(values, out=values)  # q = 1
 
 
-def _reduce(bt, dense, btau, q: float | None = None, less=0.0) -> float:
+def _reduce(dense, grid, q: float | None = None, less=0.0, shape=None) -> float:
     """Max |f| for q None, else :func:`lq_omega_norm`'s Lq sum and root, of
-    f = bt @ dense @ btau.T - less on an N x N grid (weight pi / N), |f| by _power."""
+    f = bt @ dense @ btau.T - less on :func:`_grid`'s N x N ``grid`` (weight
+    pi / N), |f| by _power, where bt and btau lead a ``shape`` table's bases."""
+    bt, btau = (_basis(u - 1, *grid)[:, :d] for u, d in zip(shape or dense.shape, dense.shape))
+
     def values() -> np.ndarray:
         f = bt @ dense @ btau.T
         return np.subtract(f, less, out=f)  # x - 0.0 is x
@@ -198,8 +200,7 @@ def sup_norm(coeffs: CoeffGrid, points_per_dim: int = 257) -> float:
     M relative to the polynomial degrees.
     """
     points_per_dim = _size(points_per_dim, "points_per_dim", 2)
-    return _reduce(_basis(coeffs.max_k, "evaluation", points_per_dim), coeffs._dense,
-                   _basis(coeffs.max_j, "evaluation", points_per_dim))
+    return _reduce(coeffs._dense, ("evaluation", points_per_dim))
 
 
 @functools.lru_cache(maxsize=8)
@@ -244,8 +245,11 @@ def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:
     return (2.0 / math.pi) * math.sqrt(rows * cols)
 
 
-def _grid(metric: MetricSpec, shape) -> tuple[str, int]:
-    """Nodes and points per dimension of a grid metric on a ``shape`` table."""
+def _grid(metric: MetricSpec, shape) -> tuple[str, int] | None:
+    """Nodes and points per dimension of :func:`_reduce`'s grid for a metric on
+    a ``shape`` table; None for ``l2w``, which is exact through the coefficients."""
+    if metric.kind == "l2w":
+        return None
     if metric.kind == "sup":
         return "evaluation", metric.eval_grid
     return "quadrature", max(metric.eval_grid, _lq_nodes(metric.q, max(shape) - 1))
@@ -253,11 +257,8 @@ def _grid(metric: MetricSpec, shape) -> tuple[str, int]:
 
 def evaluate_metric(coeffs: CoeffGrid, metric: MetricSpec) -> float:
     """Evaluate one of the three output metrics on a coefficient grid."""
-    if metric.kind == "l2w":
-        return l2_omega_norm(coeffs)
-    if metric.kind == "sup":
-        return sup_norm(coeffs, metric.eval_grid)
-    return lq_omega_norm(coeffs, metric.q, _grid(metric, coeffs._dense.shape)[1])
+    grid = _grid(metric, coeffs._dense.shape)
+    return l2_omega_norm(coeffs) if grid is None else _reduce(coeffs._dense, grid, metric.q)
 
 
 def _error_metrics(reference: CoeffGrid, metrics):
@@ -268,12 +269,11 @@ def _error_metrics(reference: CoeffGrid, metrics):
     part on the tables' overlap, plus the squared error on approx's table,
     rounded once; a total :func:`_root_sum` would take again is left to
     :func:`l2_omega_norm`.  ``sup`` and ``lqw`` reduce values(approx) -
-    values(reference) on evaluate_metric's grid; the reference's values are
-    cached per grid.
+    values(reference) on :func:`_grid`'s grid for the error's table; the
+    reference's values are cached per grid.
     """
     ref = reference._dense
-    with np.errstate(over="ignore"):  # a square may overflow
-        ref_units = {m: _exact_units(ref * ref) for m in metrics if m.kind == "l2w"}
+    ref_units = functools.cache(lambda: _exact_units(ref * ref))  # for the one l2w
 
     @functools.lru_cache(maxsize=len(metrics))  # a level's grids, one per metric
     def ref_values(nodes: str, size: int) -> np.ndarray:
@@ -284,16 +284,15 @@ def _error_metrics(reference: CoeffGrid, metrics):
         dense, out = approx._dense, []
         shape = tuple(map(max, dense.shape, ref.shape))  # the error's table
         for metric in metrics:
-            if metric.kind != "l2w":
-                grid = _grid(metric, shape)
-                bt, btau = (_basis(u - 1, *grid)[:, :d] for u, d in zip(shape, dense.shape))
-                out.append(_reduce(bt, dense, btau, metric.q, ref_values(*grid)))
+            grid = _grid(metric, shape)
+            if grid is not None:
+                out.append(_reduce(dense, grid, metric.q, ref_values(*grid), shape))
                 continue
             overlap = tuple(slice(min(d, e)) for d, e in zip(dense.shape, ref.shape))
             inside, error = ref[overlap], dense.copy()
             with np.errstate(over="ignore"):
                 error[overlap] -= inside
-                parts = (ref_units[metric], _exact_units(inside * inside),
+                parts = (ref_units(), _exact_units(inside * inside),
                          _exact_units(error * error))
             # the total in units of 2**-1126; l2_omega_norm takes a non-finite
             # square (None), a total it would take again, and one near 2**1024

@@ -164,10 +164,12 @@ class CoeffGrid:
     @classmethod
     def from_dense(cls, array) -> "CoeffGrid":
         """Grid from a copy of a 2-D array whose entry [k, j] is a[k, j],
-        refused above MAX_TABLE_ENTRIES entries as a coefficient table."""
-        grid = cls._wrap(np.array(array, dtype=float, order="C"))
-        _check_table_size(grid.max_k, grid.max_j)
-        return grid
+        refused above MAX_TABLE_ENTRIES entries as a coefficient table before
+        it is copied."""
+        shape = np.shape(array)
+        if len(shape) == 2 and min(shape) > 0:  # _wrap refuses any other shape
+            _check_table_size(shape[0] - 1, shape[1] - 1)
+        return cls._wrap(np.array(array, dtype=float, order="C"))
 
     @classmethod
     def _wrap(cls, dense: np.ndarray) -> "CoeffGrid":

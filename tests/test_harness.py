@@ -460,8 +460,13 @@ class TestRunConvergence:
                            "MAX_TABLE_ENTRIES = 67108864$"):
             run_convergence(config)
 
-    @pytest.mark.parametrize("box", [(60, 20), (8, 8)], ids=["member", "block"])
-    def test_grid_check_sizes_the_largest_grid_the_sweep_builds(self, monkeypatch, box):
+    @pytest.mark.parametrize("member, quadrature", [
+        (TestFunctionSpec(kind="class-member", seed=3, max_k=60, max_j=20), 119),
+        (TestFunctionSpec(kind="class-member", seed=3, max_k=8, max_j=8), 27),  # n = 14
+        (TestFunctionSpec(kind="named-analytic", name="exp-cos"), 81),  # a 41 x 41 box
+    ], ids=["member", "block", "analytic"])
+    def test_grid_check_sizes_the_largest_grid_the_sweep_builds(self, monkeypatch, member,
+                                                                quadrature):
         # the member's box (less the r rows the derivative drops) or the last
         # level's block, whichever is larger, sets each metric's largest grid
         checked, built = {}, {}
@@ -479,13 +484,12 @@ class TestRunConvergence:
         monkeypatch.setattr(harness, "_check_table_size", checked_size)
         monkeypatch.setattr(norms, "_basis", built_basis)
         run_convergence(small_config(
-            test_function=TestFunctionSpec(kind="class-member", seed=3,
-                                           max_k=box[0], max_j=box[1]),
+            test_function=member,
             metrics=(MetricSpec("l2w"), MetricSpec("lqw", q=4.0, eval_grid=2),
                      MetricSpec("sup", eval_grid=33)),
             trials_per_delta=2))
         assert checked == built
-        assert checked["quadrature grid"] == 2 * (max(box[0], 14) - 1) + 1  # n = 14
+        assert checked["quadrature grid"] == quadrature  # 2 * (largest degree) + 1
 
     def test_multiple_metrics(self):
         config = small_config(metrics=(MetricSpec("l2w"),
@@ -628,7 +632,7 @@ class TestConfigParsing:
             small_config(**overrides)
 
 
-class TestRunSingle:
+class TestDifferentiateCommand:
     """One ``differentiate`` command, run in process through ``main``."""
 
     @staticmethod

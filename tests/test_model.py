@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from chebdiff2d import (NOISE_MODES, NOISE_SINGLE, NOISE_TOPWEIGHT,
                         NOISE_UNIFORM, SEED_INDEPENDENT_MODES, CoeffGrid,
-                        NoiseSpec, WienerSpec, build_cross, lp_norm,
+                        MetricSpec, NoiseSpec, WienerSpec, build_cross,
+                        differentiate_coeffs, evaluate_metric, lp_norm,
                         make_class_member, perturb, wiener_norm)
 from chebdiff2d import model
 from helpers import random_grid
@@ -183,6 +184,24 @@ class TestPerturb:
         noisy = perturb(grid, noise, cross).to_dense()
         xi = noisy[cross.mask(*noisy.shape)]
         assert lp_norm(xi, 2.0) == pytest.approx(0.25, abs=1e-12)
+
+    def test_single_coefficient_is_the_most_amplified_for_l2w_only(self):
+        # the mode's (n, 0) and the cross's (n, 1) amplify l2w alike, but
+        # sup by T_1(1) / T_0(1) = sqrt 2 and lqw:4 by sqrt 2 (3/8)^(1/4)
+        cross = build_cross(16, 1.5, 1)
+        grid = CoeffGrid([], 16, cross.j_bound)
+        noise = perturb(grid, NoiseSpec(p=2.0, delta=0.5, mode=NOISE_SINGLE), cross)
+        at_0 = noise.to_dense()
+        assert np.argwhere(at_0).tolist() == [[16, 0]] and cross.mask(*at_0.shape)[16, 1]
+        at_1 = np.roll(at_0, 1, axis=1)
+        ratio = {metric.label: evaluate_metric(differentiate_coeffs(
+                     CoeffGrid.from_dense(at_1), 1), metric)
+                 / evaluate_metric(differentiate_coeffs(noise, 1), metric)
+                 for metric in (MetricSpec("l2w"), MetricSpec("sup"),
+                                MetricSpec("lqw", q=4.0))}
+        assert ratio["l2w"] == 1.0
+        assert ratio["sup"] == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert ratio["lqw:4"] == pytest.approx(1.10668, abs=1e-4)
 
     @settings(deadline=None, database=None, max_examples=300)
     @given(mode=st.sampled_from(NOISE_MODES),

@@ -14,7 +14,7 @@ from chebdiff2d import (CoeffGrid, MetricSpec, WienerSpec, cosine_grid,
                         nikolskii_explicit_bound, parse_metric, sup_norm,
                         synthesize, wiener_norm)
 from chebdiff2d import basis, norms
-from chebdiff2d.norms import _error_metrics, _exact_sum
+from chebdiff2d.norms import _error_metrics, _exact_sum, _grid
 from helpers import random_grid
 
 
@@ -451,6 +451,9 @@ class TestMetricSpec:
         assert evaluate_metric(grid, MetricSpec("l2w")) == l2_omega_norm(grid)
         assert evaluate_metric(grid, MetricSpec("sup", eval_grid=65)) == \
             sup_norm(grid, 65)
+        metric = MetricSpec("lqw", q=4.0, eval_grid=2)
+        assert evaluate_metric(grid, metric) == lq_omega_norm(
+            grid, 4.0, _grid(metric, grid._dense.shape)[1])
         assert evaluate_metric(grid, MetricSpec("lqw", q=2.0)) == pytest.approx(
             l2_omega_norm(grid), rel=1e-10)
 

@@ -23,7 +23,7 @@ from chebdiff2d import (CoeffFileError, CoeffGrid, CrossIndexSet,
                         read_coeff_csv, read_coeff_file, read_coeff_json,
                         recurrence_partial_t, sup_norm, synthesize,
                         write_coeff_csv, write_coeff_json)
-from chebdiff2d import transform
+from chebdiff2d import basis, transform
 from chebdiff2d.cli import main
 from chebdiff2d.transform import write_csv_table, write_value_table
 import reference
@@ -157,6 +157,22 @@ class TestCoeffGrid:
         with pytest.raises(ValueError) as info:
             op(grid)
         assert str(info.value) == f"non-finite coefficient at {where}"
+
+    @pytest.mark.parametrize("fill", [0.0, math.nan], ids=["zeros", "nan"])
+    def test_oversize_array_is_refused_before_its_copy(self, monkeypatch, fill):
+        # from_dense sizes the caller's array first, so a refused one is
+        # neither copied nor scanned, and an oversize NaN gets the limit message
+        monkeypatch.setattr(basis, "MAX_TABLE_ENTRIES", 8)
+        array = np.full((1000, 1000), fill)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^a 1000 x 1000 coefficient table "
+                               "exceeds the limit MAX_TABLE_ENTRIES = 8$"):
+                CoeffGrid.from_dense(array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
     @pytest.mark.parametrize("op", [CoeffGrid.__add__, CoeffGrid.__sub__],
                              ids=["add", "sub"])
