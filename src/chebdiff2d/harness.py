@@ -100,10 +100,11 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "trials_per_delta",
                            _size(self.trials_per_delta, "trials_per_delta", 1))
-        if not self.deltas:
-            raise ValueError("need at least one noise level")
         for d in self.deltas:
             _interval(d, "noise levels", 0, 1, "()")
+        if len(self.deltas) < 3:  # fit_rate's minimum, refused before the sweep
+            raise ValueError(f"need at least 3 noise levels to fit a rate, got {len(self.deltas)}"
+                             if self.deltas else "need at least one noise level")
         if any(a <= b for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
         _one_of("noise mode", NOISE_MODES)(self.noise_mode)

@@ -1,10 +1,10 @@
 """Error metrics for coefficient grids.
 
-Three output metrics are supported: the weighted L2 norm (exact through the
-coefficients), weighted Lq norms approximated by tensor Gauss-Chebyshev
-quadrature, and a grid surrogate for the uniform norm.  The module also
-provides the coefficient-weighted Lq upper-bound functional and the
-explicit-constant polynomial sup/L2 comparison bound.
+Three output metrics, one ``_METRICS`` row each: the weighted L2 norm (exact
+through the coefficients), weighted Lq norms approximated by tensor
+Gauss-Chebyshev quadrature, and a grid surrogate for the uniform norm.  The
+module also provides the coefficient-weighted Lq upper-bound functional and
+the explicit-constant polynomial sup/L2 comparison bound.
 
 Metric selection strings (CLI and config): ``l2w``, ``lqw:<q>``, ``sup``.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,20 @@ import numpy as np
 from .basis import (_check_table_size, _interval, _one_of, _shown, _size, basis_matrix,
                     gauss_chebyshev_nodes)
 from .transform import CoeffGrid
+
+#: One row per metric kind: the nodes of its value grid (None: exact through
+#: the coefficients); whether it takes q; the shift a(1/s, q), which sets the
+#: rate, gamma_max and the bounds mu1 > 2r - a and mu2 > -a; those bounds as
+#: the messages spell them; whether mu2 > mu1 - 2r is required.
+_Metric = namedtuple("_Metric", "nodes takes_q shift mu1_bound mu2_bound coupled")
+_METRICS = {
+    "l2w": _Metric(None, False, lambda inv_s, q: inv_s - 0.5, "2r - 1/s + 1/2",
+                   "1/2 - 1/s", True),
+    "lqw": _Metric("quadrature", True, lambda inv_s, q: inv_s + 1.0 / q - 1.0,
+                   "2r - 1/s - 1/q + 1", "1 - 1/s - 1/q", False),
+    "sup": _Metric("evaluation", False, lambda inv_s, q: inv_s - 1.0, "2r - 1/s + 1",
+                   "1 - 1/s", True),
+}
 
 
 @dataclass(frozen=True)
@@ -31,13 +46,12 @@ class MetricSpec:
     also grows with the polynomial degree, see :func:`lq_omega_norm`).
     """
 
-    kind: str  # "l2w" | "lqw" | "sup"
+    kind: str  # a key of _METRICS
     q: float | None = None
     eval_grid: int = 257
 
     def __post_init__(self):
-        _one_of("metric kind", ("l2w", "lqw", "sup"))(self.kind)
-        if self.kind == "lqw":
+        if _METRICS[_one_of("metric kind", tuple(_METRICS))(self.kind)].takes_q:
             if self.q == math.inf:
                 raise ValueError("Lq metric requires a finite q; use 'sup' for q = inf")
             _interval(math.nan if self.q is None else self.q, "q", 2, math.inf)
@@ -47,23 +61,21 @@ class MetricSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "lqw":
-            return f"lqw:{self.q:g}"
-        return self.kind
+        return self.kind if self.q is None else f"{self.kind}:{self.q:g}"
 
 
 def parse_metric(text: str) -> MetricSpec:
     """Parse ``l2w``, ``lqw:<q>`` or ``sup`` into a MetricSpec."""
     text = text.strip()
-    if text in ("l2w", "sup"):
-        return MetricSpec(text)
-    if text.startswith("lqw:"):
-        try:
-            q = float(text[4:])
-        except ValueError:  # float() would echo the whole suffix
-            raise ValueError(f"metric {_shown(text)}: q is not a number") from None
-        return MetricSpec("lqw", q=q)
-    raise ValueError(f"unknown metric {_shown(text)} (expected l2w, lqw:<q>, sup)")
+    kind, colon, q = text.partition(":")
+    if kind not in _METRICS or _METRICS[kind].takes_q != bool(colon):
+        spellings = (k + ":<q>" if row.takes_q else k for k, row in _METRICS.items())
+        raise ValueError(f"unknown metric {_shown(text)} (expected {', '.join(spellings)})")
+    try:
+        q = float(q) if colon else None
+    except ValueError:  # float() would echo the whole suffix
+        raise ValueError(f"metric {_shown(text)}: q is not a number") from None
+    return MetricSpec(kind, q=q)
 
 
 def _exact_units(values: np.ndarray) -> int | None:
@@ -95,10 +107,14 @@ def _exact_sum(values: np.ndarray) -> float:
     but a finite sum beyond the float range is inf, where fsum raises
     OverflowError; a non-finite term goes to fsum."""
     units = _exact_units(values)
-    if units is None:
-        return math.fsum(values.ravel())
+    return math.fsum(values.ravel()) if units is None else _from_units(units)
+
+
+def _from_units(units: int) -> float:
+    """``units * 2**-1126`` (:func:`_exact_units`' unit) correctly rounded;
+    +-inf beyond the float range."""
     try:
-        return units / (1 << 1126)  # bin b holds multiples of 2**(b - 1126)
+        return units / (1 << 1126)
     except OverflowError:
         return math.inf if units > 0 else -math.inf
 
@@ -247,12 +263,12 @@ def nikolskii_explicit_bound(max_k: int, max_j: int) -> float:
 
 def _grid(metric: MetricSpec, shape) -> tuple[str, int] | None:
     """Nodes and points per dimension of :func:`_reduce`'s grid for a metric on
-    a ``shape`` table; None for ``l2w``, which is exact through the coefficients."""
-    if metric.kind == "l2w":
-        return None
-    if metric.kind == "sup":
-        return "evaluation", metric.eval_grid
-    return "quadrature", max(metric.eval_grid, _lq_nodes(metric.q, max(shape) - 1))
+    a ``shape`` table; None for ``l2w``, which is exact through the coefficients.
+    An Lq sum takes at least the nodes :func:`_lq_nodes` gives its degree."""
+    nodes, size = _METRICS[metric.kind].nodes, metric.eval_grid
+    if metric.q is not None:
+        size = max(size, _lq_nodes(metric.q, max(shape) - 1))
+    return None if nodes is None else (nodes, size)
 
 
 def evaluate_metric(coeffs: CoeffGrid, metric: MetricSpec) -> float:
@@ -294,11 +310,9 @@ def _error_metrics(reference: CoeffGrid, metrics):
                 error[overlap] -= inside
                 parts = (ref_units(), _exact_units(inside * inside),
                          _exact_units(error * error))
-            # the total in units of 2**-1126; l2_omega_norm takes a non-finite
-            # square (None), a total it would take again, and one near 2**1024
-            units = None if None in parts else parts[0] - parts[1] + parts[2]
-            exact = units is not None and math.ldexp(_TINY_SUM, 1126) <= units < 2 ** 2149
-            out.append(math.sqrt(units / (1 << 1126)) if exact
+            # l2_omega_norm takes a non-finite square (NaN here) and what _root_sum retakes
+            total = math.nan if None in parts else _from_units(parts[0] - parts[1] + parts[2])
+            out.append(math.sqrt(total) if _TINY_SUM <= total < math.inf
                        else l2_omega_norm(approx - reference))
         return out
 

@@ -1148,6 +1148,24 @@ class TestCli:
             assert message in err
             assert "Traceback" not in err and "parse_p" not in err
 
+    @pytest.mark.parametrize("deltas", [[1e-2], [1e-2, 1e-3]], ids=["one", "two"])
+    def test_too_few_noise_levels_refused_before_any_work(self, tmp_path, capsys,
+                                                          monkeypatch, deltas):
+        # a rate fit needs 3 noise levels; fewer used to fail after the sweep
+        def build(spec, wiener):
+            raise AssertionError("the class member was built")
+
+        monkeypatch.setattr(TestFunctionSpec, "build", build)
+        message = f"need at least 3 noise levels to fit a rate, got {len(deltas)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict(small_doc(deltas=deltas))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(small_doc(deltas=deltas)))
+        assert main(["experiment", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("trials", [2**18, 10**400], ids=["over", "400-digits"])
     def test_experiment_trial_budget_exit_code(self, tmp_path, capsys, trials):
         # 3 deltas x trials x 2 metrics records, refused before any work

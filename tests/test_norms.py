@@ -52,20 +52,22 @@ class TestErrorMetrics:
     @pytest.mark.parametrize("reference, want", [
         ([[1.0, 2.0], [1e200, -3.0]], 1e200),  # a square overflows
         (np.full((3, 3), 1e154), 3e154),  # the squares' sum overflows
-    ], ids=["square", "sum"])
+        (np.full((2, 2), 5.5e153), 1.1e154),  # the sum lies in [2**1023, 2**1024)
+    ], ids=["square", "sum", "top-binade"])
     @pytest.mark.parametrize("approx", [[[0.5]], np.zeros((4, 5))],
                              ids=["inside", "beyond"])
     def test_l2w_beyond_the_range_of_the_sum(self, reference, want, approx):
-        # the engine hands these to l2_omega_norm, which rescales the table
+        # the engine hands an overflow to l2_omega_norm, which rescales the
+        # table, and takes the root of a finite sum in the top binade itself
         reference, approx = CoeffGrid.from_dense(reference), CoeffGrid.from_dense(approx)
         got = _error_metrics(reference, (MetricSpec("l2w"),))(approx)
         assert got == [l2_omega_norm(approx - reference)] == [want]
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-170, 2e153])
     def test_l2w_at_the_ends_of_the_range_equals_the_public_path(self, rng, scale):
-        # the squares underflow in part (1e-160) or whole (1e-170), or their
-        # sum nears the float range's top (2e153); the engine hands such a
-        # total to l2_omega_norm
+        # the squares underflow in part (1e-160) or whole (1e-170), which the
+        # engine hands to l2_omega_norm, or their sum nears the float range's
+        # top (2e153)
         reference = CoeffGrid.from_dense(scale * rng.uniform(-1.0, 1.0, (9, 9)))
         evaluate = _error_metrics(reference, (MetricSpec("l2w"),))
         for shape in ((5, 4), (9, 9), (12, 11)):
@@ -445,6 +447,23 @@ class TestMetricSpec:
             MetricSpec("l2w", q=3.0)
         with pytest.raises(ValueError):
             MetricSpec("sup", eval_grid=1)
+
+    @pytest.mark.parametrize("kind", norms._METRICS)
+    def test_each_kind_reads_its_row(self, kind):
+        # a kind's row decides its spelling, its q and its value grid
+        takes_q = norms._METRICS[kind].takes_q
+        spec = MetricSpec(kind, q=4.0 if takes_q else None)
+        assert parse_metric(spec.label) == spec
+        wrong = kind if takes_q else f"{kind}:4"
+        with pytest.raises(ValueError, match=f"^unknown metric '{wrong}' "
+                           r"\(expected l2w, lqw:<q>, sup\)$"):
+            parse_metric(wrong)
+        # lqw:4 takes 4 * 599 / 2 + 1 nodes at degree 599, above eval_grid
+        assert _grid(spec, (600, 9)) == {"l2w": None, "lqw": ("quadrature", 1199),
+                                         "sup": ("evaluation", 257)}[kind]
+        with pytest.raises(ValueError, match=f"^unknown metric kind '{kind}x' "
+                           r"\(expected l2w, lqw, sup\)$"):
+            MetricSpec(kind + "x")
 
     def test_evaluate_dispatch(self, rng):
         grid = random_grid(rng, 6, 6)

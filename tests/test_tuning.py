@@ -185,6 +185,16 @@ class TestTheoreticalRate:
         assert theoretical_rate(base) == pytest.approx(theoretical_rate(lq2),
                                                        rel=1e-14)
 
+    def test_lq_matches_the_readme_formulas(self):
+        # "Accuracy model" at q = 4, s = 2; every term is a dyadic rational,
+        # so both sides are exact up to the one rounding of the division
+        r, s, mu1, mu2, p, q = 1, 2.0, 3.5, 2.5, 2.0, 4.0
+        spec = make_spec(r=r, s=s, mu1=mu1, mu2=mu2, p=p, metric=MetricSpec("lqw", q=q))
+        assert theoretical_rate(spec) == (
+            (mu1 - 2 * r + 1 / s + 1 / q - 1) / (mu1 - 1 / p + 1 / s)) == 1.25 / 3.5
+        a = 1 / s + 1 / q - 1
+        assert gamma_range(spec) == (1.0, (mu2 + a) / (mu1 - 2 * r + a)) == (1.0, 1.8)
+
     def test_positive_on_admissible_specs(self):
         import numpy as np
         gen = np.random.default_rng(6)
